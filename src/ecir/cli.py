@@ -29,7 +29,7 @@ from .simulation import (
     synthesize_blur,
     voxelize,
 )
-from .types import BlurryFrame, ExposureInterval
+from .types import BlurryFrame, EventStream, ExposureInterval
 
 DEFAULT_EXPOSURE_MS = 120.0
 DEFAULT_KEYPOINTS = 10
@@ -87,6 +87,16 @@ def _path_setting(flag_value, manifest: io.Manifest | None, name: str) -> Path:
         if resolved is not None:
             return resolved
     raise ValueError(f"missing --{name.replace('_', '-')} (no manifest fallback found)")
+
+
+def _events_of(events_path: Path, manifest: io.Manifest | None, interval: ExposureInterval) -> EventStream:
+    """The command's events: the manifest's parsed stream when the path is its own."""
+    if manifest is not None and manifest.event_stream is not None and (
+        events_path == manifest.resolve("events")
+    ):
+        stream = manifest.event_stream
+        return EventStream(stream.x, stream.y, stream.t, stream.p, interval)
+    return io.read_events(events_path, interval)
 
 
 def _parse_timestamps(text: str) -> np.ndarray:
@@ -155,7 +165,7 @@ def cmd_fit(args) -> int:
         video = video.window(manifest.interval)
     interval = video.interval
     blurry = BlurryFrame(io.read_frame(blurry_path), interval)
-    events = io.read_events(events_path, interval)
+    events = _events_of(events_path, manifest, interval)
 
     keypoints = keypoint_grid(events, interval, n, video.shape)
     grid = fit_polys(video, keypoints, blurry, threads=threads)
@@ -198,7 +208,7 @@ def cmd_edi(args) -> int:
     events_path = _path_setting(args.events, manifest, "events")
     c = _setting(args.c, manifest, "c", DEFAULT_CONTRAST)
     blurry = BlurryFrame(io.read_frame(blurry_path), interval)
-    events = io.read_events(events_path, interval)
+    events = _events_of(events_path, manifest, interval)
     if args.timestamps is not None:
         times = _parse_timestamps(args.timestamps)
     else:
@@ -222,7 +232,7 @@ def cmd_refine(args) -> int:
     video = io.read_video_dir(args.frames)
     if not interval.contains(video.times):
         raise ValueError("frame schedule falls outside the exposure interval")
-    events = io.read_events(events_path, interval)
+    events = _events_of(events_path, manifest, interval)
     refined = refine(video.frames, events, c, video.times, lam=lam, i_max=i_max, solver=solver)
     io.write_video_dir(args.out, video.times, refined, fmt=args.format)
     print(f"refine: solver={solver} lambda={lam} imax={i_max} -> {args.out}")
@@ -278,7 +288,7 @@ def cmd_voxelize(args) -> int:
     interval = _interval_of(args, manifest)
     events_path = _path_setting(args.events, manifest, "events")
     m = _setting(args.bins, manifest, "bins", DEFAULT_BINS)
-    events = io.read_events(events_path, interval)
+    events = _events_of(events_path, manifest, interval)
 
     width = _setting(args.width, manifest, "width", None)
     height = _setting(args.height, manifest, "height", None)

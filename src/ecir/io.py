@@ -1,17 +1,27 @@
 """File formats: event text files, PGM and raw-float frames, videos, manifests.
 
 Events travel as plain text, one ``t x y p`` record per line, sorted by t;
-diffable and trivially greppable. Frames export either as 8-bit binary PGM
-(clamped and quantized) or as a raw little-endian float32 format with a
-16-byte header (magic ``ECIRF32``, width, height) for lossless
-intermediates. Voxel histograms use the sibling ``ECIRH32`` header with bin
-count, height, width.
+diffable and trivially greppable. :func:`read_events` parses a file with one
+vectorized ``np.loadtxt`` call and checks order, finiteness and polarity on
+whole columns. Any file that fails there is read again by the line-by-line
+parser, which is the reference for what a valid file is and raises the
+line-numbered :class:`ParseError`; errors are therefore the same whichever
+path saw the file first. :func:`load_manifest` keeps the stream it parsed
+while validating, so a command reads ``events.txt`` once. Frames export
+either as 8-bit binary PGM (clamped and quantized) or as a raw little-endian
+float32 format with a 16-byte header (magic ``ECIRF32``, width, height) for
+lossless intermediates. Voxel histograms use the sibling ``ECIRH32`` header
+with bin count, height, width.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
+import warnings
+import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -64,8 +74,36 @@ class FormatError(ValueError):
 # events
 # ---------------------------------------------------------------------------
 
+EVENT_DTYPE = np.dtype([("t", "f8"), ("x", "i8"), ("y", "i8"), ("p", "i8")])
+
+
 def read_events(path, interval: ExposureInterval) -> EventStream:
     """Parse a ``t x y p`` text file into a sorted stream over ``interval``."""
+    if os.path.getsize(path) == 0:
+        return EventStream.empty(interval)
+    try:
+        with warnings.catch_warnings():
+            # a file of blank lines makes loadtxt warn; the line parser reads it instead
+            warnings.simplefilter("error")
+            table = np.loadtxt(path, dtype=EVENT_DTYPE, comments=None, ndmin=1, encoding="ascii")
+    except (ValueError, OSError, UserWarning):
+        return _read_events_lines(path, interval)
+    t, p = table["t"], table["p"]
+    if not (
+        np.all(np.isfinite(t)) and np.all(t[1:] >= t[:-1]) and np.all((p == 1) | (p == -1))
+    ):
+        return _read_events_lines(path, interval)
+    return EventStream(
+        np.ascontiguousarray(table["x"]),
+        np.ascontiguousarray(table["y"]),
+        np.ascontiguousarray(t),
+        np.ascontiguousarray(p),
+        interval,
+    )
+
+
+def _read_events_lines(path, interval: ExposureInterval) -> EventStream:
+    """The reference parser: one record per line, first bad line raises ``ParseError``."""
     xs, ys, ts, ps = [], [], [], []
     with open(path, "r", encoding="ascii") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -82,6 +120,8 @@ def read_events(path, interval: ExposureInterval) -> EventStream:
                 p = int(parts[3])
             except ValueError as exc:
                 raise ParseError(path, lineno, str(exc)) from None
+            if not math.isfinite(t):
+                raise ParseError(path, lineno, f"timestamp must be finite, got {parts[0]}")
             if p not in (-1, 1):
                 raise ParseError(path, lineno, f"polarity must be -1 or 1, got {p}")
             if ts and t < ts[-1]:
@@ -292,16 +332,23 @@ def save_polys(path, grid: PolyGrid) -> None:
 
 
 def load_polys(path) -> PolyGrid:
-    with np.load(path) as data:
-        try:
-            return PolyGrid(
-                data["keypoints"],
-                data["derivatives"],
-                data["constants"],
-                ExposureInterval(float(data["t_start"]), float(data["t_end"])),
-            )
-        except KeyError as exc:
-            raise FormatError(f"{path}: missing array {exc}") from None
+    try:
+        with np.load(path) as data:
+            arrays = {
+                name: data[name]
+                for name in ("keypoints", "derivatives", "constants", "t_start", "t_end")
+            }
+    except KeyError as exc:
+        raise FormatError(f"{path}: missing array {exc}") from None
+    except (zipfile.BadZipFile, EOFError, ValueError) as exc:
+        # not a zip, cut short, or a member whose payload is shorter than its header says
+        raise FormatError(f"{path}: corrupt archive: {exc}") from None
+    return PolyGrid(
+        arrays["keypoints"],
+        arrays["derivatives"],
+        arrays["constants"],
+        ExposureInterval(float(arrays["t_start"]), float(arrays["t_end"])),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +366,8 @@ class Manifest:
     gt_video: str | None = None
     overrides: dict = field(default_factory=dict)
     base_dir: Path = field(default_factory=Path)
+    # the events file as parsed by load_manifest; never saved
+    event_stream: EventStream | None = field(default=None, repr=False, compare=False)
 
     @property
     def interval(self) -> ExposureInterval:
@@ -345,7 +394,10 @@ class Manifest:
 
 
 def load_manifest(path) -> Manifest:
-    """Load and validate: referenced files must exist, events must fit the interval."""
+    """Load and validate: referenced files must exist, events must fit the interval.
+
+    The parsed events stay on ``Manifest.event_stream`` for the command to reuse.
+    """
     path = Path(path)
     try:
         payload = json.loads(path.read_text(encoding="ascii"))
@@ -370,5 +422,6 @@ def load_manifest(path) -> Manifest:
             raise FileNotFoundError(f"{path}: referenced {name} {target} does not exist")
     events_path = manifest.resolve("events")
     if events_path is not None:
-        read_events(events_path, interval)  # raises if any timestamp escapes
+        # raises if any timestamp escapes; kept so commands need not parse it again
+        manifest.event_stream = read_events(events_path, interval)
     return manifest

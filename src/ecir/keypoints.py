@@ -6,6 +6,14 @@ event was already claimed by an earlier pivot, in which case the pivot stays
 put; unclaimed pivots give the representation support where the pixel saw no
 events. The result is sorted and any duplicates are nudged apart so the
 Lagrange nodes stay distinct.
+
+:func:`keypoint_grid` selects for every pixel at once. One pass over the
+time-sorted stream counts each pixel's events before each pivot, which places
+every (pixel, pivot) pair between its two neighbouring events; the nearer
+neighbour wins, ties going to the earliest equally distant event, and claims
+are compared across each row. Only rows that need nudging run the scalar
+dedup. :func:`select_keypoints` is the one-pixel case of the same search; the
+per-pixel argmin loop lives on in the tests as the oracle both are held to.
 """
 
 from __future__ import annotations
@@ -59,15 +67,8 @@ def select_keypoints(
         raise ValueError("event times must be sorted and inside the interval")
     if times.size == 0:
         return KeypointSet(base, interval)
-
-    chosen = base.copy()
-    claimed = np.zeros(times.shape[0], dtype=bool)
-    for i, pivot in enumerate(base):
-        j = int(np.argmin(np.abs(times - pivot)))  # ties go to the earlier event
-        if not claimed[j]:
-            claimed[j] = True
-            chosen[i] = times[j]
-    return KeypointSet(_dedup_increasing(chosen, interval), interval)
+    rows = _select_rows(times, np.zeros(times.shape[0], dtype=np.int64), 1, base, interval)
+    return KeypointSet(rows[0], interval)
 
 
 def keypoint_grid(
@@ -88,15 +89,76 @@ def keypoint_grid(
 
     if np.any(events.x >= w) or np.any(events.y >= h):
         raise ValueError("event coordinates exceed the requested grid shape")
+    if not interval.contains(events.t):
+        raise ValueError("event times must be sorted and inside the interval")
     ids = events.y * w + events.x
-    order = np.argsort(ids, kind="stable")  # keeps time order within a pixel
-    ids_sorted = ids[order]
-    times_sorted = events.t[order]
-    starts = np.flatnonzero(np.r_[True, np.diff(ids_sorted) != 0])
-    bounds = np.r_[starts, ids_sorted.shape[0]]
-    flat = grid.reshape(h * w, n)
-    for k in range(starts.shape[0]):
-        pid = int(ids_sorted[starts[k]])
-        pixel_times = times_sorted[bounds[k] : bounds[k + 1]]
-        flat[pid] = select_keypoints(pixel_times, interval, n).timestamps
+    touched = np.zeros(h * w, dtype=bool)
+    touched[ids] = True
+    pixels = np.flatnonzero(touched)
+    row_of_event = (np.cumsum(touched) - 1)[ids]
+    rows = _select_rows(events.t, row_of_event, pixels.shape[0], base, interval)
+    grid.reshape(h * w, n)[pixels] = rows
     return grid
+
+
+def _select_rows(
+    times: np.ndarray,
+    row_of_event: np.ndarray,
+    m: int,
+    base: np.ndarray,
+    interval: ExposureInterval,
+) -> np.ndarray:
+    """Keypoints, shape (m, n), for m pixels that each own at least one event.
+
+    ``times`` is sorted; ``row_of_event`` gives each event's pixel row.
+    """
+    n = base.shape[0]
+    order = np.argsort(row_of_event, kind="stable")  # pixel-major, time order kept
+    t = times[order]
+    counts = np.bincount(row_of_event, minlength=m)
+    start = np.cumsum(counts) - counts
+    end = start + counts
+
+    # right[r, i]: the row's first event at or after pivot i. The events before
+    # a pivot are a prefix of the sorted stream, counted per row incrementally.
+    right = np.empty((m, n), dtype=np.int64)
+    before = np.zeros(m, dtype=np.int64)
+    done = 0
+    for i, pivot in enumerate(base):
+        upto = int(np.searchsorted(times, pivot, side="left"))
+        before += np.bincount(row_of_event[done:upto], minlength=m)
+        done = upto
+        right[:, i] = start + before
+
+    # fl(t - pivot) is monotone in t, so distances fall up to the left
+    # neighbour and rise from the right one; ties go to the earliest event
+    last = t.shape[0] - 1
+    left = right - 1
+    d_right = np.where(right < end[:, None], np.abs(t[np.minimum(right, last)] - base), np.inf)
+    d_left = np.where(left >= start[:, None], np.abs(t[np.maximum(left, 0)] - base), np.inf)
+    go_left = d_left <= d_right
+    nearest = np.where(go_left, left, right)
+
+    # walk left winners back over every earlier event equally far from the
+    # pivot: equal times, or distinct times whose distances round alike.
+    # A step jumps a whole run of equal times, so duplicates cost one step.
+    row_sorted = row_of_event[order]
+    new_run = np.r_[True, (t[1:] != t[:-1]) | (row_sorted[1:] != row_sorted[:-1])]
+    run_start = np.maximum.accumulate(np.where(new_run, np.arange(t.shape[0]), 0))
+    flat, d_flat = nearest.reshape(-1), d_left.reshape(-1)
+    pairs = np.flatnonzero(go_left)
+    flat[pairs] = run_start[flat[pairs]]
+    while pairs.size:
+        prev = flat[pairs] - 1
+        tied = (prev >= start[pairs // n]) & (np.abs(t[prev] - base[pairs % n]) == d_flat[pairs])
+        pairs = pairs[tied]
+        flat[pairs] = run_start[prev[tied]]
+
+    # a pivot whose event an earlier pivot of the row already took stays put
+    earlier = np.tri(n, k=-1, dtype=bool)
+    claimed = np.any((nearest[:, :, None] == nearest[:, None, :]) & earlier, axis=2)
+    chosen = np.where(claimed, base, t[nearest])
+    rows = np.sort(chosen, axis=1)
+    for r in np.flatnonzero(np.any(np.diff(rows, axis=1) <= 0, axis=1)):
+        rows[r] = _dedup_increasing(chosen[r], interval)
+    return rows

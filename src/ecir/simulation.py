@@ -42,12 +42,12 @@ class ThresholdConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not self.c_plus > 0:
-            raise ValueError("c_plus must be positive")
-        if not self.c_minus < 0:
-            raise ValueError("c_minus must be negative")
-        if self.sigma < 0:
-            raise ValueError("sigma must be non-negative")
+        if not 0 < self.c_plus < np.inf:
+            raise ValueError("c_plus must be positive and finite")
+        if not -np.inf < self.c_minus < 0:
+            raise ValueError("c_minus must be negative and finite")
+        if not 0 <= self.sigma < np.inf:
+            raise ValueError("sigma must be non-negative and finite")
 
     def per_pixel(self, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
         """Per-pixel thresholds drawn once per sequence: c * (1 + N(0, sigma))."""

@@ -215,6 +215,21 @@ class TestErrorHandling:
                        "--solver", "magic", "--out", tmp_path / "o", check=False)
         assert proc.returncode == 2
 
+    def test_corrupt_polys_one_line_diagnostic(self, tmp_path):
+        make_scene_fixture(tmp_path, seed=467, h=16, w=16, k=12)
+        run_cli("simulate", "--video", tmp_path / "video", "--out", tmp_path / "sim")
+        run_cli("fit", "--manifest", tmp_path / "sim" / "manifest.json",
+                "--gt-video", tmp_path / "video", "--out", tmp_path / "polys.npz")
+        raw = (tmp_path / "polys.npz").read_bytes()
+        (tmp_path / "corrupt.npz").write_bytes(raw[: len(raw) // 2])
+        proc = run_cli("render", "--polys", tmp_path / "corrupt.npz",
+                       "--out", tmp_path / "frames", check=False)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        lines = [ln for ln in proc.stderr.splitlines() if ln.strip()]
+        assert len(lines) == 1
+        assert "corrupt.npz" in lines[0]
+
     def test_degenerate_interval_diagnostic(self, tmp_path):
         (tmp_path / "events.txt").write_text("")
         proc = run_cli("voxelize", "--events", tmp_path / "events.txt",
@@ -223,6 +238,44 @@ class TestErrorHandling:
                        "--out", tmp_path / "h.h32", check=False)
         assert proc.returncode == 2
         assert "interval" in proc.stderr
+
+
+class TestManifestEvents:
+    def test_manifest_command_parses_events_once(self, tmp_path, monkeypatch):
+        from ecir import cli
+        from ecir import io as ecir_io
+        from ecir.io import Manifest, write_f32
+
+        rng = np.random.default_rng(487)
+        k = 300
+        stream = EventStream(rng.integers(0, 6, k), rng.integers(0, 5, k),
+                             np.sort(rng.uniform(IV.t_start, IV.t_end, k)),
+                             rng.choice([-1, 1], k), IV)
+        write_events(tmp_path / "events.txt", stream)
+        write_f32(tmp_path / "blurry.f32", np.zeros((5, 6)))
+        Manifest(t_start=IV.t_start, t_end=IV.t_end, blurry="blurry.f32",
+                 events="events.txt").save(tmp_path / "manifest.json")
+        parsed = []
+        real = ecir_io.read_events
+
+        def counting(path, interval):
+            parsed.append(path)
+            return real(path, interval)
+
+        monkeypatch.setattr(ecir_io, "read_events", counting)
+        manifest = str(tmp_path / "manifest.json")
+        assert cli.main(["voxelize", "--manifest", manifest, "--out", str(tmp_path / "m.h32")]) == 0
+        assert len(parsed) == 1
+        # a separate --events path is parsed on its own, with the same result
+        (tmp_path / "copy.txt").write_bytes((tmp_path / "events.txt").read_bytes())
+        assert cli.main(["voxelize", "--manifest", manifest, "--events",
+                         str(tmp_path / "copy.txt"), "--out", str(tmp_path / "e.h32")]) == 0
+        assert parsed[1:] == [tmp_path / "events.txt", tmp_path / "copy.txt"]
+        assert (tmp_path / "m.h32").read_bytes() == (tmp_path / "e.h32").read_bytes()
+        # the reused stream is checked against the command's own interval
+        code = cli.main(["voxelize", "--manifest", manifest, "--t-start", "0.0",
+                         "--t-end", "0.01", "--out", str(tmp_path / "n.h32")])
+        assert code == 2
 
 
 class TestConfigPrecedence:

@@ -1,10 +1,15 @@
 """File formats: events, PGM, raw float frames, histograms, videos, manifests."""
 
+import zipfile
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ecir import EventStream, ExposureInterval
 from ecir.io import (
+    _read_events_lines,
     FormatError,
     Manifest,
     ParseError,
@@ -92,6 +97,100 @@ class TestEventFiles:
         path.write_text("0.5 1 1 1\n")
         with pytest.raises(ValueError):
             read_events(path, IV)
+
+    def test_nan_timestamp_reports_line_number(self, tmp_path):
+        path = tmp_path / "events.txt"
+        path.write_text("0.0 1 1 1\nnan 1 1 1\n")
+        with pytest.raises(ParseError, match="finite") as err:
+            read_events(path, IV)
+        assert err.value.lineno == 2
+
+    @pytest.mark.parametrize("token", ["inf", "-inf"])
+    def test_infinite_timestamp_reports_line_number(self, tmp_path, token):
+        path = tmp_path / "events.txt"
+        path.write_text(f"0.0 1 1 1\n0.01 2 2 -1\n{token} 1 1 1\n")
+        with pytest.raises(ParseError, match="finite") as err:
+            read_events(path, IV)
+        assert err.value.lineno == 3
+
+    def test_comment_line_rejected(self, tmp_path):
+        path = tmp_path / "events.txt"
+        path.write_text("# t x y p\n0.0 1 1 1\n")
+        with pytest.raises(ParseError) as err:
+            read_events(path, IV)
+        assert err.value.lineno == 1
+
+    def test_blank_lines_only(self, tmp_path):
+        path = tmp_path / "events.txt"
+        path.write_text("\n  \n\t\n")
+        assert len(read_events(path, IV)) == 0
+
+
+def outcome(reader, path):
+    """What a reader makes of a file: its columns' bytes, or the error it raised."""
+    try:
+        stream = reader(path, IV)
+    except ValueError as exc:
+        return ("raised", type(exc).__name__, str(exc))
+    return ("read", stream.t.tobytes(), stream.x.tobytes(), stream.y.tobytes(), stream.p.tobytes())
+
+
+@st.composite
+def event_lines(draw):
+    """Event files mixing valid records with every kind of token that is close to valid."""
+    times = sorted(draw(st.lists(st.floats(IV.t_start, IV.t_end), max_size=8)))
+    lines = []
+    for t in times:
+        if draw(st.integers(0, 4)) == 0:
+            lines.append(draw(st.sampled_from(["", "   ", "\t", "#", "# t x y p"])))
+        t_tok = draw(st.sampled_from(
+            [repr(t), repr(t), f"{t:.6e}", f"+{t!r}", t.hex(), "nan", "-inf", "1_0", "#" + repr(t)]
+        ))
+        x_tok, y_tok = (
+            draw(st.sampled_from([str(v), str(v), f"+{v}", f"0{v}", f"{v}_0", hex(v), f"{v}.0"]))
+            for v in (draw(st.integers(0, 300)), draw(st.integers(0, 300)))
+        )
+        p_tok = draw(st.sampled_from(["1", "-1", "+1", "-1", "0", "2", "1.0", "#"]))
+        tokens = [t_tok, x_tok, y_tok, p_tok]
+        if draw(st.integers(0, 9)) == 0:
+            tokens = tokens[: draw(st.integers(0, 3))] + draw(st.sampled_from([[], ["1"], ["#", "c"]]))
+        sep = draw(st.sampled_from([" ", "\t", "  ", " \t"]))
+        lines.append(sep.join(tokens))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + draw(st.sampled_from(["", end]))
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=event_lines())
+def test_fast_parse_agrees_with_line_parser(tmp_path, text):
+    path = tmp_path / "events.txt"
+    path.write_bytes(text.encode("ascii"))
+    assert outcome(read_events, path) == outcome(_read_events_lines, path)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    records=st.lists(
+        st.tuples(
+            st.floats(IV.t_start, IV.t_end),
+            st.integers(0, 2**62),
+            st.integers(0, 2**62),
+            st.sampled_from([-1, 1]),
+        ),
+        max_size=30,
+    )
+)
+def test_write_read_roundtrip_bitwise_property(tmp_path, records):
+    records.sort(key=lambda r: r[0])
+    t, x, y, p = (np.array(col) for col in zip(*records)) if records else ([],) * 4
+    stream = EventStream(x, y, t, p, IV)
+    path = tmp_path / "events.txt"
+    write_events(path, stream)
+    back = read_events(path, IV)
+    assert back.t.tobytes() == stream.t.tobytes()
+    assert back.x.tobytes() == stream.x.tobytes()
+    assert back.y.tobytes() == stream.y.tobytes()
+    assert back.p.tobytes() == stream.p.tobytes()
 
 
 class TestFrameFiles:
@@ -231,6 +330,28 @@ class TestPolyFiles:
         assert np.array_equal(back.constants, grid.constants)
         assert back.interval == grid.interval
 
+    @pytest.mark.parametrize("damage", ["truncated", "empty", "short_member", "bit_flip"])
+    def test_corrupt_archive_is_format_error(self, tmp_path, damage):
+        from scenes import random_poly_grid
+
+        grid = random_poly_grid(np.random.default_rng(389), 4, 5, 6, IV)
+        save_polys(tmp_path / "polys.npz", grid)
+        raw = (tmp_path / "polys.npz").read_bytes()
+        path = tmp_path / "bad.npz"
+        if damage == "truncated":
+            path.write_bytes(raw[: len(raw) // 2])
+        elif damage == "empty":
+            path.write_bytes(b"")
+        elif damage == "bit_flip":
+            path.write_bytes(raw[:200] + bytes([raw[200] ^ 0xFF]) + raw[201:])
+        else:
+            with zipfile.ZipFile(tmp_path / "polys.npz") as src, zipfile.ZipFile(path, "w") as dst:
+                for info in src.infolist():
+                    data = src.read(info)
+                    dst.writestr(info.filename, data[:-8] if info.filename == "constants.npy" else data)
+        with pytest.raises(FormatError, match="bad.npz"):
+            load_polys(path)
+
 
 class TestManifests:
     def test_save_load(self, tmp_path):
@@ -248,6 +369,16 @@ class TestManifests:
         assert back.interval == IV
         assert back.overrides == {"n": 8}
         assert back.resolve("blurry").exists()
+
+    def test_parsed_events_kept_but_not_saved(self, tmp_path):
+        stream = random_stream(np.random.default_rng(397), 50)
+        write_events(tmp_path / "events.txt", stream)
+        Manifest(t_start=IV.t_start, t_end=IV.t_end, events="events.txt").save(tmp_path / "m.json")
+        loaded = load_manifest(tmp_path / "m.json")
+        assert np.array_equal(loaded.event_stream.t, stream.t)
+        assert np.array_equal(loaded.event_stream.x, stream.x)
+        loaded.save(tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_text() == (tmp_path / "m.json").read_text()
 
     def test_missing_file_rejected(self, tmp_path):
         Manifest(t_start=0.0, t_end=0.1, blurry="gone.f32").save(tmp_path / "m.json")

@@ -2,13 +2,45 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ecir import ExposureInterval, select_keypoints
-from ecir.keypoints import keypoint_grid, pivots
+from ecir.keypoints import _dedup_increasing, keypoint_grid, pivots
 from ecir.simulation import simulate_events, ThresholdConfig
 from ecir.types import EventStream
 
 HALF_UNIT = ExposureInterval(-0.5, 0.5)
+
+
+def loop_select(event_times, interval, n):
+    """Reference for the vectorized search: one argmin per pivot, one pixel at a time."""
+    base = pivots(interval, n)
+    times = np.asarray(event_times, dtype=np.float64)
+    if times.size == 0:
+        return base
+    chosen = base.copy()
+    claimed = np.zeros(times.shape[0], dtype=bool)
+    for i, pivot in enumerate(base):
+        j = int(np.argmin(np.abs(times - pivot)))  # ties go to the earlier event
+        if not claimed[j]:
+            claimed[j] = True
+            chosen[i] = times[j]
+    return _dedup_increasing(chosen, interval)
+
+
+def loop_keypoint_grid(events, interval, n, shape):
+    """Reference for ``keypoint_grid``: ``loop_select`` on every pixel."""
+    h, w = shape
+    grid = np.broadcast_to(pivots(interval, n), (h, w, n)).copy()
+    for y in range(h):
+        for x in range(w):
+            grid[y, x] = loop_select(events.pixel_times(x, y), interval, n)
+    return grid
+
+
+def bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.uint64)
 
 
 def oracle_select(event_times, interval, n):
@@ -155,6 +187,7 @@ class TestKeypointGrid:
             for x in range(w):
                 expected = select_keypoints(events.pixel_times(x, y), HALF_UNIT, 4)
                 assert np.array_equal(grid[y, x], expected.timestamps)
+        assert np.array_equal(bits(grid), bits(loop_keypoint_grid(events, HALF_UNIT, 4, (h, w))))
 
     def test_out_of_range_coordinates_rejected(self):
         stream = EventStream(
@@ -162,3 +195,61 @@ class TestKeypointGrid:
         )
         with pytest.raises(ValueError):
             keypoint_grid(stream, HALF_UNIT, 3, (2, 2))
+
+    def test_events_outside_interval_rejected(self):
+        stream = EventStream(
+            np.array([0]), np.array([0]), np.array([0.4]), np.array([1]), HALF_UNIT
+        )
+        with pytest.raises(ValueError, match="inside the interval"):
+            keypoint_grid(stream, ExposureInterval(-0.5, 0.3), 3, (1, 1))
+
+
+# intervals whose pivots sit near 0, on binary fractions, and far from both
+PROPERTY_INTERVALS = [
+    HALF_UNIT,
+    ExposureInterval(0.0, 0.12),
+    ExposureInterval(-1e-3, 2e-3),
+]
+
+
+@st.composite
+def tie_heavy_streams(draw):
+    """Small sensors whose events sit where the nearest-event rule can tie."""
+    interval = draw(st.sampled_from(PROPERTY_INTERVALS))
+    n = draw(st.integers(2, 12))
+    h, w = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    base = pivots(interval, n)
+    step = interval.length / n
+    special = [interval.t_start, interval.t_end, 0.0, -0.0, 1e-20, 2e-20, -1e-20, 5e-324]
+    for b in base:
+        special += [b, np.nextafter(b, -np.inf), np.nextafter(b, np.inf)]
+        special += [b - step / 4, b + step / 4, b + step / 2]  # equidistant pairs
+    special = [float(t) for t in special if interval.t_start <= t <= interval.t_end]
+    times = draw(
+        st.lists(
+            st.one_of(
+                st.sampled_from(special),
+                st.floats(interval.t_start, interval.t_end),
+            ),
+            max_size=40,
+        )
+    )
+    times.sort()
+    k = len(times)
+    pixel = draw(st.lists(st.integers(0, h * w - 1), min_size=k, max_size=k))
+    pixel = np.array(pixel, dtype=np.int64)
+    stream = EventStream(pixel % w, pixel // w, np.array(times), np.ones(k), interval)
+    return stream, interval, n, (h, w)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tie_heavy_streams())
+def test_grid_matches_loop_oracle_bitwise(case):
+    stream, interval, n, shape = case
+    grid = keypoint_grid(stream, interval, n, shape)
+    assert np.array_equal(bits(grid), bits(loop_keypoint_grid(stream, interval, n, shape)))
+    h, w = shape
+    for y in range(h):
+        for x in range(w):
+            one = select_keypoints(stream.pixel_times(x, y), interval, n).timestamps
+            assert np.array_equal(bits(one), bits(grid[y, x]))

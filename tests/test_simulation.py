@@ -65,6 +65,21 @@ class TestPolarity:
         with pytest.raises(ValueError):
             ThresholdConfig(c_plus=0.2, c_minus=0.2)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("c_plus", math.nan),
+            ("c_plus", math.inf),
+            ("c_minus", math.nan),
+            ("c_minus", -math.inf),
+            ("sigma", math.nan),
+            ("sigma", math.inf),
+        ],
+    )
+    def test_non_finite_thresholds_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ThresholdConfig(**{field: value})
+
 
 class TestSimulateEvents:
     def test_constant_video_is_silent(self):
