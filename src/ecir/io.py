@@ -83,10 +83,13 @@ def read_events(path, interval: ExposureInterval) -> EventStream:
         return EventStream.empty(interval)
     try:
         with warnings.catch_warnings():
-            # a file of blank lines makes loadtxt warn; the line parser reads it instead
+            # Warnings become errors so the line parser decides these files:
+            # loadtxt only warns on a file of blank lines, and numpy 1.x only
+            # warns (DeprecationWarning) when it reads a float such as 1.0 into
+            # an integer column, which the line parser rejects.
             warnings.simplefilter("error")
             table = np.loadtxt(path, dtype=EVENT_DTYPE, comments=None, ndmin=1, encoding="ascii")
-    except (ValueError, OSError, UserWarning):
+    except (ValueError, OSError, Warning):
         return _read_events_lines(path, interval)
     t, p = table["t"], table["p"]
     if not (

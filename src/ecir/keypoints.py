@@ -140,19 +140,14 @@ def _select_rows(
     nearest = np.where(go_left, left, right)
 
     # walk left winners back over every earlier event equally far from the
-    # pivot: equal times, or distinct times whose distances round alike.
-    # A step jumps a whole run of equal times, so duplicates cost one step.
-    row_sorted = row_of_event[order]
-    new_run = np.r_[True, (t[1:] != t[:-1]) | (row_sorted[1:] != row_sorted[:-1])]
-    run_start = np.maximum.accumulate(np.where(new_run, np.arange(t.shape[0]), 0))
+    # pivot: equal times, or distinct times whose distances round alike
     flat, d_flat = nearest.reshape(-1), d_left.reshape(-1)
     pairs = np.flatnonzero(go_left)
-    flat[pairs] = run_start[flat[pairs]]
     while pairs.size:
         prev = flat[pairs] - 1
         tied = (prev >= start[pairs // n]) & (np.abs(t[prev] - base[pairs % n]) == d_flat[pairs])
         pairs = pairs[tied]
-        flat[pairs] = run_start[prev[tied]]
+        flat[pairs] = prev[tied]
 
     # a pivot whose event an earlier pivot of the row already took stays put
     earlier = np.tri(n, k=-1, dtype=bool)

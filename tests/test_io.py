@@ -120,6 +120,14 @@ class TestEventFiles:
             read_events(path, IV)
         assert err.value.lineno == 1
 
+    @pytest.mark.parametrize("line", ["0.0 1.0 1 1", "0.0 1 1.0 1", "0.0 1 1 1.0"])
+    def test_float_in_integer_field_rejected(self, tmp_path, line):
+        path = tmp_path / "events.txt"
+        path.write_text(line + "\n")
+        with pytest.raises(ParseError) as err:
+            read_events(path, IV)
+        assert err.value.lineno == 1
+
     def test_blank_lines_only(self, tmp_path):
         path = tmp_path / "events.txt"
         path.write_text("\n  \n\t\n")
