@@ -1,26 +1,27 @@
 """Command-line pipeline: simulate, fit, render, edi, refine, eval, voxelize.
 
-Settings resolve as flag > ECIR_THREADS (threads only) > manifest override >
-built-in default. Every subcommand validates its inputs and exits nonzero
-with a one-line diagnostic on bad input.
+Settings resolve as flag > manifest override > built-in default. Every
+subcommand validates its inputs and exits nonzero with a one-line diagnostic
+on bad input. Every command runs in one thread; ``--threads`` is accepted
+for compatibility, and fit, render and eval validate it together with
+``ECIR_THREADS`` and the manifest's ``threads`` override.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import io
-from ._parallel import map_rows, resolve_threads
 from .fitting import edi_video, fit_polys
 from .keypoints import keypoint_grid
 from .metrics import mse, psnr, ssim
 from .refinement import DEFAULT_ITERATIONS, DEFAULT_LAMBDA, DivergenceError, refine
-from .representation import horner
 from .simulation import (
     DEFAULT_BINS,
     DEFAULT_CONTRAST,
@@ -41,7 +42,6 @@ _COERCE = {
     "count": int,
     "imax": int,
     "seed": int,
-    "threads": int,
     "width": int,
     "height": int,
     "c": float,
@@ -62,6 +62,26 @@ def _setting(flag_value, manifest: io.Manifest | None, key: str, default):
     if manifest is not None and key in manifest.overrides:
         return _COERCE.get(key, str)(manifest.overrides[key])
     return default
+
+
+def resolve_threads(flag: int | None, manifest: int | None = None) -> int:
+    """Thread count: --threads flag, then ECIR_THREADS, then manifest, then 1."""
+    if flag is not None:
+        return max(1, int(flag))
+    env = os.environ.get("ECIR_THREADS")
+    if env is not None and env.strip():
+        try:
+            return max(1, int(env))
+        except ValueError as exc:
+            raise ValueError(f"ECIR_THREADS must be an integer, got {env!r}") from exc
+    if manifest is not None:
+        return max(1, int(manifest))
+    return 1
+
+
+def _check_threads(args, manifest: io.Manifest | None) -> None:
+    """Validate the thread settings, which do not change how work runs."""
+    resolve_threads(args.threads, manifest.overrides.get("threads") if manifest else None)
 
 
 def _manifest_of(args) -> io.Manifest | None:
@@ -153,7 +173,7 @@ def cmd_simulate(args) -> int:
 def cmd_fit(args) -> int:
     manifest = _manifest_of(args)
     n = _setting(args.n, manifest, "n", DEFAULT_KEYPOINTS)
-    threads = resolve_threads(args.threads, manifest.overrides.get("threads") if manifest else None)
+    _check_threads(args, manifest)
     blurry_path = _path_setting(args.blurry, manifest, "blurry")
     events_path = _path_setting(args.events, manifest, "events")
     video_path = _path_setting(args.gt_video, manifest, "gt_video")
@@ -168,7 +188,7 @@ def cmd_fit(args) -> int:
     events = _events_of(events_path, manifest, interval)
 
     keypoints = keypoint_grid(events, interval, n, video.shape)
-    grid = fit_polys(video, keypoints, blurry, threads=threads)
+    grid = fit_polys(video, keypoints, blurry)
     io.save_polys(args.out, grid)
     flag = " (rank-deficient, ridge engaged)" if grid.fit_warning else ""
     print(f"fit: n={n} over {video.frame_count} frames -> {args.out}{flag}")
@@ -178,7 +198,7 @@ def cmd_fit(args) -> int:
 def cmd_render(args) -> int:
     manifest = _manifest_of(args)
     grid = io.load_polys(args.polys)
-    threads = resolve_threads(args.threads, manifest.overrides.get("threads") if manifest else None)
+    _check_threads(args, manifest)
     if args.timestamps is not None:
         times = _parse_timestamps(args.timestamps)
     else:
@@ -186,16 +206,9 @@ def cmd_render(args) -> int:
         times = grid.interval.uniform_times(count)
     if not grid.interval.contains(times):
         raise ValueError("render timestamps fall outside the fitted exposure interval")
-
-    coeffs = grid.primitive_coefficients()
-    h, w = grid.shape
-    frames = np.empty((times.shape[0], h, w))
-
-    def render_rows(rows: slice) -> None:
-        for i, t in enumerate(times):
-            frames[i, rows] = horner(coeffs[rows], grid.interval.normalize(t))
-
-    map_rows(render_rows, h, threads)
+    frames = np.empty((times.shape[0], *grid.shape))
+    for i, t in enumerate(times):
+        frames[i] = grid.intensity_at(t)
     io.write_video_dir(args.out, times, frames, fmt=args.format)
     print(f"render: {times.shape[0]} frames -> {args.out}")
     return 0
@@ -241,7 +254,7 @@ def cmd_refine(args) -> int:
 
 def cmd_eval(args) -> int:
     manifest = _manifest_of(args)
-    threads = resolve_threads(args.threads, manifest.overrides.get("threads") if manifest else None)
+    _check_threads(args, manifest)
     pred_paths = io.list_frames(args.pred)
     gt_paths = io.list_frames(args.gt)
     if len(pred_paths) != len(gt_paths):
@@ -251,13 +264,7 @@ def cmd_eval(args) -> int:
     pred = [io.read_frame(p) for p in pred_paths]
     gt = [io.read_frame(p) for p in gt_paths]
 
-    rows: list[tuple[float, float, float]] = [None] * len(pred)  # type: ignore[list-item]
-
-    def eval_chunk(sl: slice) -> None:
-        for i in range(*sl.indices(len(pred))):
-            rows[i] = (mse(pred[i], gt[i]), psnr(pred[i], gt[i]), ssim(pred[i], gt[i]))
-
-    map_rows(eval_chunk, len(pred), threads, chunk=1)
+    rows = [(mse(p, g), psnr(p, g), ssim(p, g)) for p, g in zip(pred, gt)]
 
     report = Path(args.report)
     report.parent.mkdir(parents=True, exist_ok=True)

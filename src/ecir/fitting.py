@@ -10,9 +10,13 @@ keypoints are then read off the fitted derivative, which reproduces the same
 polynomial exactly, and the constant is re-solved so the blur constraint
 holds to machine accuracy rather than in the least-squares sense.
 
-``edi_reconstruct`` is the event-only analytic baseline: intensity follows
+``edi_video`` is the event-only analytic baseline: intensity follows
 exp(c * signed event count) from an unknown starting level, and the blurry
-measurement pins that level through the temporal-average constraint.
+measurement pins that level through the temporal-average constraint. It
+visits its timestamps in increasing order and adds each window's signed
+count to a running total, so the event stream is scanned once however many
+frames are asked for. The counts are integers held in floats, so the running
+total is exact. ``edi_reconstruct`` is the one-frame call of the same path.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ import warnings
 
 import numpy as np
 
-from ._parallel import map_rows
 from .representation import PolyGrid, horner
 from .simulation import signed_count_between
 from .types import BlurryFrame, EventStream, SharpVideo
@@ -31,12 +34,7 @@ __all__ = ["fit_polys", "edi_reconstruct", "edi_video"]
 RIDGE = 1e-8
 
 
-def fit_polys(
-    video: SharpVideo,
-    keypoints: np.ndarray,
-    blurry: BlurryFrame,
-    threads: int = 1,
-) -> PolyGrid:
+def fit_polys(video: SharpVideo, keypoints: np.ndarray, blurry: BlurryFrame) -> PolyGrid:
     """Fit one intensity polynomial per pixel to the video frames.
 
     ``keypoints`` is (h, w, n) or (n,) shared across pixels. Needs at least
@@ -89,37 +87,25 @@ def fit_polys(
             stacklevel=2,
         )
 
-    tau_nodes = interval.normalize(keypoints)
-    derivs = np.empty((h, w, n))
-
-    def fit_rows(rows: slice) -> None:
-        chunk = video.frames[:, rows, :]
-        rhs = design.T @ chunk.reshape(video.frame_count, -1)
-        theta = np.linalg.solve(gram, rhs) / col_norms[:, None]  # (n+1, pixels)
-        deriv_mono = (theta[:n].T / half) @ leg_to_mono
-        deriv_mono = deriv_mono.reshape(chunk.shape[1], w, n)
-        derivs[rows] = horner(deriv_mono[:, :, None, :], tau_nodes[rows])
-
-    map_rows(fit_rows, h, threads)
+    rhs = design.T @ video.frames.reshape(video.frame_count, -1)
+    theta = np.linalg.solve(gram, rhs) / col_norms[:, None]  # (n+1, pixels)
+    deriv_mono = ((theta[:n].T / half) @ leg_to_mono).reshape(h, w, n)
+    derivs = horner(deriv_mono[:, :, None, :], interval.normalize(keypoints))
 
     grid = PolyGrid(keypoints, derivs, np.zeros((h, w)), interval, fit_warning=warn)
     return grid.with_constants_from_blur(blurry.values)
 
 
-def _edi_factors(
-    blurry: BlurryFrame, events: EventStream, c: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per-pixel normalizer of the double-integral model.
+def _edi_factors(blurry: BlurryFrame, events: EventStream, c: float) -> np.ndarray:
+    """Per-pixel integral of exp(c*S) over the interval, flattened to (h*w,).
 
-    Returns (integral of exp(c*S) over the interval, grouped pixel ids,
-    grouped times, grouped cumulative exp levels) so callers can reuse the
-    grouping.
+    This is the normalizer of the double-integral model.
     """
     h, w = blurry.shape
     iv = events.interval
     integral = np.full(h * w, iv.length)
     if len(events) == 0:
-        return integral, np.zeros(0, np.int64), np.zeros(0), np.zeros(0)
+        return integral
 
     if np.any(events.x >= w) or np.any(events.y >= h):
         raise ValueError("event coordinates exceed the blurry frame")
@@ -147,40 +133,38 @@ def _edi_factors(
 
     seg = (next_t - gt) * levels
     np.add.at(integral, gid, seg)
-    first = starts
-    integral[gid[first]] += (gt[first] - iv.t_start) - iv.length
-    return integral, gid, gt, levels
+    integral[gid[starts]] += (gt[starts] - iv.t_start) - iv.length
+    return integral
 
 
 def edi_reconstruct(
     blurry: BlurryFrame, events: EventStream, c: float, t: float
 ) -> np.ndarray:
     """Sharp frame at ``t`` from the blurry frame and exponentiated event counts."""
-    if not c > 0:
-        raise ValueError("threshold c must be positive")
-    iv = events.interval
-    if not iv.contains(t):
-        raise ValueError(f"t={t} outside the exposure interval")
-    integral, _, _, _ = _edi_factors(blurry, events, c)
-    h, w = blurry.shape
-    level_t = np.exp(c * signed_count_between(events, iv.t_start, t, (h, w)))
-    return blurry.values * iv.length * level_t / integral.reshape(h, w)
+    return edi_video(blurry, events, c, [t])[0]
 
 
 def edi_video(
     blurry: BlurryFrame, events: EventStream, c: float, times: np.ndarray
 ) -> np.ndarray:
-    """Frames at several timestamps, sharing one normalizer computation."""
+    """Frames at ``times`` (any order, repeats allowed).
+
+    One normalizer and one pass over the events serve every frame.
+    """
     if not c > 0:
         raise ValueError("threshold c must be positive")
     iv = events.interval
     times = np.asarray(times, dtype=np.float64)
     if not iv.contains(times):
         raise ValueError("timestamps outside the exposure interval")
-    integral, _, _, _ = _edi_factors(blurry, events, c)
     h, w = blurry.shape
+    integral = _edi_factors(blurry, events, c).reshape(h, w)
     out = np.empty((times.shape[0], h, w))
-    for i, t in enumerate(times):
-        level_t = np.exp(c * signed_count_between(events, iv.t_start, float(t), (h, w)))
-        out[i] = blurry.values * iv.length * level_t / integral.reshape(h, w)
+    count = np.zeros((h, w))
+    prev = iv.t_start
+    for i in np.argsort(times, kind="stable"):
+        t = float(times[i])
+        count += signed_count_between(events, prev, t, (h, w))
+        prev = t
+        out[i] = blurry.values * iv.length * np.exp(c * count) / integral
     return out

@@ -11,7 +11,8 @@ while validating, so a command reads ``events.txt`` once. Frames export
 either as 8-bit binary PGM (clamped and quantized) or as a raw little-endian
 float32 format with a 16-byte header (magic ``ECIRF32``, width, height) for
 lossless intermediates. Voxel histograms use the sibling ``ECIRH32`` header
-with bin count, height, width.
+with bin count, height, width. A raw-float payload holding NaN or inf is a
+:class:`FormatError` on read, so bad values stop at the file boundary.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ class ParseError(ValueError):
 
 
 class FormatError(ValueError):
-    """Bad magic, header, or payload size in a binary file."""
+    """Bad magic, header, payload size or non-finite payload in a binary file."""
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +211,13 @@ def write_f32(path, frame: np.ndarray) -> None:
         fh.write(frame.astype("<f4").tobytes())
 
 
+def _finite(path, payload: np.ndarray) -> np.ndarray:
+    """The payload as float64; a NaN or infinite value is a FormatError."""
+    if not np.all(np.isfinite(payload)):
+        raise FormatError(f"{path}: payload holds NaN or infinite values")
+    return payload.astype(np.float64)
+
+
 def read_f32(path) -> np.ndarray:
     data = Path(path).read_bytes()
     if len(data) < 16 or data[:8] != F32_MAGIC:
@@ -218,7 +226,7 @@ def read_f32(path) -> np.ndarray:
     expected = 16 + 4 * w * h
     if len(data) != expected:
         raise FormatError(f"{path}: expected {expected} bytes, got {len(data)}")
-    return np.frombuffer(data[16:], dtype="<f4").reshape(h, w).astype(np.float64)
+    return _finite(path, np.frombuffer(data[16:], dtype="<f4").reshape(h, w))
 
 
 def write_frame(path, frame: np.ndarray) -> None:
@@ -263,7 +271,7 @@ def read_histogram(path, interval: ExposureInterval) -> EventHistogram:
     expected = 20 + 4 * m * h * w
     if len(data) != expected:
         raise FormatError(f"{path}: expected {expected} bytes, got {len(data)}")
-    bins = np.frombuffer(data[20:], dtype="<f4").reshape(m, h, w).astype(np.float64)
+    bins = _finite(path, np.frombuffer(data[20:], dtype="<f4").reshape(m, h, w))
     return EventHistogram(bins, interval)
 
 

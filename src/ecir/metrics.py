@@ -113,8 +113,7 @@ def loss_derivative(gt: np.ndarray, pred: np.ndarray) -> float:
 
 def loss_primitive(gt: np.ndarray, pred: np.ndarray) -> float:
     """Mean absolute difference between intensity stacks."""
-    gt, pred = _check_shapes(gt, pred)
-    return float(np.mean(np.abs(gt - pred)))
+    return loss_derivative(gt, pred)
 
 
 def loss_refinement(gt: np.ndarray, pred: np.ndarray) -> float:

@@ -105,6 +105,20 @@ def antiderivative_coeffs(deriv_mono: np.ndarray, half_length: float) -> np.ndar
     return out
 
 
+def _primitive_coefficients(interval, keypoints, derivatives, constants) -> np.ndarray:
+    """Monomial coefficients (..., n+1) over tau of intensity curves.
+
+    ``keypoints`` and ``derivatives`` are (..., n), ``constants`` broadcasts
+    to (...). Newton divided differences, expanded to monomials, integrated
+    exactly, plus the constant.
+    """
+    nodes = interval.normalize(keypoints)
+    mono = newton_to_monomial(nodes, newton_coefficients(nodes, derivatives))
+    coeffs = antiderivative_coeffs(mono, interval.length / 2.0)
+    coeffs[..., 0] += constants
+    return coeffs
+
+
 def mean_over_unit_interval(coeffs: np.ndarray) -> np.ndarray:
     """Average value of monomial polynomials (..., k) over tau in [-1, 1]."""
     k = coeffs.shape[-1]
@@ -204,11 +218,12 @@ class IntensityPoly:
 
     def primitive_coefficients(self) -> np.ndarray:
         """Monomial coefficients of L over tau, including the constant term."""
-        nodes = self.keypoints.normalized
-        mono = newton_to_monomial(nodes, newton_coefficients(nodes, self.derivative_values))
-        coeffs = antiderivative_coeffs(mono, self.interval.length / 2.0)
-        coeffs[0] += self.integration_constant
-        return coeffs
+        return _primitive_coefficients(
+            self.interval,
+            self.keypoints.timestamps,
+            self.derivative_values,
+            self.integration_constant,
+        )
 
     def blur_value(self) -> float:
         """Temporal average of L over the exposure interval (exact)."""
@@ -288,21 +303,14 @@ class PolyGrid:
 
     def primitive_coefficients(self) -> np.ndarray:
         if self._primitive is None:
-            nodes = self.interval.normalize(self.keypoints)
-            mono = newton_to_monomial(nodes, newton_coefficients(nodes, self.derivatives))
-            coeffs = antiderivative_coeffs(mono, self.interval.length / 2.0)
-            coeffs[..., 0] += self.constants
-            self._primitive = coeffs
+            self._primitive = _primitive_coefficients(
+                self.interval, self.keypoints, self.derivatives, self.constants
+            )
         return self._primitive
 
     def intensity_at(self, t: float) -> np.ndarray:
         """Latent frame at ``t``, unclamped."""
         return horner(self.primitive_coefficients(), self.interval.normalize(t))
-
-    def derivative_at(self, t: float) -> np.ndarray:
-        nodes = self.interval.normalize(self.keypoints)
-        mono = newton_to_monomial(nodes, newton_coefficients(nodes, self.derivatives))
-        return horner(mono, self.interval.normalize(t))
 
     def blur(self) -> np.ndarray:
         """Exact per-pixel temporal average over the exposure interval."""

@@ -7,6 +7,7 @@ frame is exported to an 8-bit format (see :mod:`ecir.io`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -29,6 +30,10 @@ class ExposureInterval:
     t_end: float
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.t_start) and math.isfinite(self.t_end)):
+            raise ValueError(
+                f"exposure interval bounds must be finite, got [{self.t_start}, {self.t_end}]"
+            )
         if not (self.t_end > self.t_start):
             raise ValueError(
                 f"degenerate exposure interval [{self.t_start}, {self.t_end}]"

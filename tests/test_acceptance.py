@@ -60,7 +60,7 @@ def test_criterion_01_representation_round_trip():
     blurry = BlurryFrame(scene_blur(coeffs), EXPOSURE)
     events = simulate_events(video, ThresholdConfig(c_plus=0.2, c_minus=-0.2))
     keypoints = keypoint_grid(events, EXPOSURE, n, (h, w))
-    fitted = fit_polys(video, keypoints, blurry, threads=1)
+    fitted = fit_polys(video, keypoints, blurry)
     rendered = np.stack([fitted.intensity_at(float(t)) for t in times])
     value = psnr(rendered, video.frames)
     elapsed = time.perf_counter() - start

@@ -8,14 +8,16 @@ import numpy as np
 import pytest
 
 from ecir import ExposureInterval
-from ecir._parallel import resolve_threads
+from ecir.cli import resolve_threads
 from ecir.io import (
+    Manifest,
     load_manifest,
     read_events,
     read_f32,
     read_histogram,
     read_video_dir,
     write_events,
+    write_f32,
     write_video_dir,
 )
 from ecir.types import EventStream
@@ -238,6 +240,36 @@ class TestErrorHandling:
                        "--out", tmp_path / "h.h32", check=False)
         assert proc.returncode == 2
         assert "interval" in proc.stderr
+
+    def test_nan_blurry_pixel_one_line_diagnostic(self, tmp_path):
+        blurry = np.full((4, 5), 0.5)
+        blurry[2, 3] = np.nan
+        write_f32(tmp_path / "blurry.f32", blurry)
+        (tmp_path / "events.txt").write_text("0.05 1 1 1\n")
+        Manifest(t_start=IV.t_start, t_end=IV.t_end, blurry="blurry.f32",
+                 events="events.txt").save(tmp_path / "manifest.json")
+        proc = run_cli("edi", "--manifest", tmp_path / "manifest.json",
+                       "--out", tmp_path / "frames", check=False)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        lines = [ln for ln in proc.stderr.splitlines() if ln.strip()]
+        assert len(lines) == 1
+        assert "blurry.f32" in lines[0]
+        assert not (tmp_path / "frames").exists()
+
+    def test_infinite_manifest_bound_diagnostic(self, tmp_path):
+        (tmp_path / "events.txt").write_text("")
+        (tmp_path / "manifest.json").write_text(
+            '{"t_start": -Infinity, "t_end": 0.1, "events": "events.txt"}'
+        )
+        proc = run_cli("voxelize", "--manifest", tmp_path / "manifest.json",
+                       "--width", "2", "--height", "2",
+                       "--out", tmp_path / "h.h32", check=False)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        lines = [ln for ln in proc.stderr.splitlines() if ln.strip()]
+        assert len(lines) == 1
+        assert "finite" in lines[0]
 
 
 class TestManifestEvents:

@@ -14,8 +14,10 @@ from ecir import (
     edi_video,
     fit_polys,
     render_frame,
+    signed_count_between,
     synthesize_blur,
 )
+from ecir.fitting import _edi_factors
 from ecir.keypoints import pivots
 
 from scenes import random_poly_grid
@@ -35,6 +37,15 @@ def random_stream(rng, k, shape, interval=IV):
     return EventStream(
         rng.integers(0, w, k), rng.integers(0, h, k), t, rng.choice([-1, 1], k), interval
     )
+
+
+def oracle_edi_frame(blurry, events, c, t):
+    """EDI frame at ``t`` from a fresh count over (t_start, t] and the normalizer."""
+    iv = events.interval
+    h, w = blurry.shape
+    integral = _edi_factors(blurry, events, c).reshape(h, w)
+    level = np.exp(c * signed_count_between(events, iv.t_start, float(t), (h, w)))
+    return blurry.values * iv.length * level / integral
 
 
 def oracle_edi_pixel(b, times, pols, interval, c, t):
@@ -124,16 +135,6 @@ class TestFitPolys:
         assert np.array_equal(one.derivatives, two.derivatives)
         assert np.array_equal(one.constants, two.constants)
 
-    def test_thread_count_does_not_change_bits(self):
-        rng = np.random.default_rng(163)
-        grid = random_poly_grid(rng, 37, 11, 9, IV)  # several row chunks
-        video = grid_video(grid, 18)
-        blurry = BlurryFrame(grid.blur(), IV)
-        serial = fit_polys(video, pivots(IV, 9), blurry, threads=1)
-        threaded = fit_polys(video, pivots(IV, 9), blurry, threads=4)
-        assert np.array_equal(serial.derivatives, threaded.derivatives)
-        assert np.array_equal(serial.constants, threaded.constants)
-
     def test_render_roundtrip_at_fourteen_timestamps(self):
         rng = np.random.default_rng(167)
         grid = random_poly_grid(rng, 6, 6, 10, IV)
@@ -215,10 +216,17 @@ class TestEdi:
         rng = np.random.default_rng(191)
         blurry = BlurryFrame(rng.uniform(0.2, 0.8, (5, 5)), IV)
         stream = random_stream(rng, 60, (5, 5))
-        times = np.linspace(IV.t_start, IV.t_end, 7)
-        stack = edi_video(blurry, stream, 0.2, times)
-        for i, t in enumerate(times):
-            assert np.array_equal(stack[i], edi_reconstruct(blurry, stream, 0.2, float(t)))
+        c = 0.2
+        uniform = np.linspace(IV.t_start, IV.t_end, 7)
+        cases = (
+            uniform,
+            rng.permutation(uniform),
+            np.concatenate([uniform[[3, 0, 3]], stream.t[[5, 5]], uniform[[6, 6]]]),
+        )
+        for times in cases:
+            stack = edi_video(blurry, stream, c, times)
+            for i, t in enumerate(times):
+                assert np.array_equal(stack[i], oracle_edi_frame(blurry, stream, c, t))
 
     def test_invalid_inputs(self):
         blurry = BlurryFrame(np.full((2, 2), 0.5), IV)

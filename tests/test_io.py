@@ -30,7 +30,7 @@ from ecir.io import (
     write_pgm,
     write_video_dir,
 )
-from ecir.simulation import voxelize
+from ecir.simulation import EventHistogram, voxelize
 
 IV = ExposureInterval(-0.06, 0.06)
 
@@ -270,6 +270,14 @@ class TestFrameFiles:
         with pytest.raises(FormatError):
             read_f32(path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_f32_non_finite_payload_rejected(self, tmp_path, value):
+        frame = np.full((3, 4), 0.5)
+        frame[1, 2] = value
+        write_f32(tmp_path / "frame.f32", frame)
+        with pytest.raises(FormatError, match="NaN or infinite"):
+            read_f32(tmp_path / "frame.f32")
+
     def test_dispatch_by_extension(self, tmp_path):
         frame = np.full((3, 3), 0.25)
         write_frame(tmp_path / "a.pgm", frame)
@@ -290,6 +298,13 @@ class TestHistogramFiles:
         back = read_histogram(path, IV)
         assert back.bins.shape == (40, 6, 8)
         assert np.array_equal(back.bins, hist.bins)  # counts are float32-exact
+
+    def test_infinite_bin_is_format_error(self, tmp_path):
+        bins = np.zeros((2, 3, 4))
+        bins[1, 0, 3] = np.inf
+        write_histogram(tmp_path / "events.h32", EventHistogram(bins, IV))
+        with pytest.raises(FormatError, match="NaN or infinite"):
+            read_histogram(tmp_path / "events.h32", IV)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "events.h32"
@@ -401,6 +416,16 @@ class TestManifests:
 
     def test_degenerate_interval_rejected(self, tmp_path):
         (tmp_path / "m.json").write_text('{"t_start": 0.1, "t_end": 0.1}')
+        with pytest.raises(ValueError):
+            load_manifest(tmp_path / "m.json")
+
+    @pytest.mark.parametrize(
+        "t_start, t_end",
+        [("-Infinity", "0.1"), ("0.0", "Infinity"), ("NaN", "0.1")],
+        ids=["-inf_start", "inf_end", "nan_start"],
+    )
+    def test_non_finite_interval_rejected(self, tmp_path, t_start, t_end):
+        (tmp_path / "m.json").write_text(f'{{"t_start": {t_start}, "t_end": {t_end}}}')
         with pytest.raises(ValueError):
             load_manifest(tmp_path / "m.json")
 

@@ -101,6 +101,13 @@ class TestPivots:
         with pytest.raises(ValueError):
             ExposureInterval(0.5, 0.5)
 
+    @pytest.mark.parametrize(
+        "bounds", [(-np.inf, 0.1), (0.0, np.inf), (-np.inf, np.inf)], ids=["-inf", "inf", "both"]
+    )
+    def test_non_finite_interval_rejected(self, bounds):
+        with pytest.raises(ValueError, match="finite"):
+            ExposureInterval(*bounds)
+
 
 class TestClaims:
     def test_spec_example_against_oracle(self):

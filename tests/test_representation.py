@@ -271,6 +271,10 @@ class TestRenderFrame:
                 assert frame[y, x] == pytest.approx(
                     eval_primitive(grid.pixel(y, x), t), abs=1e-12
                 )
+                assert np.array_equal(
+                    grid.pixel(y, x).primitive_coefficients(),
+                    grid.primitive_coefficients()[y, x],
+                )
 
 
 class TestGridBlur:
