@@ -149,22 +149,31 @@ def edi_video(
 ) -> np.ndarray:
     """Frames at ``times`` (any order, repeats allowed).
 
-    One normalizer and one pass over the events serve every frame.
+    One normalizer and one pass over the events serve every frame. A ``c``
+    so large that exp(c * signed count) overflows is a ValueError.
     """
-    if not c > 0:
-        raise ValueError("threshold c must be positive")
+    if not (np.isfinite(c) and c > 0):
+        raise ValueError(f"threshold c must be finite and positive, got {c}")
     iv = events.interval
     times = np.asarray(times, dtype=np.float64)
     if not iv.contains(times):
         raise ValueError("timestamps outside the exposure interval")
     h, w = blurry.shape
-    integral = _edi_factors(blurry, events, c).reshape(h, w)
     out = np.empty((times.shape[0], h, w))
     count = np.zeros((h, w))
     prev = iv.t_start
-    for i in np.argsort(times, kind="stable"):
-        t = float(times[i])
-        count += signed_count_between(events, prev, t, (h, w))
-        prev = t
-        out[i] = blurry.values * iv.length * np.exp(c * count) / integral
+    try:
+        # with finite inputs these flags are set only when exp(c * count)
+        # or the normalizer overflows, which leaves no meaningful frame
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            integral = _edi_factors(blurry, events, c).reshape(h, w)
+            for i in np.argsort(times, kind="stable"):
+                t = float(times[i])
+                count += signed_count_between(events, prev, t, (h, w))
+                prev = t
+                out[i] = blurry.values * iv.length * np.exp(c * count) / integral
+    except FloatingPointError:
+        raise ValueError(
+            f"edi frames are not finite at c={c}: exp(c * signed count) overflows"
+        ) from None
     return out

@@ -12,7 +12,8 @@ either as 8-bit binary PGM (clamped and quantized) or as a raw little-endian
 float32 format with a 16-byte header (magic ``ECIRF32``, width, height) for
 lossless intermediates. Voxel histograms use the sibling ``ECIRH32`` header
 with bin count, height, width. A raw-float payload holding NaN or inf is a
-:class:`FormatError` on read, so bad values stop at the file boundary.
+:class:`FormatError` on read, so bad values stop at the file boundary; a
+finite frame value too large for float32 is refused on write.
 """
 
 from __future__ import annotations
@@ -201,14 +202,24 @@ def read_pgm(path) -> np.ndarray:
 
 
 def write_f32(path, frame: np.ndarray) -> None:
-    """Raw float32 frame: 16-byte header (magic, w, h), row-major payload."""
+    """Raw float32 frame: 16-byte header (magic, w, h), row-major payload.
+
+    A finite value beyond the float32 range is a ValueError, not an inf
+    that :func:`read_f32` would refuse.
+    """
     frame = np.asarray(frame)
     if frame.ndim != 2:
         raise ValueError("frame must be 2-d")
     h, w = frame.shape
+    try:
+        # the cast flags overflow only for a finite value that becomes inf
+        with np.errstate(over="raise"):
+            payload = frame.astype("<f4")
+    except FloatingPointError:
+        raise ValueError(f"{path}: frame values exceed the float32 range") from None
     with open(path, "wb") as fh:
         fh.write(F32_MAGIC + struct.pack("<II", w, h))
-        fh.write(frame.astype("<f4").tobytes())
+        fh.write(payload.tobytes())
 
 
 def _finite(path, payload: np.ndarray) -> np.ndarray:
@@ -343,17 +354,23 @@ def save_polys(path, grid: PolyGrid) -> None:
 
 
 def load_polys(path) -> PolyGrid:
-    try:
-        with np.load(path) as data:
-            arrays = {
-                name: data[name]
-                for name in ("keypoints", "derivatives", "constants", "t_start", "t_end")
-            }
-    except KeyError as exc:
-        raise FormatError(f"{path}: missing array {exc}") from None
-    except (zipfile.BadZipFile, EOFError, ValueError) as exc:
-        # not a zip, cut short, or a member whose payload is shorter than its header says
-        raise FormatError(f"{path}: corrupt archive: {exc}") from None
+    # a missing or unreadable file raises its own OSError here
+    with open(path, "rb") as fh:
+        try:
+            with np.load(fh) as data:
+                arrays = {
+                    name: data[name]
+                    for name in ("keypoints", "derivatives", "constants", "t_start", "t_end")
+                }
+        except KeyError as exc:
+            raise FormatError(f"{path}: missing array {exc}") from None
+        except (
+            zipfile.BadZipFile, EOFError, ValueError, NotImplementedError, RuntimeError, OSError
+        ) as exc:
+            # not a zip, cut short, a member whose payload is shorter than its
+            # header says, zip flags (compression method, version, encryption)
+            # that zipfile refuses, or an offset that makes it seek before 0
+            raise FormatError(f"{path}: corrupt archive: {exc}") from None
     return PolyGrid(
         arrays["keypoints"],
         arrays["derivatives"],

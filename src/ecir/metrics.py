@@ -2,6 +2,16 @@
 
 All reductions run in fixed raster order so repeated evaluation of the same
 inputs is bitwise reproducible.
+
+SSIM follows Wang et al. (IEEE TIP 2004) with the 11x11 Gaussian window.
+That window is the outer product of one normalized 1-d Gaussian, so each
+local mean is filtered along rows and then along columns, one shifted
+multiply-add per tap, without materializing the 11x11 patches. Local
+moments are taken of each frame minus its mean, which leaves them
+unchanged in exact arithmetic. The sums run in a different order than a
+direct 2-d window product; ``ssim`` agrees with the direct form to within
+1e-12 on non-constant frames and with the closed form to within 1e-12 on
+constant ones, the tolerances its tests pin.
 """
 
 from __future__ import annotations
@@ -68,17 +78,26 @@ def psnr(a: np.ndarray, b: np.ndarray) -> float:
     return min(PSNR_CAP_DB, float(10.0 * np.log10(1.0 / err)))
 
 
-def _gaussian_window() -> np.ndarray:
+def _gaussian_taps() -> np.ndarray:
+    """The normalized 1-d Gaussian whose outer product is the SSIM window."""
     half = (SSIM_WINDOW - 1) / 2.0
     x = np.arange(SSIM_WINDOW) - half
     g = np.exp(-(x * x) / (2.0 * SSIM_SIGMA * SSIM_SIGMA))
-    win = np.outer(g, g)
-    return win / win.sum()
+    return g / g.sum()
 
 
-def _windowed_mean(img: np.ndarray, win: np.ndarray) -> np.ndarray:
-    views = np.lib.stride_tricks.sliding_window_view(img, win.shape)
-    return np.tensordot(views, win, axes=([2, 3], [0, 1]))
+def _windowed_mean(img: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    """Gaussian-weighted mean of every full window: rows first, then columns."""
+    k = taps.shape[0]
+    w = img.shape[1] - k + 1
+    rows = taps[0] * img[:, :w]
+    for j in range(1, k):
+        rows += taps[j] * img[:, j : j + w]
+    h = img.shape[0] - k + 1
+    out = taps[0] * rows[:h]
+    for i in range(1, k):
+        out += taps[i] * rows[i : i + h]
+    return out
 
 
 def ssim(a: np.ndarray, b: np.ndarray) -> float:
@@ -91,12 +110,18 @@ def ssim(a: np.ndarray, b: np.ndarray) -> float:
     a, b = _check_shapes(a, b)
     if a.ndim != 2 or min(a.shape) < SSIM_WINDOW:
         raise ValueError(f"frames must be 2-d with min dimension >= {SSIM_WINDOW}")
-    win = _gaussian_window()
-    mu_a = _windowed_mean(a, win)
-    mu_b = _windowed_mean(b, win)
-    var_a = _windowed_mean(a * a, win) - mu_a * mu_a
-    var_b = _windowed_mean(b * b, win) - mu_b * mu_b
-    cov = _windowed_mean(a * b, win) - mu_a * mu_b
+    taps = _gaussian_taps()
+    # moments of frames centered on their means: E[x^2] - E[x]^2 then cancels
+    # on the deviations, not on the intensities, which c2 would amplify ~1e3x
+    shift_a, shift_b = a.mean(), b.mean()
+    da, db = a - shift_a, b - shift_b
+    dmu_a = _windowed_mean(da, taps)
+    dmu_b = _windowed_mean(db, taps)
+    var_a = _windowed_mean(da * da, taps) - dmu_a * dmu_a
+    var_b = _windowed_mean(db * db, taps) - dmu_b * dmu_b
+    cov = _windowed_mean(da * db, taps) - dmu_a * dmu_b
+    mu_a = dmu_a + shift_a
+    mu_b = dmu_b + shift_b
     c1 = SSIM_K1 * SSIM_K1
     c2 = SSIM_K2 * SSIM_K2
     s = ((2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)) / (

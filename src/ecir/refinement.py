@@ -10,6 +10,9 @@ Two solvers are provided. Plain gradient descent mirrors the iterative
 update structure with a step size guaranteed by the Hessian bound; the
 per-pixel tridiagonal solve gives the exact minimizer in closed form and
 serves as both the fast path and the oracle for the iterative one.
+
+``descend`` reuses preallocated stack buffers and is bitwise equal to the
+plain loop over ``gradient`` and ``objective``.
 """
 
 from __future__ import annotations
@@ -70,8 +73,10 @@ class RefineProblem:
             raise ValueError("residual stack must be (d-1, ...) matching the frames")
         if not np.all(np.isfinite(self.residuals)):
             raise ValueError("residuals must be finite")
-        if self.lam < 0:
-            raise ValueError("lambda must be non-negative")
+        if not (np.isfinite(self.lam) and self.lam >= 0):
+            raise ValueError(f"lambda must be finite and non-negative, got {self.lam}")
+        if self.i_max < 0:
+            raise ValueError(f"i_max must be non-negative, got {self.i_max}")
         if self.step is None:
             self.step = default_step(self.lam)
         if not self.step > 0:
@@ -131,14 +136,38 @@ def gradient(problem: RefineProblem, frames: np.ndarray) -> np.ndarray:
 
 
 def descend(problem: RefineProblem) -> np.ndarray:
-    """Run ``i_max`` fixed-step gradient iterations from the initial frames."""
+    """Run ``i_max`` fixed-step gradient iterations from the initial frames.
+
+    Each iterate's flow and anchor terms are computed once, into two
+    preallocated buffers, and serve both the divergence check and the next
+    gradient; the loop allocates no arrays. The result is bitwise equal to
+    stepping ``frames -= step * gradient(problem, frames)`` and checking
+    ``objective`` after each step.
+    """
     frames = problem.initial.copy()
+    flow = np.empty(problem.residuals.shape)
+    work = np.empty(frames.shape)
+    lam2 = 2.0 * problem.lam
+
+    def flow_and_anchor() -> None:
+        np.add(frames[:-1], problem.residuals, out=flow)
+        np.subtract(flow, frames[1:], out=flow)
+        np.subtract(frames, problem.initial, out=work)
+
     # overflow on a too-large step is reported through DivergenceError,
     # not numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
+        flow_and_anchor()
         for _ in range(problem.i_max):
-            frames -= problem.step * gradient(problem, frames)
-            f = objective(problem, frames)
+            # the gradient, built in place from the current flow and anchor
+            work *= lam2
+            flow *= 2.0
+            work[:-1] += flow
+            work[1:] -= flow
+            work *= problem.step
+            frames -= work
+            flow_and_anchor()
+            f = np.vdot(flow, flow) + problem.lam * np.vdot(work, work)
             if not np.isfinite(f):
                 raise DivergenceError(
                     f"objective diverged; step {problem.step} exceeds the stable range"

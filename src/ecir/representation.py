@@ -274,7 +274,9 @@ class PolyGrid:
     """An h x w field of intensity polynomials sharing one exposure interval.
 
     ``keypoints`` and ``derivatives`` are (h, w, n); ``constants`` is (h, w).
-    The primitive's monomial coefficients are cached after first use.
+    The primitive's monomial coefficients are cached after first use, both
+    as (h, w, k) and as a plane-major (k, h, w) copy that rendering reads
+    one contiguous plane per Horner step.
     """
 
     keypoints: np.ndarray
@@ -283,6 +285,7 @@ class PolyGrid:
     interval: ExposureInterval
     fit_warning: bool = False
     _primitive: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _planes: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.keypoints = np.asarray(self.keypoints, dtype=np.float64)
@@ -310,7 +313,10 @@ class PolyGrid:
 
     def intensity_at(self, t: float) -> np.ndarray:
         """Latent frame at ``t``, unclamped."""
-        return horner(self.primitive_coefficients(), self.interval.normalize(t))
+        if self._planes is None:
+            self._planes = np.ascontiguousarray(np.moveaxis(self.primitive_coefficients(), -1, 0))
+        # an (h, w, k) view of the planes: horner's arithmetic, contiguous reads
+        return horner(np.moveaxis(self._planes, 0, -1), self.interval.normalize(t))
 
     def blur(self) -> np.ndarray:
         """Exact per-pixel temporal average over the exposure interval."""

@@ -1,15 +1,21 @@
 """End-to-end command-line pipeline tests."""
 
+import contextlib
+import io
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ecir import ExposureInterval
-from ecir.cli import resolve_threads
+from ecir.cli import main, resolve_threads
 from ecir.io import (
+    FormatError,
     Manifest,
     load_manifest,
     read_events,
@@ -18,8 +24,10 @@ from ecir.io import (
     read_video_dir,
     write_events,
     write_f32,
+    write_histogram,
     write_video_dir,
 )
+from ecir.simulation import EventHistogram
 from ecir.types import EventStream
 
 from scenes import random_monomial_scene, render_scene
@@ -50,6 +58,21 @@ def make_scene_fixture(tmp_path, seed=421, h=24, w=32, k=48, taper=0.6):
     frames = render_scene(coeffs, IV, times)
     write_video_dir(tmp_path / "video", times, frames)
     return coeffs, times
+
+
+def write_small_exposure(tmp_path):
+    """A 4x5 blurry frame, three events, a manifest and a three-frame stack."""
+    write_f32(tmp_path / "blurry.f32", np.full((4, 5), 0.5))
+    (tmp_path / "events.txt").write_text("0.01 1 1 1\n0.02 1 1 1\n0.05 2 3 -1\n")
+    Manifest(t_start=IV.t_start, t_end=IV.t_end, blurry="blurry.f32",
+             events="events.txt").save(tmp_path / "manifest.json")
+    write_video_dir(tmp_path / "frames", np.linspace(IV.t_start, IV.t_end, 3),
+                    np.full((3, 4, 5), 0.5))
+    return tmp_path / "manifest.json"
+
+
+def stderr_lines(proc):
+    return [ln for ln in proc.stderr.splitlines() if ln.strip()]
 
 
 def report_value(report_path, key):
@@ -270,6 +293,150 @@ class TestErrorHandling:
         lines = [ln for ln in proc.stderr.splitlines() if ln.strip()]
         assert len(lines) == 1
         assert "finite" in lines[0]
+
+
+    @pytest.mark.parametrize("c", ["inf", "1e300"])
+    def test_edi_threshold_that_overflows_one_line_diagnostic(self, tmp_path, c):
+        manifest = write_small_exposure(tmp_path)
+        proc = run_cli("edi", "--manifest", manifest, "--c", c,
+                       "--out", tmp_path / "edi", check=False)
+        assert proc.returncode == 2
+        assert len(stderr_lines(proc)) == 1
+        assert "finite" in proc.stderr
+        assert not (tmp_path / "edi").exists()
+
+    @pytest.mark.parametrize("flags, word", [
+        (("--solver", "gd", "--imax", "-3"), "i_max"),
+        (("--lambda", "nan"), "lambda"),
+        (("--lambda", "inf"), "lambda"),
+    ])
+    def test_bad_refine_settings_one_line_diagnostic(self, tmp_path, flags, word):
+        manifest = write_small_exposure(tmp_path)
+        proc = run_cli("refine", "--frames", tmp_path / "frames", "--manifest", manifest,
+                       *flags, "--out", tmp_path / "refined", check=False)
+        assert proc.returncode == 2
+        lines = stderr_lines(proc)
+        assert len(lines) == 1
+        assert word in lines[0]
+        assert not (tmp_path / "refined").exists()
+
+
+def run_main(*args):
+    """In-process CLI call: the exit code and what a terminal would show on stderr.
+
+    A warning that Python shows by default counts as a stderr line.
+    """
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for hidden in (DeprecationWarning, PendingDeprecationWarning, ImportWarning,
+                           ResourceWarning):
+                warnings.simplefilter("ignore", hidden)
+            code = main([str(a) for a in args])
+    lines = [ln for ln in err.getvalue().splitlines() if ln.strip()]
+    return code, lines + [str(w.message) for w in caught]
+
+
+@st.composite
+def damage(draw, size):
+    """A cut to a shorter length, or one flipped bit."""
+    if draw(st.booleans()):
+        return "cut", draw(st.integers(0, size - 1)), None
+    return "flip", draw(st.integers(0, size - 1)), draw(st.integers(0, 7))
+
+
+def damaged(raw, how):
+    kind, at, bit = how
+    if kind == "cut":
+        return raw[:at]
+    return raw[:at] + bytes([raw[at] ^ (1 << bit)]) + raw[at + 1 :]
+
+
+def payload_value_finite(raw, how, header):
+    """Whether the flipped float32 of a raw-float payload is still finite."""
+    index = (how[1] - header) // 4
+    return bool(np.isfinite(np.frombuffer(damaged(raw, how)[header:], dtype="<f4")[index]))
+
+
+FUZZ = settings(max_examples=150, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+F32_BYTES = 16 + 4 * 4 * 5
+H32_BYTES = 20 + 4 * 3 * 4 * 5
+
+
+class TestContainerFuzz:
+    """Truncated or bit-flipped containers: exit 2 with one stderr line, or a clean run."""
+
+    @FUZZ
+    @given(how=damage(F32_BYTES))
+    def test_f32_blurry_frame(self, tmp_path, how):
+        manifest = write_small_exposure(tmp_path)
+        rng = np.random.default_rng(how[1])
+        write_f32(tmp_path / "blurry.f32", rng.uniform(0.1, 0.9, (4, 5)))
+        raw = (tmp_path / "blurry.f32").read_bytes()
+        assert len(raw) == F32_BYTES
+        (tmp_path / "bad.f32").write_bytes(damaged(raw, how))
+        out = tmp_path / f"edi_{how[0]}_{how[1]}_{how[2]}"
+        code, lines = run_main("edi", "--manifest", manifest, "--blurry", tmp_path / "bad.f32",
+                               "--count", "4", "--out", out)
+        if how[0] == "cut" or how[1] < 16 or not payload_value_finite(raw, how, 16):
+            assert code == 2
+        assert (code, len(lines)) in ((0, 0), (2, 1))
+        if code == 2:
+            assert "bad.f32" in lines[0] or "float32 range" in lines[0]
+        else:
+            assert read_video_dir(out).frames.shape == (4, 4, 5)
+
+    @FUZZ
+    @given(how=damage(H32_BYTES))
+    def test_h32_histogram(self, tmp_path, how):
+        # no subcommand reads .h32; the reader's FormatError is a ValueError,
+        # which every subcommand reports as exit 2 with one line
+        rng = np.random.default_rng(how[1])
+        bins = rng.integers(-3, 4, (3, 4, 5)).astype(np.float64)
+        write_histogram(tmp_path / "h.h32", EventHistogram(bins, IV))
+        raw = (tmp_path / "h.h32").read_bytes()
+        assert len(raw) == H32_BYTES
+        (tmp_path / "bad.h32").write_bytes(damaged(raw, how))
+        try:
+            back = read_histogram(tmp_path / "bad.h32", IV).bins
+        except FormatError as exc:
+            assert "bad.h32" in str(exc) and "\n" not in str(exc)
+            return
+        assert how[0] == "flip" and how[1] >= 20 and payload_value_finite(raw, how, 20)
+        assert np.sum(back != bins) <= 1
+
+    @pytest.fixture(scope="class")
+    def polys(self, tmp_path_factory):
+        from scenes import random_poly_grid
+
+        from ecir.io import save_polys
+
+        d = tmp_path_factory.mktemp("polys")
+        save_polys(d / "polys.npz", random_poly_grid(np.random.default_rng(491), 3, 4, 4, IV))
+        assert run_main("render", "--polys", d / "polys.npz", "--count", "3",
+                        "--out", d / "frames") == (0, [])
+        frames = read_video_dir(d / "frames").frames
+        return (d / "polys.npz").read_bytes(), frames
+
+    @FUZZ
+    @given(data=st.data())
+    def test_npz_polys(self, tmp_path, polys, data):
+        raw, frames = polys
+        how = data.draw(damage(len(raw)))
+        (tmp_path / "bad.npz").write_bytes(damaged(raw, how))
+        out = tmp_path / f"render_{how[0]}_{how[1]}_{how[2]}"
+        code, lines = run_main("render", "--polys", tmp_path / "bad.npz", "--count", "3",
+                               "--out", out)
+        if how[0] == "cut":
+            assert code == 2
+        assert (code, len(lines)) in ((0, 0), (2, 1))
+        if code == 2:
+            assert "bad.npz" in lines[0]
+        else:
+            # zip metadata the reader ignores; the arrays are intact
+            assert np.array_equal(read_video_dir(out).frames, frames)
 
 
 class TestManifestEvents:

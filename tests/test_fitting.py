@@ -234,3 +234,18 @@ class TestEdi:
             edi_reconstruct(blurry, EventStream.empty(IV), -0.1, 0.0)
         with pytest.raises(ValueError):
             edi_reconstruct(blurry, EventStream.empty(IV), 0.2, 1.0)
+        for c in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                edi_reconstruct(blurry, EventStream.empty(IV), c, 0.0)
+
+    def test_overflowing_threshold_rejected(self):
+        blurry = BlurryFrame(np.full((2, 2), 0.5), IV)
+        stream = EventStream(
+            np.array([1, 1]), np.array([0, 0]), np.array([-0.01, 0.02]), np.array([1, 1]), IV
+        )
+        times = np.array([-0.05, 0.0, 0.05])
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            with pytest.raises(ValueError, match="overflows"):
+                edi_video(blurry, stream, 1e300, times)
+            # a large c that stays finite is still a valid reconstruction
+            assert np.all(np.isfinite(edi_video(blurry, stream, 300.0, times)))

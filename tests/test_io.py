@@ -278,6 +278,14 @@ class TestFrameFiles:
         with pytest.raises(FormatError, match="NaN or infinite"):
             read_f32(tmp_path / "frame.f32")
 
+    def test_f32_overflowing_value_rejected_on_write(self, tmp_path):
+        frame = np.full((3, 4), 0.5)
+        frame[2, 1] = -1e39
+        with np.errstate(over="raise"):
+            with pytest.raises(ValueError, match="float32 range"):
+                write_f32(tmp_path / "frame.f32", frame)
+        assert not (tmp_path / "frame.f32").exists()
+
     def test_dispatch_by_extension(self, tmp_path):
         frame = np.full((3, 3), 0.25)
         write_frame(tmp_path / "a.pgm", frame)
@@ -353,7 +361,13 @@ class TestPolyFiles:
         assert np.array_equal(back.constants, grid.constants)
         assert back.interval == grid.interval
 
-    @pytest.mark.parametrize("damage", ["truncated", "empty", "short_member", "bit_flip"])
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            "truncated", "empty", "short_member", "bit_flip", "encrypted_flag",
+            "compression_method", "directory_offset",
+        ],
+    )
     def test_corrupt_archive_is_format_error(self, tmp_path, damage):
         from scenes import random_poly_grid
 
@@ -367,6 +381,15 @@ class TestPolyFiles:
             path.write_bytes(b"")
         elif damage == "bit_flip":
             path.write_bytes(raw[:200] + bytes([raw[200] ^ 0xFF]) + raw[201:])
+        elif damage in ("encrypted_flag", "compression_method"):
+            # zipfile raises RuntimeError / NotImplementedError for these fields
+            # of the first central directory entry
+            at = raw.index(b"PK\x01\x02") + (8 if damage == "encrypted_flag" else 10)
+            path.write_bytes(raw[:at] + bytes([raw[at] ^ 0x01]) + raw[at + 1 :])
+        elif damage == "directory_offset":
+            # a central directory offset past the end makes zipfile seek before 0
+            at = raw.index(b"PK\x05\x06") + 17
+            path.write_bytes(raw[:at] + bytes([raw[at] ^ 0x80]) + raw[at + 1 :])
         else:
             with zipfile.ZipFile(tmp_path / "polys.npz") as src, zipfile.ZipFile(path, "w") as dst:
                 for info in src.infolist():

@@ -1,11 +1,15 @@
 """Residual-flow refinement: objective, gradient, descent, closed-form solve."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ecir import (
+    DivergenceError,
     EventStream,
     ExposureInterval,
     RefineProblem,
@@ -37,6 +41,23 @@ def random_problem(rng, d, h=3, w=4, lam=None):
         rng.uniform(-0.3, 0.3, (d - 1, h, w)),
         lam=lam,
     )
+
+
+class OracleDivergence(Exception):
+    def __init__(self, iteration):
+        super().__init__(f"objective diverged at iteration {iteration}")
+        self.iteration = iteration
+
+
+def oracle_descend(problem):
+    """The gradient/objective loop: full gradient, step, objective check."""
+    frames = problem.initial.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(problem.i_max):
+            frames -= problem.step * gradient(problem, frames)
+            if not np.isfinite(objective(problem, frames)):
+                raise OracleDivergence(k)
+    return frames
 
 
 class TestSurrogateResiduals:
@@ -143,6 +164,14 @@ class TestGradient:
 
 
 class TestDescend:
+    def test_negative_iteration_count_rejected(self):
+        initial = np.zeros((3, 1, 1))
+        residuals = np.full((2, 1, 1), 0.1)
+        with pytest.raises(ValueError, match="i_max"):
+            RefineProblem(initial, residuals, i_max=-3)
+        problem = RefineProblem(initial, residuals, i_max=0)
+        assert np.array_equal(descend(problem), initial)
+
     def test_fixed_point_at_minimum(self):
         rng = np.random.default_rng(241)
         initial = rng.uniform(0, 1, (5, 2, 2))
@@ -189,6 +218,39 @@ class TestDescend:
         with pytest.raises(Exception) as err:
             descend(problem)
         assert "diverged" in str(err.value)
+
+
+@st.composite
+def descent_problems(draw):
+    """Small stacks with random lambda and steps, some far past the stable range."""
+    d = draw(st.integers(2, 8))
+    h, w = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # large magnitudes make a divergent step overflow within i_max iterations
+    scale = draw(st.sampled_from([1.0, 1e100, 1e150]))
+    lam = draw(st.one_of(st.just(0.0), st.floats(0.0, 5.0)))
+    step = draw(st.one_of(st.none(), st.floats(1e-3, 60.0)))
+    return RefineProblem(
+        scale * rng.uniform(-1, 1, (d, h, w)),
+        scale * rng.uniform(-0.5, 0.5, (d - 1, h, w)),
+        lam=lam,
+        i_max=draw(st.integers(0, 60)),
+        step=step,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(descent_problems())
+def test_descend_matches_oracle_loop_bitwise(problem):
+    try:
+        expected = oracle_descend(problem)
+    except OracleDivergence as div:
+        # both raise on the same iteration: one fewer iteration completes
+        with pytest.raises(DivergenceError):
+            descend(dataclasses.replace(problem, i_max=div.iteration + 1))
+        problem = dataclasses.replace(problem, i_max=div.iteration)
+        expected = oracle_descend(problem)
+    assert descend(problem).tobytes() == expected.tobytes()
 
 
 class TestTridiagonalSolve:
@@ -243,6 +305,9 @@ class TestTridiagonalSolve:
         residuals = np.full((2, 1, 1), 0.1)
         with pytest.raises(ValueError):
             RefineProblem(initial, residuals, lam=-0.5)
+        for lam in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="lambda"):
+                RefineProblem(initial, residuals, lam=lam)
         problem = RefineProblem(initial, residuals, lam=0.0)
         with pytest.raises(ValueError):
             tridiagonal_solve(problem)

@@ -16,6 +16,7 @@ from ecir import (
     solve_constant,
     to_monomial,
 )
+from ecir.representation import horner
 
 UNIT = ExposureInterval(-1.0, 1.0)
 EXPOSURE_120MS = ExposureInterval(-0.06, 0.06)
@@ -275,6 +276,16 @@ class TestRenderFrame:
                     grid.pixel(y, x).primitive_coefficients(),
                     grid.primitive_coefficients()[y, x],
                 )
+
+
+    def test_render_matches_horner_on_cached_primitive_bitwise(self):
+        from scenes import random_poly_grid
+
+        grid = random_poly_grid(np.random.default_rng(47), 7, 9, 10, EXPOSURE_120MS)
+        for t in np.linspace(EXPOSURE_120MS.t_start, EXPOSURE_120MS.t_end, 13):
+            expected = horner(grid.primitive_coefficients(), EXPOSURE_120MS.normalize(t))
+            assert render_frame(grid, t).tobytes() == expected.tobytes()
+        assert grid.primitive_coefficients().shape == (7, 9, 11)
 
 
 class TestGridBlur:
