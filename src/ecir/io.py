@@ -357,11 +357,16 @@ def load_polys(path) -> PolyGrid:
     # a missing or unreadable file raises its own OSError here
     with open(path, "rb") as fh:
         try:
-            with np.load(fh) as data:
+            data = np.load(fh)
+            if isinstance(data, np.ndarray):
+                raise FormatError(f"{path}: a single .npy array, not an .npz archive")
+            with data:
                 arrays = {
                     name: data[name]
                     for name in ("keypoints", "derivatives", "constants", "t_start", "t_end")
                 }
+        except FormatError:
+            raise
         except KeyError as exc:
             raise FormatError(f"{path}: missing array {exc}") from None
         except (

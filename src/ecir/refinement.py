@@ -11,8 +11,10 @@ update structure with a step size guaranteed by the Hessian bound; the
 per-pixel tridiagonal solve gives the exact minimizer in closed form and
 serves as both the fast path and the oracle for the iterative one.
 
-``descend`` reuses preallocated stack buffers and is bitwise equal to the
-plain loop over ``gradient`` and ``objective``.
+``descend`` runs all its iterations on one cache-sized block of pixels
+before the next (loop tiling; pixels are independent) and is bitwise equal
+to the plain loop over ``gradient`` and ``objective``. ``surrogate_residuals``
+rejects a threshold ``c`` whose exp(c * signed count) overflows.
 """
 
 from __future__ import annotations
@@ -38,6 +40,16 @@ __all__ = [
 
 DEFAULT_LAMBDA = 1.0
 DEFAULT_ITERATIONS = 50
+
+# descend's pixel block: its five (d, width) float64 arrays take about 2 MB,
+# half of a 4 MB L2. The floor, one 64-byte cache line of pixels per frame,
+# keeps very long stacks from running the iterations pixel by pixel.
+_TILE_BYTES = 2 << 20
+_MIN_TILE_WIDTH = 8
+
+
+def _tile_width(d: int) -> int:
+    return max(_MIN_TILE_WIDTH, _TILE_BYTES // (5 * 8 * d))
 
 
 class DivergenceError(RuntimeError):
@@ -93,7 +105,12 @@ def surrogate_residuals(
     c: float,
     schedule: np.ndarray,
 ) -> np.ndarray:
-    """Event-derived additive residuals between consecutive scheduled frames."""
+    """Event-derived additive residuals between consecutive scheduled frames.
+
+    A ``c`` so large that exp(c * signed count) overflows is a ValueError.
+    """
+    if not (np.isfinite(c) and c > 0):
+        raise ValueError(f"threshold c must be finite and positive, got {c}")
     initial = np.asarray(initial, dtype=np.float64)
     schedule = np.asarray(schedule, dtype=np.float64)
     d = initial.shape[0]
@@ -105,11 +122,19 @@ def surrogate_residuals(
         raise ValueError("schedule falls outside the exposure interval")
     shape = initial.shape[1:]
     out = np.empty((d - 1,) + shape)
-    for i in range(d - 1):
-        counts = signed_count_between(
-            events, float(schedule[i]), float(schedule[i + 1]), shape
-        )
-        out[i] = initial[i] * np.expm1(c * counts)
+    try:
+        # with a finite c and finite frames, these flags are set only when
+        # exp(c * signed count) overflows
+        with np.errstate(over="raise", invalid="raise"):
+            for i in range(d - 1):
+                counts = signed_count_between(
+                    events, float(schedule[i]), float(schedule[i + 1]), shape
+                )
+                out[i] = initial[i] * np.expm1(c * counts)
+    except FloatingPointError:
+        raise ValueError(
+            f"residuals are not finite at c={c}: exp(c * signed count) overflows"
+        ) from None
     return out
 
 
@@ -138,40 +163,61 @@ def gradient(problem: RefineProblem, frames: np.ndarray) -> np.ndarray:
 def descend(problem: RefineProblem) -> np.ndarray:
     """Run ``i_max`` fixed-step gradient iterations from the initial frames.
 
-    Each iterate's flow and anchor terms are computed once, into two
-    preallocated buffers, and serve both the divergence check and the next
-    gradient; the loop allocates no arrays. The result is bitwise equal to
-    stepping ``frames -= step * gradient(problem, frames)`` and checking
-    ``objective`` after each step.
+    Pixels are independent, so the stack is flattened to (d, pixels) and
+    processed one block of pixel columns at a time: every iteration runs on
+    a block, whose five (d, width) arrays stay in cache, before the next
+    block starts. Within a block each iterate's flow and anchor terms are
+    computed once, into two buffers, and serve both the divergence check and
+    the next gradient. Iteration k's objective is summed over the blocks,
+    and a non-finite sum raises ``DivergenceError``. The result is bitwise
+    equal to stepping ``frames -= step * gradient(problem, frames)`` over the
+    whole stack and checking ``objective`` after each step.
     """
+    d = problem.frame_count
     frames = problem.initial.copy()
-    flow = np.empty(problem.residuals.shape)
-    work = np.empty(frames.shape)
+    pixels = frames.reshape(d, -1)
+    initial = problem.initial.reshape(d, -1)
+    residuals = problem.residuals.reshape(d - 1, -1)
     lam2 = 2.0 * problem.lam
-
-    def flow_and_anchor() -> None:
-        np.add(frames[:-1], problem.residuals, out=flow)
-        np.subtract(flow, frames[1:], out=flow)
-        np.subtract(frames, problem.initial, out=work)
+    width = _tile_width(d)
+    # one objective sum per iteration, added up across blocks; np.zeros
+    # commits memory only as iterations reach it, not all of i_max up front
+    f = np.zeros(problem.i_max)
 
     # overflow on a too-large step is reported through DivergenceError,
     # not numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        flow_and_anchor()
-        for _ in range(problem.i_max):
-            # the gradient, built in place from the current flow and anchor
-            work *= lam2
-            flow *= 2.0
-            work[:-1] += flow
-            work[1:] -= flow
-            work *= problem.step
-            frames -= work
+        for start in range(0, pixels.shape[1], width):
+            cols = slice(start, start + width)
+            # contiguous copies: iterating on the strided column views
+            # measured about 1.5x slower
+            x = pixels[:, cols].copy()
+            x0 = initial[:, cols].copy()
+            r = residuals[:, cols].copy()
+            flow = np.empty_like(r)
+            work = np.empty_like(x)
+
+            def flow_and_anchor() -> None:
+                np.add(x[:-1], r, out=flow)
+                np.subtract(flow, x[1:], out=flow)
+                np.subtract(x, x0, out=work)
+
             flow_and_anchor()
-            f = np.vdot(flow, flow) + problem.lam * np.vdot(work, work)
-            if not np.isfinite(f):
-                raise DivergenceError(
-                    f"objective diverged; step {problem.step} exceeds the stable range"
-                )
+            for k in range(problem.i_max):
+                # the gradient, built in place from the current flow and anchor
+                work *= lam2
+                flow *= 2.0
+                work[:-1] += flow
+                work[1:] -= flow
+                work *= problem.step
+                x -= work
+                flow_and_anchor()
+                f[k] += np.vdot(flow, flow) + problem.lam * np.vdot(work, work)
+                if not np.isfinite(f[k]):
+                    raise DivergenceError(
+                        f"objective diverged; step {problem.step} exceeds the stable range"
+                    )
+            pixels[:, cols] = x
     return frames
 
 

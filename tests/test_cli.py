@@ -305,6 +305,27 @@ class TestErrorHandling:
         assert "finite" in proc.stderr
         assert not (tmp_path / "edi").exists()
 
+    @pytest.mark.parametrize("c", ["inf", "1e300"])
+    def test_refine_threshold_that_overflows_one_line_diagnostic(self, tmp_path, c):
+        manifest = write_small_exposure(tmp_path)
+        proc = run_cli("refine", "--frames", tmp_path / "frames", "--manifest", manifest,
+                       "--c", c, "--out", tmp_path / "refined", check=False)
+        assert proc.returncode == 2
+        lines = stderr_lines(proc)
+        assert len(lines) == 1
+        assert "finite" in lines[0] and "c" in lines[0].split("error:", 1)[1]
+        assert not (tmp_path / "refined").exists()
+
+    def test_npy_polys_one_line_diagnostic(self, tmp_path):
+        np.save(tmp_path / "a.npy", np.zeros(3))
+        proc = run_cli("render", "--polys", tmp_path / "a.npy",
+                       "--out", tmp_path / "frames", check=False)
+        assert proc.returncode == 2
+        lines = stderr_lines(proc)
+        assert len(lines) == 1
+        assert "a.npy" in lines[0]
+        assert not (tmp_path / "frames").exists()
+
     @pytest.mark.parametrize("flags, word", [
         (("--solver", "gd", "--imax", "-3"), "i_max"),
         (("--lambda", "nan"), "lambda"),

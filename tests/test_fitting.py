@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ecir import (
     BlurryFrame,
@@ -227,6 +229,28 @@ class TestEdi:
             stack = edi_video(blurry, stream, c, times)
             for i, t in enumerate(times):
                 assert np.array_equal(stack[i], oracle_edi_frame(blurry, stream, c, t))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_video_matches_single_frames_property(self, data):
+        """The running count is bitwise equal to a fresh count per frame."""
+        h, w = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+        k = data.draw(st.integers(0, 30))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        # a few distinct timestamps, so events share times and frames land on them
+        grid = rng.uniform(IV.t_start, IV.t_end, data.draw(st.integers(1, 8)))
+        grid = np.concatenate([grid, [IV.t_start, IV.t_end]])
+        stream = EventStream(
+            rng.integers(0, w, k), rng.integers(0, h, k), np.sort(rng.choice(grid, k)),
+            rng.choice([-1, 1], k), IV,
+        )
+        blurry = BlurryFrame(rng.uniform(0.05, 0.95, (h, w)), IV)
+        c = data.draw(st.floats(0.01, 1.0))
+        pool = np.concatenate([grid, stream.t, rng.uniform(IV.t_start, IV.t_end, 4)])
+        times = rng.choice(pool, data.draw(st.integers(1, 12)))
+        stack = edi_video(blurry, stream, c, times)
+        for i, t in enumerate(times):
+            assert stack[i].tobytes() == oracle_edi_frame(blurry, stream, c, t).tobytes()
 
     def test_invalid_inputs(self):
         blurry = BlurryFrame(np.full((2, 2), 0.5), IV)

@@ -398,6 +398,14 @@ class TestPolyFiles:
         with pytest.raises(FormatError, match="bad.npz"):
             load_polys(path)
 
+    def test_npy_file_is_format_error(self, tmp_path):
+        # np.load returns a bare array for .npy content, whatever the name
+        for name in ("a.npy", "a.npz"):
+            with open(tmp_path / name, "wb") as fh:
+                np.save(fh, np.zeros(3))
+            with pytest.raises(FormatError, match=f"{name}.*single .npy array"):
+                load_polys(tmp_path / name)
+
 
 class TestManifests:
     def test_save_load(self, tmp_path):

@@ -2,12 +2,14 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ecir import refinement
 from ecir import (
     DivergenceError,
     EventStream,
@@ -89,6 +91,19 @@ class TestSurrogateResiduals:
         schedule = np.array([IV.t_start, IV.t_end])
         res = surrogate_residuals(initial, stream, 0.3, schedule)
         assert res[0, 0, 0] == 0.0
+
+    @pytest.mark.parametrize("c", [math.inf, math.nan, 0.0, -0.2, 1e300])
+    def test_bad_threshold_rejected(self, c):
+        # 1e300 is finite, but exp(c * 2) overflows at the pixel with two events
+        initial = np.full((2, 1, 2), 0.4)
+        stream = EventStream(
+            np.array([1, 1]), np.array([0, 0]), np.array([-0.01, 0.01]), np.array([1, 1]), IV
+        )
+        schedule = np.array([IV.t_start, IV.t_end])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"threshold c|at c="):
+                surrogate_residuals(initial, stream, c, schedule)
 
     def test_bad_schedule_rejected(self):
         initial = np.zeros((3, 1, 1))
@@ -251,6 +266,64 @@ def test_descend_matches_oracle_loop_bitwise(problem):
         problem = dataclasses.replace(problem, i_max=div.iteration)
         expected = oracle_descend(problem)
     assert descend(problem).tobytes() == expected.tobytes()
+
+
+def tiled_problem(rng, d, shape, lam=1.0, step=None, i_max=50):
+    return RefineProblem(
+        rng.uniform(0, 1, (d,) + shape),
+        rng.uniform(-0.3, 0.3, (d - 1,) + shape),
+        lam=lam,
+        i_max=i_max,
+        step=step,
+    )
+
+
+class TestDescendTiles:
+    """Stacks that span several of descend's pixel blocks, or have no pixel axes."""
+
+    def test_several_tiles_and_a_ragged_tail(self):
+        rng = np.random.default_rng(307)
+        d = 8
+        width = refinement._tile_width(d)
+        # three full blocks of pixel columns, then 15 pixels
+        problem = tiled_problem(rng, d, (3, width + 5), lam=0.6)
+        assert 3 * width < 3 * (width + 5) < 4 * width
+        assert descend(problem).tobytes() == oracle_descend(problem).tobytes()
+
+    def test_long_stack_at_the_width_floor(self):
+        rng = np.random.default_rng(311)
+        d = refinement._TILE_BYTES // (5 * 8 * refinement._MIN_TILE_WIDTH) + 3
+        assert refinement._tile_width(d) == refinement._MIN_TILE_WIDTH
+        problem = tiled_problem(rng, d, (2 * refinement._MIN_TILE_WIDTH + 1,), i_max=3)
+        assert descend(problem).tobytes() == oracle_descend(problem).tobytes()
+
+    def test_stack_without_pixel_axes(self):
+        rng = np.random.default_rng(313)
+        problem = tiled_problem(rng, 9, (), lam=1.3)
+        out = descend(problem)
+        assert out.shape == (9,)
+        assert out.tobytes() == oracle_descend(problem).tobytes()
+
+    def test_one_pixel_diverging_in_a_later_tile(self):
+        rng = np.random.default_rng(317)
+        d = 6
+        width = refinement._tile_width(d)
+        # a step past 2 / L: every pixel grows, but only the huge one overflows
+        problem = tiled_problem(rng, d, (2, width), step=0.75, i_max=60)
+        problem.initial[:, 1, width // 2] *= 1e150
+        with pytest.raises(OracleDivergence) as div:
+            oracle_descend(problem)
+        k = div.value.iteration
+        assert k > 0
+        with pytest.raises(DivergenceError, match="diverged"):
+            descend(dataclasses.replace(problem, i_max=k + 1))
+        before = dataclasses.replace(problem, i_max=k)
+        assert descend(before).tobytes() == oracle_descend(before).tobytes()
+        # without the second block, which holds the huge pixel, it stays finite
+        tame = dataclasses.replace(problem, initial=np.delete(problem.initial, 1, axis=1),
+                                   residuals=np.delete(problem.residuals, 1, axis=1),
+                                   i_max=k + 1)
+        assert np.all(np.isfinite(descend(tame)))
 
 
 class TestTridiagonalSolve:
