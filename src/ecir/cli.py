@@ -42,6 +42,7 @@ _COERCE = {
     "count": int,
     "imax": int,
     "seed": int,
+    "threads": int,
     "width": int,
     "height": int,
     "c": float,
@@ -60,7 +61,11 @@ def _setting(flag_value, manifest: io.Manifest | None, key: str, default):
     if flag_value is not None:
         return flag_value
     if manifest is not None and key in manifest.overrides:
-        return _COERCE.get(key, str)(manifest.overrides[key])
+        value = manifest.overrides[key]
+        try:
+            return _COERCE.get(key, str)(value)
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(f"manifest override {key!r} is not a valid value: {value!r}") from None
     return default
 
 
@@ -81,7 +86,7 @@ def resolve_threads(flag: int | None, manifest: int | None = None) -> int:
 
 def _check_threads(args, manifest: io.Manifest | None) -> None:
     """Validate the thread settings, which do not change how work runs."""
-    resolve_threads(args.threads, manifest.overrides.get("threads") if manifest else None)
+    resolve_threads(args.threads, _setting(None, manifest, "threads", None))
 
 
 def _manifest_of(args) -> io.Manifest | None:
@@ -156,13 +161,16 @@ def cmd_simulate(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    # the text file is the interchange copy; commands given the manifest
+    # read the container, which needs no parsing
     io.write_events(out / "events.txt", events)
+    io.write_events(out / "events.evt", events)
     io.write_f32(out / "blurry.f32", blurry.values)
     io.Manifest(
         t_start=window.t_start,
         t_end=window.t_end,
         blurry="blurry.f32",
-        events="events.txt",
+        events="events.evt",
         gt_video=str(Path(args.video).resolve()),
         overrides={},
     ).save(out / "manifest.json")

@@ -89,6 +89,7 @@ class TestSimulate:
         write_video_dir(tmp_path / "video", times, frames)
         run_cli("simulate", "--video", tmp_path / "video", "--out", tmp_path / "sim")
         assert (tmp_path / "sim" / "events.txt").read_text() == ""
+        assert len(read_events(tmp_path / "sim" / "events.evt", IV)) == 0
         blurry = read_f32(tmp_path / "sim" / "blurry.f32")
         assert np.allclose(blurry, 0.44, atol=1e-7)
         manifest = load_manifest(tmp_path / "sim" / "manifest.json")
@@ -107,6 +108,16 @@ class TestSimulate:
         assert (tmp_path / "a" / "blurry.f32").read_bytes() == (
             tmp_path / "b" / "blurry.f32"
         ).read_bytes()
+        assert (tmp_path / "a" / "events.evt").read_bytes() == (
+            tmp_path / "b" / "events.evt"
+        ).read_bytes()
+        # the manifest names the container, which holds the text file's events
+        manifest = load_manifest(tmp_path / "a" / "manifest.json")
+        assert manifest.events == "events.evt"
+        text = read_events(tmp_path / "a" / "events.txt", manifest.interval)
+        assert len(text) > 0
+        for name in ("t", "x", "y", "p"):
+            assert getattr(manifest.event_stream, name).tobytes() == getattr(text, name).tobytes()
 
     def test_exposure_window_shorter_than_video(self, tmp_path):
         make_scene_fixture(tmp_path)
@@ -295,6 +306,28 @@ class TestErrorHandling:
         assert "finite" in lines[0]
 
 
+    @pytest.mark.parametrize("command, body, word", [
+        ("voxelize", '{"t_start": 0, "t_end": 0.1, "events": 5}', "events"),
+        ("voxelize", '{"t_start": 0, "t_end": 0.1, "events": "e.txt", '
+                     '"overrides": {"bins": {"a": 1}}}', "bins"),
+        ("voxelize", '{"t_start": 0, "t_end": 0.1, "events": "e.txt", '
+                     '"overrides": {"bins": 1e400}}', "bins"),
+        ("voxelize", '{"t_start": 0, "t_end": 0.1, "overrides": [["bins", 3]]}', "overrides"),
+        ("eval", '{"t_start": 0, "t_end": 0.1, "overrides": {"threads": {"a": 1}}}', "threads"),
+    ], ids=["events_int", "bins_object", "bins_inf", "overrides_list", "threads_object"])
+    def test_manifest_field_of_wrong_type_one_line_diagnostic(self, tmp_path, command, body, word):
+        (tmp_path / "m.json").write_text(body)
+        (tmp_path / "e.txt").write_text("")
+        extra = (("--width", "12", "--height", "12", "--out", tmp_path / "h.h32")
+                 if command == "voxelize" else
+                 ("--pred", tmp_path, "--gt", tmp_path, "--report", tmp_path / "r.txt"))
+        proc = run_cli(command, "--manifest", tmp_path / "m.json", *extra, check=False)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        lines = stderr_lines(proc)
+        assert len(lines) == 1
+        assert word in lines[0]
+
     @pytest.mark.parametrize("c", ["inf", "1e300"])
     def test_edi_threshold_that_overflows_one_line_diagnostic(self, tmp_path, c):
         manifest = write_small_exposure(tmp_path)
@@ -384,6 +417,8 @@ FUZZ = settings(max_examples=150, deadline=None,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
 F32_BYTES = 16 + 4 * 4 * 5
 H32_BYTES = 20 + 4 * 3 * 4 * 5
+EVT_COUNT = 6
+EVT_BYTES = 16 + 17 * EVT_COUNT
 
 
 class TestContainerFuzz:
@@ -427,6 +462,30 @@ class TestContainerFuzz:
             return
         assert how[0] == "flip" and how[1] >= 20 and payload_value_finite(raw, how, 20)
         assert np.sum(back != bins) <= 1
+
+    @FUZZ
+    @given(how=damage(EVT_BYTES))
+    def test_evt_events(self, tmp_path, how):
+        rng = np.random.default_rng(how[1])
+        t = np.sort(rng.uniform(IV.t_start, IV.t_end, EVT_COUNT))
+        stream = EventStream(rng.integers(0, 5, EVT_COUNT), rng.integers(0, 4, EVT_COUNT), t,
+                             rng.choice([-1, 1], EVT_COUNT), IV)
+        write_events(tmp_path / "e.evt", stream)
+        raw = (tmp_path / "e.evt").read_bytes()
+        assert len(raw) == EVT_BYTES
+        (tmp_path / "bad.evt").write_bytes(damaged(raw, how))
+        out = tmp_path / f"hist_{how[0]}_{how[1]}_{how[2]}.h32"
+        code, lines = run_main("voxelize", "--events", tmp_path / "bad.evt",
+                               "--t-start", IV.t_start, "--t-end", IV.t_end,
+                               "--width", "5", "--height", "4", "--bins", "6", "--out", out)
+        if how[0] == "cut" or how[1] < 16:
+            assert code == 2
+        assert (code, len(lines)) in ((0, 0), (2, 1))
+        if code == 2:
+            # a coordinate flipped beyond the grid is refused by voxelize itself
+            assert "bad.evt" in lines[0] or "grid shape" in lines[0]
+        else:
+            assert read_histogram(out, IV).bins.shape == (6, 4, 5)
 
     @pytest.fixture(scope="class")
     def polys(self, tmp_path_factory):
@@ -496,6 +555,46 @@ class TestManifestEvents:
         code = cli.main(["voxelize", "--manifest", manifest, "--t-start", "0.0",
                          "--t-end", "0.01", "--out", str(tmp_path / "n.h32")])
         assert code == 2
+
+
+    def test_container_manifest_reads_events_once_per_command(self, tmp_path, monkeypatch):
+        from ecir import cli
+        from ecir import io as ecir_io
+
+        rng = np.random.default_rng(499)
+        k = 300
+        stream = EventStream(rng.integers(0, 6, k), rng.integers(0, 5, k),
+                             np.sort(rng.uniform(IV.t_start, IV.t_end, k)),
+                             rng.choice([-1, 1], k), IV)
+        write_events(tmp_path / "events.txt", stream)
+        write_events(tmp_path / "events.evt", stream)
+        write_f32(tmp_path / "blurry.f32", np.full((5, 6), 0.5))
+        Manifest(t_start=IV.t_start, t_end=IV.t_end, blurry="blurry.f32",
+                 events="events.evt").save(tmp_path / "manifest.json")
+        write_video_dir(tmp_path / "frames", np.linspace(IV.t_start, IV.t_end, 4),
+                        np.full((4, 5, 6), 0.5))
+        parsed = []
+        real = ecir_io.read_events
+
+        def counting(path, interval):
+            parsed.append(path)
+            return real(path, interval)
+
+        monkeypatch.setattr(ecir_io, "read_events", counting)
+        manifest = str(tmp_path / "manifest.json")
+        for argv in (
+            ["voxelize", "--manifest", manifest, "--out", str(tmp_path / "m.h32")],
+            ["edi", "--manifest", manifest, "--count", "4", "--out", str(tmp_path / "edi")],
+            ["refine", "--frames", str(tmp_path / "frames"), "--manifest", manifest,
+             "--out", str(tmp_path / "refined")],
+        ):
+            parsed.clear()
+            assert cli.main(argv) == 0
+            assert parsed == [tmp_path / "events.evt"]
+        # the container gives the same histogram as the text file it mirrors
+        assert cli.main(["voxelize", "--manifest", manifest, "--events",
+                         str(tmp_path / "events.txt"), "--out", str(tmp_path / "t.h32")]) == 0
+        assert (tmp_path / "m.h32").read_bytes() == (tmp_path / "t.h32").read_bytes()
 
 
 class TestConfigPrecedence:

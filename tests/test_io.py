@@ -1,15 +1,19 @@
 """File formats: events, PGM, raw float frames, histograms, videos, manifests."""
 
+import struct
 import zipfile
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from ecir import EventStream, ExposureInterval
+from ecir import EventStream, ExposureInterval, PolyGrid
 from ecir.io import (
     _read_events_lines,
+    EVENT_TEXT_CHUNK,
+    EVT_MAGIC,
     FormatError,
     Manifest,
     ParseError,
@@ -199,6 +203,242 @@ def test_write_read_roundtrip_bitwise_property(tmp_path, records):
     assert back.x.tobytes() == stream.x.tobytes()
     assert back.y.tobytes() == stream.y.tobytes()
     assert back.p.tobytes() == stream.p.tobytes()
+
+
+def oracle_write_events(path, events):
+    """The reference text writer: one formatted line per event."""
+    with open(path, "w", encoding="ascii") as fh:
+        for x, y, t, p in zip(events.x, events.y, events.t, events.p):
+            fh.write(f"{float(t)!r} {int(x)} {int(y)} {int(p)}\n")
+
+
+@st.composite
+def oracle_streams(draw):
+    """Streams around the writer's chunk size, with edge timestamps and coordinates."""
+    n = draw(st.sampled_from(
+        [0, 1, 5, EVENT_TEXT_CHUNK - 1, EVENT_TEXT_CHUNK, EVENT_TEXT_CHUNK + 1]
+    ))
+    interval = draw(st.sampled_from([IV, ExposureInterval(0.0, 0.12), ExposureInterval(1e-20, 3.5)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    t = rng.uniform(interval.t_start, interval.t_end, n)
+    top = draw(st.sampled_from([0, 1, 239, 65535, 65536, 2**31 - 1, 2**62]))
+    x = rng.integers(0, top + 1, n)
+    y = rng.integers(0, top + 1, n)
+    specials = [interval.t_start, interval.t_end, 5e-324, 1e-20, 0.0, -0.0]
+    for i in draw(st.lists(st.integers(0, max(n - 1, 0)), max_size=8)) if n else []:
+        candidates = [s for s in specials if interval.contains(s)]
+        t[i] = draw(st.sampled_from(candidates + [draw(st.floats(interval.t_start, interval.t_end))]))
+        x[i], y[i] = draw(st.sampled_from([0, top])), draw(st.sampled_from([0, top]))
+    return EventStream(x, y, np.sort(t), rng.choice([-1, 1], n), interval)
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(stream=oracle_streams())
+def test_chunked_writer_bytes_equal_oracle(tmp_path, stream):
+    write_events(tmp_path / "chunked.txt", stream)
+    oracle_write_events(tmp_path / "oracle.txt", stream)
+    assert (tmp_path / "chunked.txt").read_bytes() == (tmp_path / "oracle.txt").read_bytes()
+
+
+def container_bytes(t, x, y, p, count=None):
+    """An ``.evt`` file built field by field, for damaging one field at a time."""
+    n = len(t) if count is None else count
+    return (
+        EVT_MAGIC + struct.pack("<Q", n) + np.asarray(t, "<f8").tobytes()
+        + np.asarray(x, "<i4").tobytes() + np.asarray(y, "<i4").tobytes()
+        + np.asarray(p, "i1").tobytes()
+    )
+
+
+class TestEventContainer:
+    def test_layout(self, tmp_path):
+        stream = EventStream([3, 1], [2, 0], [-0.01, 0.02], [1, -1], IV)
+        write_events(tmp_path / "e.evt", stream)
+        raw = (tmp_path / "e.evt").read_bytes()
+        assert raw == container_bytes([-0.01, 0.02], [3, 1], [2, 0], [1, -1])
+        assert len(raw) == 16 + 17 * 2
+
+    def test_empty_stream(self, tmp_path):
+        write_events(tmp_path / "e.evt", EventStream.empty(IV))
+        assert (tmp_path / "e.evt").read_bytes() == EVT_MAGIC + bytes(8)
+        assert len(read_events(tmp_path / "e.evt", IV)) == 0
+
+    def test_suffix_chooses_format(self, tmp_path):
+        stream = random_stream(np.random.default_rng(401), 40)
+        write_events(tmp_path / "a.EVT", stream)
+        write_events(tmp_path / "a.txt", stream)
+        assert (tmp_path / "a.EVT").read_bytes().startswith(EVT_MAGIC)
+        assert len((tmp_path / "a.txt").read_text(encoding="ascii").splitlines()) == 40
+        for name in ("a.EVT", "a.txt"):
+            assert read_events(tmp_path / name, IV).t.tobytes() == stream.t.tobytes()
+
+    @pytest.mark.parametrize("damage, message", [
+        ("bad_magic", "magic"),
+        ("truncated", "bytes"),
+        ("trailing_byte", "bytes"),
+        ("count_mismatch", "bytes"),
+        ("nan_timestamp", "NaN"),
+        ("unsorted", "sorted"),
+        ("polarity_3", "polarit"),
+        ("negative_x", "non-negative"),
+        ("outside_interval", "outside"),
+    ])
+    def test_corrupt_container_is_format_error(self, tmp_path, damage, message):
+        t, x, y, p = [-0.05, 0.0, 0.04], [1, 2, 3], [0, 4, 1], [1, -1, 1]
+        count = None
+        if damage == "nan_timestamp":
+            t[1] = np.nan
+        elif damage == "unsorted":
+            t = [0.0, -0.05, 0.04]
+        elif damage == "polarity_3":
+            p[2] = 3
+        elif damage == "negative_x":
+            x[0] = -1
+        elif damage == "outside_interval":
+            t[2] = 0.5
+        elif damage == "count_mismatch":
+            count = 4
+        raw = container_bytes(t, x, y, p, count)
+        if damage == "bad_magic":
+            raw = b"ECIREVX\x00" + raw[8:]
+        elif damage == "truncated":
+            raw = raw[:-1]
+        elif damage == "trailing_byte":
+            raw = raw + b"\x00"
+        path = tmp_path / "bad.evt"
+        path.write_bytes(raw)
+        with pytest.raises(FormatError, match=message) as err:
+            read_events(path, IV)
+        assert "bad.evt" in str(err.value)
+
+    @pytest.mark.parametrize("size", [0, 7, 15])
+    def test_shorter_than_header_is_format_error(self, tmp_path, size):
+        (tmp_path / "bad.evt").write_bytes((EVT_MAGIC + bytes(8))[:size])
+        with pytest.raises(FormatError, match="bad.evt"):
+            read_events(tmp_path / "bad.evt", IV)
+
+    @pytest.mark.parametrize("column", ["x", "y"])
+    def test_coordinate_beyond_int32_refused_on_write(self, tmp_path, column):
+        coords = {"x": [1, 2], "y": [0, 0]}
+        coords[column][1] = 2**31
+        stream = EventStream(coords["x"], coords["y"], [0.0, 0.01], [1, 1], IV)
+        with pytest.raises(ValueError, match="int32"):
+            write_events(tmp_path / "e.evt", stream)
+        assert not (tmp_path / "e.evt").exists()
+
+
+ROUNDTRIP = settings(max_examples=60, deadline=None,
+                     suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@ROUNDTRIP
+@given(
+    records=st.lists(
+        st.tuples(
+            st.floats(IV.t_start, IV.t_end),
+            st.integers(0, 2**31 - 1),
+            st.integers(0, 2**31 - 1),
+            st.sampled_from([-1, 1]),
+        ),
+        max_size=30,
+    )
+)
+def test_container_roundtrip_bitwise_property(tmp_path, records):
+    records.sort(key=lambda r: r[0])
+    t, x, y, p = (np.array(col) for col in zip(*records)) if records else ([],) * 4
+    stream = EventStream(x, y, t, p, IV)
+    write_events(tmp_path / "events.evt", stream)
+    back = read_events(tmp_path / "events.evt", IV)
+    for name in ("t", "x", "y", "p"):
+        assert getattr(back, name).tobytes() == getattr(stream, name).tobytes()
+
+
+FINITE32 = st.floats(width=32, allow_nan=False, allow_infinity=False)
+FINITE64 = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@ROUNDTRIP
+@given(frame=hnp.arrays(np.float32, hnp.array_shapes(min_dims=2, max_dims=2, max_side=9),
+                        elements=FINITE32))
+def test_f32_roundtrip_bitwise_property(tmp_path, frame):
+    frame = frame.astype(np.float64)
+    write_f32(tmp_path / "frame.f32", frame)
+    assert read_f32(tmp_path / "frame.f32").tobytes() == frame.tobytes()
+
+
+@ROUNDTRIP
+@given(bins=hnp.arrays(np.float32, hnp.array_shapes(min_dims=3, max_dims=3, max_side=6),
+                       elements=FINITE32))
+def test_h32_roundtrip_bitwise_property(tmp_path, bins):
+    bins = bins.astype(np.float64)
+    write_histogram(tmp_path / "hist.h32", EventHistogram(bins, IV))
+    assert read_histogram(tmp_path / "hist.h32", IV).bins.tobytes() == bins.tobytes()
+
+
+@st.composite
+def poly_grids(draw):
+    h, w, n = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    t_start = draw(st.floats(-1e6, 1e6))
+    t_end = draw(st.floats(t_start, 2e6).filter(lambda v: v > t_start))
+    return PolyGrid(
+        draw(hnp.arrays(np.float64, (h, w, n), elements=FINITE64)),
+        draw(hnp.arrays(np.float64, (h, w, n), elements=FINITE64)),
+        draw(hnp.arrays(np.float64, (h, w), elements=FINITE64)),
+        ExposureInterval(t_start, t_end),
+    )
+
+
+@ROUNDTRIP
+@given(grid=poly_grids())
+def test_polys_roundtrip_bitwise_property(tmp_path, grid):
+    save_polys(tmp_path / "polys.npz", grid)
+    back = load_polys(tmp_path / "polys.npz")
+    for name in ("keypoints", "derivatives", "constants"):
+        assert getattr(back, name).tobytes() == getattr(grid, name).tobytes()
+    assert back.interval == grid.interval
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | FINITE64 | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@ROUNDTRIP
+@given(
+    t_start=st.floats(-1e6, 1e6),
+    length=st.floats(1e-6, 1e6),
+    blurry=st.sampled_from([None, "blurry.f32", "sub dir/b\u00e9.f32"]),
+    events=st.sampled_from([None, "events.txt", "events.evt"]),
+    gt_video=st.sampled_from([None, "video"]),
+    overrides=st.dictionaries(st.text(), JSON_VALUES, max_size=4),
+)
+def test_manifest_roundtrip_property(tmp_path, t_start, length, blurry, events, gt_video,
+                                     overrides):
+    (tmp_path / "sub dir").mkdir(exist_ok=True)
+    (tmp_path / "video").mkdir(exist_ok=True)
+    for name in ("blurry.f32", "sub dir/b\u00e9.f32"):
+        write_f32(tmp_path / name, np.zeros((1, 1)))
+    manifest = Manifest(t_start=t_start, t_end=t_start + length, blurry=blurry, events=events,
+                        gt_video=gt_video, overrides=overrides)
+    for name in ("events.txt", "events.evt"):
+        write_events(tmp_path / name, EventStream.empty(manifest.interval))
+    manifest.save(tmp_path / "m.json")
+    back = load_manifest(tmp_path / "m.json")
+    for name in ("t_start", "t_end", "blurry", "events", "gt_video", "overrides"):
+        assert getattr(back, name) == getattr(manifest, name)
+    assert back.base_dir == tmp_path
+
+
+@ROUNDTRIP
+@given(frame=hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=9),
+                        elements=FINITE64))
+def test_pgm_roundtrip_within_quantization_property(tmp_path, frame):
+    write_pgm(tmp_path / "frame.pgm", frame)
+    back = read_pgm(tmp_path / "frame.pgm")
+    assert back.shape == frame.shape
+    assert np.max(np.abs(back - np.clip(frame, 0.0, 1.0))) <= 0.5 / 255.0 + 1e-12
 
 
 class TestFrameFiles:
