@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ecir import refinement
 from ecir import (
     DivergenceError,
     EventStream,
@@ -60,6 +59,13 @@ def oracle_descend(problem):
             if not np.isfinite(objective(problem, frames)):
                 raise OracleDivergence(k)
     return frames
+
+
+def assert_matches_oracle(got, expected):
+    """descend and the loop round differently: 1e-13 of the frames' scale."""
+    assert got.shape == expected.shape
+    scale = max(1.0, float(np.max(np.abs(expected), initial=0.0)))
+    assert float(np.max(np.abs(got - expected), initial=0.0)) <= 1e-13 * scale
 
 
 class TestSurrogateResiduals:
@@ -192,7 +198,24 @@ class TestDescend:
         initial = rng.uniform(0, 1, (5, 2, 2))
         residuals = initial[1:] - initial[:-1]
         problem = RefineProblem(initial, residuals, lam=1.0, i_max=25)
-        assert np.array_equal(descend(problem), initial)
+        assert_matches_oracle(descend(problem), initial)
+
+    @pytest.mark.parametrize("step", [math.inf, math.nan, 0.0, -0.1])
+    def test_bad_step_rejected(self, step):
+        with pytest.raises(ValueError, match="step"):
+            RefineProblem(np.zeros((3, 1, 1)), np.zeros((2, 1, 1)), step=step)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_initial_rejected(self, bad):
+        initial = np.full((3, 1, 2), 0.5)
+        initial[-1, 0, 1] = bad
+        with pytest.raises(ValueError, match="initial"):
+            RefineProblem(initial, np.zeros((2, 1, 2)))
+        # the last frame does not enter the residuals, so only the frame
+        # check stops the solve from returning it
+        schedule = np.linspace(IV.t_start, IV.t_end, 3)
+        with pytest.raises(ValueError, match="initial"):
+            refine(initial, EventStream.empty(IV), 0.2, schedule)
 
     def test_two_frame_convergence(self):
         problem = scalar_problem([0.0, 1.0], [0.5], lam=1.0, i_max=200, step=0.1)
@@ -235,6 +258,36 @@ class TestDescend:
         assert "diverged" in str(err.value)
 
 
+def hessian(d, lam):
+    """The objective's per-pixel Hessian, 2(lambda I + D^T D)."""
+    diff = np.diff(np.eye(d), axis=0)
+    return 2.0 * (lam * np.eye(d) + diff.T @ diff)
+
+
+class TestDefaultStep:
+    """The CLI's gd refine runs at default_step, which must stay stable."""
+
+    def test_below_the_exact_stability_limit(self):
+        for d in range(2, 65):
+            for lam in np.linspace(0.0, 5.0, 21):
+                limit = 2.0 / np.linalg.eigvalsh(hessian(d, lam))[-1]
+                assert default_step(lam) < limit, (d, lam)
+
+    @pytest.mark.parametrize("d", [2, 14, 64])
+    @pytest.mark.parametrize("lam", [0.0, 1.0, 5.0])
+    def test_long_descent_stays_finite(self, d, lam):
+        rng = np.random.default_rng(d)
+        problem = RefineProblem(
+            rng.uniform(-1, 1, (d, 3, 2)),
+            rng.uniform(-1, 1, (d - 1, 3, 2)),
+            lam=lam,
+            i_max=4000,
+        )
+        frames = descend(problem)
+        assert np.all(np.isfinite(frames))
+        assert objective(problem, frames) <= objective(problem, problem.initial)
+
+
 @st.composite
 def descent_problems(draw):
     """Small stacks with random lambda and steps, some far past the stable range."""
@@ -256,19 +309,22 @@ def descent_problems(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(descent_problems())
-def test_descend_matches_oracle_loop_bitwise(problem):
+def test_descend_matches_oracle_loop(problem):
+    # the divergence contract: finite frames, or DivergenceError
+    try:
+        assert np.all(np.isfinite(descend(problem)))
+    except DivergenceError:
+        pass
     try:
         expected = oracle_descend(problem)
     except OracleDivergence as div:
-        # both raise on the same iteration: one fewer iteration completes
-        with pytest.raises(DivergenceError):
-            descend(dataclasses.replace(problem, i_max=div.iteration + 1))
+        # compare over the iterations whose objective the oracle could sum
         problem = dataclasses.replace(problem, i_max=div.iteration)
         expected = oracle_descend(problem)
-    assert descend(problem).tobytes() == expected.tobytes()
+    assert_matches_oracle(descend(problem), expected)
 
 
-def tiled_problem(rng, d, shape, lam=1.0, step=None, i_max=50):
+def stack_problem(rng, d, shape, lam=1.0, step=None, i_max=50):
     return RefineProblem(
         rng.uniform(0, 1, (d,) + shape),
         rng.uniform(-0.3, 0.3, (d - 1,) + shape),
@@ -279,50 +335,30 @@ def tiled_problem(rng, d, shape, lam=1.0, step=None, i_max=50):
 
 
 class TestDescendTiles:
-    """Stacks that span several of descend's pixel blocks, or have no pixel axes."""
+    """Edge shapes of the pixel stack: a long stack, no pixel axes, one outlier pixel."""
 
-    def test_several_tiles_and_a_ragged_tail(self):
-        rng = np.random.default_rng(307)
-        d = 8
-        width = refinement._tile_width(d)
-        # three full blocks of pixel columns, then 15 pixels
-        problem = tiled_problem(rng, d, (3, width + 5), lam=0.6)
-        assert 3 * width < 3 * (width + 5) < 4 * width
-        assert descend(problem).tobytes() == oracle_descend(problem).tobytes()
-
-    def test_long_stack_at_the_width_floor(self):
+    def test_long_stack(self):
         rng = np.random.default_rng(311)
-        d = refinement._TILE_BYTES // (5 * 8 * refinement._MIN_TILE_WIDTH) + 3
-        assert refinement._tile_width(d) == refinement._MIN_TILE_WIDTH
-        problem = tiled_problem(rng, d, (2 * refinement._MIN_TILE_WIDTH + 1,), i_max=3)
-        assert descend(problem).tobytes() == oracle_descend(problem).tobytes()
+        problem = stack_problem(rng, 300, (17,), lam=0.6)
+        assert_matches_oracle(descend(problem), oracle_descend(problem))
 
     def test_stack_without_pixel_axes(self):
         rng = np.random.default_rng(313)
-        problem = tiled_problem(rng, 9, (), lam=1.3)
+        problem = stack_problem(rng, 9, (), lam=1.3)
         out = descend(problem)
         assert out.shape == (9,)
-        assert out.tobytes() == oracle_descend(problem).tobytes()
+        assert_matches_oracle(out, oracle_descend(problem))
 
-    def test_one_pixel_diverging_in_a_later_tile(self):
+    def test_one_huge_pixel_diverges(self):
         rng = np.random.default_rng(317)
-        d = 6
-        width = refinement._tile_width(d)
-        # a step past 2 / L: every pixel grows, but only the huge one overflows
-        problem = tiled_problem(rng, d, (2, width), step=0.75, i_max=60)
-        problem.initial[:, 1, width // 2] *= 1e150
-        with pytest.raises(OracleDivergence) as div:
-            oracle_descend(problem)
-        k = div.value.iteration
-        assert k > 0
+        # a step past 2 / L grows every pixel by about 6x per iteration:
+        # 250 of them stay finite on unit data but overflow a 1e150 pixel
+        problem = stack_problem(rng, 6, (2, 5), step=0.75, i_max=250)
+        problem.initial[:, 1, 2] *= 1e150
         with pytest.raises(DivergenceError, match="diverged"):
-            descend(dataclasses.replace(problem, i_max=k + 1))
-        before = dataclasses.replace(problem, i_max=k)
-        assert descend(before).tobytes() == oracle_descend(before).tobytes()
-        # without the second block, which holds the huge pixel, it stays finite
+            descend(problem)
         tame = dataclasses.replace(problem, initial=np.delete(problem.initial, 1, axis=1),
-                                   residuals=np.delete(problem.residuals, 1, axis=1),
-                                   i_max=k + 1)
+                                   residuals=np.delete(problem.residuals, 1, axis=1))
         assert np.all(np.isfinite(descend(tame)))
 
 
