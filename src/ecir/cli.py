@@ -2,16 +2,16 @@
 
 Settings resolve as flag > manifest override > built-in default. Every
 subcommand validates its inputs and exits nonzero with a one-line diagnostic
-on bad input. Every command runs in one thread; ``--threads`` is accepted
-for compatibility, and fit, render and eval validate it together with
-``ECIR_THREADS`` and the manifest's ``threads`` override.
+on bad input. A command that needs events reads them once, from the path it
+resolved (``--events``, else the manifest's), checked against its own
+exposure interval. Every command runs in one thread; ``--threads`` is
+accepted for compatibility and ignored.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import os
 import sys
 from pathlib import Path
 
@@ -30,7 +30,7 @@ from .simulation import (
     synthesize_blur,
     voxelize,
 )
-from .types import BlurryFrame, EventStream, ExposureInterval
+from .types import BlurryFrame, ExposureInterval
 
 DEFAULT_EXPOSURE_MS = 120.0
 DEFAULT_KEYPOINTS = 10
@@ -42,7 +42,6 @@ _COERCE = {
     "count": int,
     "imax": int,
     "seed": int,
-    "threads": int,
     "width": int,
     "height": int,
     "c": float,
@@ -52,7 +51,6 @@ _COERCE = {
     "lambda": float,
     "exposure_ms": float,
     "solver": str,
-    "format": str,
 }
 
 
@@ -67,26 +65,6 @@ def _setting(flag_value, manifest: io.Manifest | None, key: str, default):
         except (TypeError, ValueError, OverflowError):
             raise ValueError(f"manifest override {key!r} is not a valid value: {value!r}") from None
     return default
-
-
-def resolve_threads(flag: int | None, manifest: int | None = None) -> int:
-    """Thread count: --threads flag, then ECIR_THREADS, then manifest, then 1."""
-    if flag is not None:
-        return max(1, int(flag))
-    env = os.environ.get("ECIR_THREADS")
-    if env is not None and env.strip():
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ValueError(f"ECIR_THREADS must be an integer, got {env!r}") from exc
-    if manifest is not None:
-        return max(1, int(manifest))
-    return 1
-
-
-def _check_threads(args, manifest: io.Manifest | None) -> None:
-    """Validate the thread settings, which do not change how work runs."""
-    resolve_threads(args.threads, _setting(None, manifest, "threads", None))
 
 
 def _manifest_of(args) -> io.Manifest | None:
@@ -112,16 +90,6 @@ def _path_setting(flag_value, manifest: io.Manifest | None, name: str) -> Path:
         if resolved is not None:
             return resolved
     raise ValueError(f"missing --{name.replace('_', '-')} (no manifest fallback found)")
-
-
-def _events_of(events_path: Path, manifest: io.Manifest | None, interval: ExposureInterval) -> EventStream:
-    """The command's events: the manifest's parsed stream when the path is its own."""
-    if manifest is not None and manifest.event_stream is not None and (
-        events_path == manifest.resolve("events")
-    ):
-        stream = manifest.event_stream
-        return EventStream(stream.x, stream.y, stream.t, stream.p, interval)
-    return io.read_events(events_path, interval)
 
 
 def _parse_timestamps(text: str) -> np.ndarray:
@@ -181,7 +149,6 @@ def cmd_simulate(args) -> int:
 def cmd_fit(args) -> int:
     manifest = _manifest_of(args)
     n = _setting(args.n, manifest, "n", DEFAULT_KEYPOINTS)
-    _check_threads(args, manifest)
     blurry_path = _path_setting(args.blurry, manifest, "blurry")
     events_path = _path_setting(args.events, manifest, "events")
     video_path = _path_setting(args.gt_video, manifest, "gt_video")
@@ -193,7 +160,7 @@ def cmd_fit(args) -> int:
         video = video.window(manifest.interval)
     interval = video.interval
     blurry = BlurryFrame(io.read_frame(blurry_path), interval)
-    events = _events_of(events_path, manifest, interval)
+    events = io.read_events(events_path, interval)
 
     keypoints = keypoint_grid(events, interval, n, video.shape)
     grid = fit_polys(video, keypoints, blurry)
@@ -206,7 +173,6 @@ def cmd_fit(args) -> int:
 def cmd_render(args) -> int:
     manifest = _manifest_of(args)
     grid = io.load_polys(args.polys)
-    _check_threads(args, manifest)
     if args.timestamps is not None:
         times = _parse_timestamps(args.timestamps)
     else:
@@ -229,7 +195,7 @@ def cmd_edi(args) -> int:
     events_path = _path_setting(args.events, manifest, "events")
     c = _setting(args.c, manifest, "c", DEFAULT_CONTRAST)
     blurry = BlurryFrame(io.read_frame(blurry_path), interval)
-    events = _events_of(events_path, manifest, interval)
+    events = io.read_events(events_path, interval)
     if args.timestamps is not None:
         times = _parse_timestamps(args.timestamps)
     else:
@@ -253,7 +219,7 @@ def cmd_refine(args) -> int:
     video = io.read_video_dir(args.frames)
     if not interval.contains(video.times):
         raise ValueError("frame schedule falls outside the exposure interval")
-    events = _events_of(events_path, manifest, interval)
+    events = io.read_events(events_path, interval)
     refined = refine(video.frames, events, c, video.times, lam=lam, i_max=i_max, solver=solver)
     io.write_video_dir(args.out, video.times, refined, fmt=args.format)
     print(f"refine: solver={solver} lambda={lam} imax={i_max} -> {args.out}")
@@ -261,8 +227,6 @@ def cmd_refine(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    manifest = _manifest_of(args)
-    _check_threads(args, manifest)
     pred_paths = io.list_frames(args.pred)
     gt_paths = io.list_frames(args.gt)
     if len(pred_paths) != len(gt_paths):
@@ -303,7 +267,7 @@ def cmd_voxelize(args) -> int:
     interval = _interval_of(args, manifest)
     events_path = _path_setting(args.events, manifest, "events")
     m = _setting(args.bins, manifest, "bins", DEFAULT_BINS)
-    events = _events_of(events_path, manifest, interval)
+    events = io.read_events(events_path, interval)
 
     width = _setting(args.width, manifest, "width", None)
     height = _setting(args.height, manifest, "height", None)
@@ -351,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=float, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--exposure-ms", type=float, default=None)
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=None, help="accepted and ignored")
     p.add_argument("--manifest", default=None)
     p.set_defaults(func=cmd_simulate)
 
@@ -361,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gt-video", default=None)
     p.add_argument("--n", type=int, default=None, help="keypoints per pixel")
     p.add_argument("--out", required=True, help="output .npz")
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=None, help="accepted and ignored")
     _add_interval_flags(p)
     p.set_defaults(func=cmd_fit)
 
@@ -371,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=None, help="uniform timestamp count")
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=("f32", "pgm"), default="f32")
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=None, help="accepted and ignored")
     p.add_argument("--manifest", default=None)
     p.set_defaults(func=cmd_render)
 
@@ -402,8 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pred", required=True)
     p.add_argument("--gt", required=True)
     p.add_argument("--report", required=True)
-    p.add_argument("--threads", type=int, default=None)
-    p.add_argument("--manifest", default=None)
+    p.add_argument("--threads", type=int, default=None, help="accepted and ignored")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("voxelize", help="signed event histogram to a raw-float file")

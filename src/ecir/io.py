@@ -13,8 +13,9 @@ event would. A ``.evt`` file is the binary event container: magic
 ``ECIREVT``, a little-endian uint64 count, then the t, x, y and p columns
 as float64, int32, int32 and int8 (17 bytes an event); ``simulate`` writes
 one beside ``events.txt`` and its manifest names the container, so each
-``--manifest`` command skips the text parse. :func:`load_manifest` keeps
-the stream it read while validating, so a command reads its events once.
+``--manifest`` command skips the text parse. :func:`load_manifest` only
+checks that the events file exists; the command that needs the events reads
+them, once, against its own exposure interval.
 Frames export either as 8-bit binary PGM (clamped and quantized) or as a
 raw little-endian float32 format with a 16-byte header (magic ``ECIRF32``,
 width, height) for lossless intermediates. Voxel histograms use the sibling
@@ -394,9 +395,12 @@ def read_video_dir(path, interval: ExposureInterval | None = None) -> SharpVideo
             if not line:
                 continue
             try:
-                times.append(float(line))
+                t = float(line)
             except ValueError:
                 raise ParseError(ts_path, lineno, f"bad timestamp {line!r}") from None
+            if not math.isfinite(t):
+                raise ParseError(ts_path, lineno, f"timestamp must be finite, got {line}")
+            times.append(t)
     paths = list_frames(directory)
     if len(paths) != len(times):
         raise ValueError(
@@ -456,12 +460,16 @@ def load_polys(path) -> PolyGrid:
             # header says, zip flags (compression method, version, encryption)
             # that zipfile refuses, or an offset that makes it seek before 0
             raise FormatError(f"{path}: corrupt archive: {exc}") from None
-    return PolyGrid(
+    grid = PolyGrid(
         arrays["keypoints"],
         arrays["derivatives"],
         arrays["constants"],
         ExposureInterval(float(arrays["t_start"]), float(arrays["t_end"])),
     )
+    for name in ("keypoints", "derivatives", "constants"):
+        if not np.all(np.isfinite(getattr(grid, name))):
+            raise FormatError(f"{path}: {name} holds NaN or infinite values")
+    return grid
 
 
 # ---------------------------------------------------------------------------
@@ -479,8 +487,6 @@ class Manifest:
     gt_video: str | None = None
     overrides: dict = field(default_factory=dict)
     base_dir: Path = field(default_factory=Path)
-    # the events file as parsed by load_manifest; never saved
-    event_stream: EventStream | None = field(default=None, repr=False, compare=False)
 
     @property
     def interval(self) -> ExposureInterval:
@@ -507,11 +513,11 @@ class Manifest:
 
 
 def load_manifest(path) -> Manifest:
-    """Load and validate: referenced files must exist, events must fit the interval.
+    """Load and validate: the interval must be finite and ordered, referenced files must exist.
 
-    Path fields must be strings or null and ``overrides`` a JSON object. The
-    events file, text or ``.evt`` container, is read here, and the stream
-    stays on ``Manifest.event_stream`` for the command to reuse.
+    Path fields must be strings or null and ``overrides`` a JSON object. No
+    referenced file is read here: a command reads the ones it uses, so the
+    events are checked against the interval of the command that reads them.
     """
     path = Path(path)
     try:
@@ -536,13 +542,9 @@ def load_manifest(path) -> Manifest:
             raise FormatError(f"{path}: {name} must be a path string or null, got {value!r}")
     if not isinstance(manifest.overrides, dict):
         raise FormatError(f"{path}: overrides must be a JSON object, got {manifest.overrides!r}")
-    interval = manifest.interval  # validates ordering
+    manifest.interval  # validates finiteness and ordering
     for name in ("blurry", "events", "gt_video"):
         target = manifest.resolve(name)
         if target is not None and not target.exists():
             raise FileNotFoundError(f"{path}: referenced {name} {target} does not exist")
-    events_path = manifest.resolve("events")
-    if events_path is not None:
-        # raises if any timestamp escapes; kept so commands need not parse it again
-        manifest.event_stream = read_events(events_path, interval)
     return manifest

@@ -172,7 +172,7 @@ class SharpVideo:
             raise ValueError("frame count and timestamp count differ")
         if self.times.shape[0] < 2:
             raise ValueError("a video needs at least 2 frames")
-        if np.any(np.diff(self.times) <= 0):
+        if not np.all(np.diff(self.times) > 0):  # a NaN fails it too
             raise ValueError("timestamps must be strictly increasing")
         if self.interval is None:
             self.interval = ExposureInterval(float(self.times[0]), float(self.times[-1]))

@@ -5,7 +5,6 @@ lines as they happen.
 """
 
 import math
-import os
 import subprocess
 import sys
 import time
@@ -294,16 +293,11 @@ def test_criterion_08_metrics_sanity():
     )
 
 
-def _cli(*args, env_extra=None):
-    env = dict(os.environ)
-    env.pop("ECIR_THREADS", None)
-    if env_extra:
-        env.update(env_extra)
+def _cli(*args):
     proc = subprocess.run(
         [sys.executable, "-m", "ecir", *[str(a) for a in args]],
         capture_output=True,
         text=True,
-        env=env,
     )
     if proc.returncode != 0:
         raise AssertionError(f"cli failed: {proc.stderr}")

@@ -2,7 +2,6 @@
 
 import contextlib
 import io
-import os
 import subprocess
 import sys
 import warnings
@@ -13,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ecir import ExposureInterval
-from ecir.cli import main, resolve_threads
+from ecir.cli import main
 from ecir.io import (
     FormatError,
     Manifest,
@@ -35,16 +34,11 @@ from scenes import random_monomial_scene, render_scene
 IV = ExposureInterval(0.0, 0.12)
 
 
-def run_cli(*args, env_extra=None, check=True):
-    env = dict(os.environ)
-    env.pop("ECIR_THREADS", None)
-    if env_extra:
-        env.update(env_extra)
+def run_cli(*args, check=True):
     proc = subprocess.run(
         [sys.executable, "-m", "ecir", *[str(a) for a in args]],
         capture_output=True,
         text=True,
-        env=env,
     )
     if check and proc.returncode != 0:
         raise AssertionError(f"cli failed: {proc.stderr}\n{proc.stdout}")
@@ -116,8 +110,9 @@ class TestSimulate:
         assert manifest.events == "events.evt"
         text = read_events(tmp_path / "a" / "events.txt", manifest.interval)
         assert len(text) > 0
+        container = read_events(manifest.resolve("events"), manifest.interval)
         for name in ("t", "x", "y", "p"):
-            assert getattr(manifest.event_stream, name).tobytes() == getattr(text, name).tobytes()
+            assert getattr(container, name).tobytes() == getattr(text, name).tobytes()
 
     def test_exposure_window_shorter_than_video(self, tmp_path):
         make_scene_fixture(tmp_path)
@@ -306,22 +301,32 @@ class TestErrorHandling:
         assert "finite" in lines[0]
 
 
-    @pytest.mark.parametrize("command, body, word", [
-        ("voxelize", '{"t_start": 0, "t_end": 0.1, "events": 5}', "events"),
-        ("voxelize", '{"t_start": 0, "t_end": 0.1, "events": "e.txt", '
-                     '"overrides": {"bins": {"a": 1}}}', "bins"),
-        ("voxelize", '{"t_start": 0, "t_end": 0.1, "events": "e.txt", '
-                     '"overrides": {"bins": 1e400}}', "bins"),
-        ("voxelize", '{"t_start": 0, "t_end": 0.1, "overrides": [["bins", 3]]}', "overrides"),
-        ("eval", '{"t_start": 0, "t_end": 0.1, "overrides": {"threads": {"a": 1}}}', "threads"),
-    ], ids=["events_int", "bins_object", "bins_inf", "overrides_list", "threads_object"])
-    def test_manifest_field_of_wrong_type_one_line_diagnostic(self, tmp_path, command, body, word):
+    def test_manifest_event_outside_interval_one_line_diagnostic(self, tmp_path):
+        (tmp_path / "events.txt").write_text("0.5 0 0 1\n")
+        Manifest(t_start=0.0, t_end=0.1, events="events.txt").save(tmp_path / "m.json")
+        proc = run_cli("voxelize", "--manifest", tmp_path / "m.json", "--width", "2",
+                       "--height", "2", "--out", tmp_path / "h.h32", check=False)
+        assert proc.returncode == 2
+        lines = stderr_lines(proc)
+        assert len(lines) == 1
+        assert "interval" in lines[0]
+        assert not (tmp_path / "h.h32").exists()
+        # a command that reads no events accepts the same manifest
+        write_video_dir(tmp_path / "video", np.linspace(0.0, 0.12, 3), np.full((3, 4, 5), 0.5))
+        run_cli("simulate", "--video", tmp_path / "video", "--manifest", tmp_path / "m.json",
+                "--out", tmp_path / "sim")
+
+    @pytest.mark.parametrize("body, word", [
+        ('{"t_start": 0, "t_end": 0.1, "events": 5}', "events"),
+        ('{"t_start": 0, "t_end": 0.1, "events": "e.txt", "overrides": {"bins": {"a": 1}}}', "bins"),
+        ('{"t_start": 0, "t_end": 0.1, "events": "e.txt", "overrides": {"bins": 1e400}}', "bins"),
+        ('{"t_start": 0, "t_end": 0.1, "overrides": [["bins", 3]]}', "overrides"),
+    ], ids=["events_int", "bins_object", "bins_inf", "overrides_list"])
+    def test_manifest_field_of_wrong_type_one_line_diagnostic(self, tmp_path, body, word):
         (tmp_path / "m.json").write_text(body)
         (tmp_path / "e.txt").write_text("")
-        extra = (("--width", "12", "--height", "12", "--out", tmp_path / "h.h32")
-                 if command == "voxelize" else
-                 ("--pred", tmp_path, "--gt", tmp_path, "--report", tmp_path / "r.txt"))
-        proc = run_cli(command, "--manifest", tmp_path / "m.json", *extra, check=False)
+        proc = run_cli("voxelize", "--manifest", tmp_path / "m.json", "--width", "12",
+                       "--height", "12", "--out", tmp_path / "h.h32", check=False)
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         lines = stderr_lines(proc)
@@ -348,6 +353,36 @@ class TestErrorHandling:
         assert len(lines) == 1
         assert "finite" in lines[0] and "c" in lines[0].split("error:", 1)[1]
         assert not (tmp_path / "refined").exists()
+
+    def test_nan_video_timestamp_one_line_diagnostic(self, tmp_path):
+        write_video_dir(tmp_path / "video", np.linspace(IV.t_start, IV.t_end, 6),
+                        np.full((6, 4, 5), 0.5))
+        stamps = (tmp_path / "video" / "timestamps.txt").read_text().splitlines()
+        stamps[2] = "nan"
+        (tmp_path / "video" / "timestamps.txt").write_text("\n".join(stamps) + "\n")
+        proc = run_cli("simulate", "--video", tmp_path / "video", "--out", tmp_path / "sim",
+                       check=False)
+        assert proc.returncode == 2
+        lines = stderr_lines(proc)
+        assert len(lines) == 1
+        assert "timestamps.txt:3:" in lines[0]
+        assert not (tmp_path / "sim").exists()
+
+    def test_nan_derivative_polys_one_line_diagnostic(self, tmp_path):
+        from scenes import random_poly_grid
+
+        from ecir.io import save_polys
+
+        grid = random_poly_grid(np.random.default_rng(503), 3, 4, 4, IV)
+        grid.derivatives[1, 2, 0] = np.nan
+        save_polys(tmp_path / "polys.npz", grid)
+        proc = run_cli("render", "--polys", tmp_path / "polys.npz",
+                       "--out", tmp_path / "frames", check=False)
+        assert proc.returncode == 2
+        lines = stderr_lines(proc)
+        assert len(lines) == 1
+        assert "polys.npz" in lines[0] and "derivatives" in lines[0]
+        assert not (tmp_path / "frames").exists()
 
     def test_npy_polys_one_line_diagnostic(self, tmp_path):
         np.save(tmp_path / "a.npy", np.zeros(3))
@@ -549,9 +584,9 @@ class TestManifestEvents:
         (tmp_path / "copy.txt").write_bytes((tmp_path / "events.txt").read_bytes())
         assert cli.main(["voxelize", "--manifest", manifest, "--events",
                          str(tmp_path / "copy.txt"), "--out", str(tmp_path / "e.h32")]) == 0
-        assert parsed[1:] == [tmp_path / "events.txt", tmp_path / "copy.txt"]
+        assert parsed[1:] == [tmp_path / "copy.txt"]
         assert (tmp_path / "m.h32").read_bytes() == (tmp_path / "e.h32").read_bytes()
-        # the reused stream is checked against the command's own interval
+        # the events are checked against the command's own interval
         code = cli.main(["voxelize", "--manifest", manifest, "--t-start", "0.0",
                          "--t-end", "0.01", "--out", str(tmp_path / "n.h32")])
         assert code == 2
@@ -582,19 +617,21 @@ class TestManifestEvents:
 
         monkeypatch.setattr(ecir_io, "read_events", counting)
         manifest = str(tmp_path / "manifest.json")
-        for argv in (
-            ["voxelize", "--manifest", manifest, "--out", str(tmp_path / "m.h32")],
-            ["edi", "--manifest", manifest, "--count", "4", "--out", str(tmp_path / "edi")],
-            ["refine", "--frames", str(tmp_path / "frames"), "--manifest", manifest,
-             "--out", str(tmp_path / "refined")],
+        for command, *argv in (
+            ["voxelize"],
+            ["edi", "--count", "4"],
+            ["refine", "--frames", str(tmp_path / "frames")],
+            ["fit", "--gt-video", str(tmp_path / "frames"), "--n", "3"],
         ):
-            parsed.clear()
-            assert cli.main(argv) == 0
-            assert parsed == [tmp_path / "events.evt"]
+            # the manifest's container, or the --events file in its place
+            for events, flag in ((tmp_path / "events.evt", []),
+                                 (tmp_path / "events.txt", ["--events", str(tmp_path / "events.txt")])):
+                parsed.clear()
+                out = str(tmp_path / f"{command}_{events.suffix[1:]}")
+                assert cli.main([command, "--manifest", manifest, *argv, *flag, "--out", out]) == 0
+                assert parsed == [events]
         # the container gives the same histogram as the text file it mirrors
-        assert cli.main(["voxelize", "--manifest", manifest, "--events",
-                         str(tmp_path / "events.txt"), "--out", str(tmp_path / "t.h32")]) == 0
-        assert (tmp_path / "m.h32").read_bytes() == (tmp_path / "t.h32").read_bytes()
+        assert (tmp_path / "voxelize_evt").read_bytes() == (tmp_path / "voxelize_txt").read_bytes()
 
 
 class TestConfigPrecedence:
@@ -626,17 +663,6 @@ class TestConfigPrecedence:
                 "--width", "2", "--height", "2", "--out", tmp_path / "f.h32")
         assert read_histogram(tmp_path / "f.h32", IV).bins.shape[0] == 10
 
-    def test_thread_resolution_order(self, monkeypatch):
-        monkeypatch.delenv("ECIR_THREADS", raising=False)
-        assert resolve_threads(None, None) == 1
-        assert resolve_threads(None, 3) == 3
-        monkeypatch.setenv("ECIR_THREADS", "2")
-        assert resolve_threads(None, 3) == 2
-        assert resolve_threads(5, 3) == 5
-        monkeypatch.setenv("ECIR_THREADS", "junk")
-        with pytest.raises(ValueError):
-            resolve_threads(None, None)
-
     def test_threads_flag_does_not_change_results(self, tmp_path):
         make_scene_fixture(tmp_path, seed=443, h=20, w=20, k=16)
         run_cli("simulate", "--video", tmp_path / "video", "--out", tmp_path / "sim")
@@ -647,12 +673,6 @@ class TestConfigPrecedence:
         with np.load(tmp_path / "p1.npz") as a, np.load(tmp_path / "p4.npz") as b:
             assert np.array_equal(a["derivatives"], b["derivatives"])
             assert np.array_equal(a["constants"], b["constants"])
-
-    def test_env_threads_accepted(self, tmp_path):
-        make_scene_fixture(tmp_path, seed=449, h=18, w=18, k=12)
-        run_cli("simulate", "--video", tmp_path / "video", "--out", tmp_path / "sim",
-                env_extra={"ECIR_THREADS": "3"})
-        assert (tmp_path / "sim" / "events.txt").exists()
 
 
 class TestRenderTimestamps:
