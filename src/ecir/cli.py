@@ -75,7 +75,9 @@ def _manifest_of(args) -> io.Manifest | None:
 def _interval_of(args, manifest: io.Manifest | None) -> ExposureInterval:
     t_start = getattr(args, "t_start", None)
     t_end = getattr(args, "t_end", None)
-    if t_start is not None and t_end is not None:
+    if (t_start is None) != (t_end is None):
+        raise ValueError("--t-start and --t-end must be given together")
+    if t_start is not None:
         return ExposureInterval(t_start, t_end)
     if manifest is not None:
         return manifest.interval

@@ -17,6 +17,11 @@ visits its timestamps in increasing order and adds each window's signed
 count to a running total, so the event stream is scanned once however many
 frames are asked for. The counts are integers held in floats, so the running
 total is exact. ``edi_reconstruct`` is the one-frame call of the same path.
+The EDI kernels use no scatter-add: the window counts come from
+``signed_count_between``'s bincount, and the normalizer groups events by
+pixel with a narrow-key stable sort and sums them with one bincount whose
+per-pixel order is the scatter-add's, so both are bitwise equal to the
+scatter-add forms the tests keep as oracles.
 """
 
 from __future__ import annotations
@@ -99,18 +104,25 @@ def fit_polys(video: SharpVideo, keypoints: np.ndarray, blurry: BlurryFrame) -> 
 def _edi_factors(blurry: BlurryFrame, events: EventStream, c: float) -> np.ndarray:
     """Per-pixel integral of exp(c*S) over the interval, flattened to (h*w,).
 
-    This is the normalizer of the double-integral model.
+    This is the normalizer of the double-integral model. Events are grouped
+    pixel-major by a stable sort on the narrowest unsigned key that holds
+    every pixel id (a radix sort for up to 65,536 pixels); the permutation
+    of a stable sort is unique, so the order does not depend on the key's
+    width. One ``np.bincount`` then sums each pixel's segments after a
+    leading weight of T per pixel, so every pixel accumulates
+    ``((T + s1) + s2) + ...`` in time order, the sums a scatter-add of the
+    segments onto a T-filled array performs, and the result is bitwise
+    equal to it.
     """
     h, w = blurry.shape
     iv = events.interval
-    integral = np.full(h * w, iv.length)
     if len(events) == 0:
-        return integral
+        return np.full(h * w, iv.length)
 
     if np.any(events.x >= w) or np.any(events.y >= h):
         raise ValueError("event coordinates exceed the blurry frame")
-    ids = events.y.astype(np.int64) * w + events.x
-    order = np.argsort(ids, kind="stable")
+    ids = events.y * w + events.x
+    order = np.argsort(ids.astype(np.min_scalar_type(h * w - 1)), kind="stable")
     gid = ids[order]
     gt = events.t[order]
     gp = events.p[order]
@@ -132,7 +144,11 @@ def _edi_factors(blurry: BlurryFrame, events: EventStream, c: float) -> np.ndarr
     next_t[is_last] = iv.t_end
 
     seg = (next_t - gt) * levels
-    np.add.at(integral, gid, seg)
+    integral = np.bincount(
+        np.r_[np.arange(h * w), gid],
+        weights=np.r_[np.full(h * w, iv.length), seg],
+        minlength=h * w,
+    )
     integral[gid[starts]] += (gt[starts] - iv.t_start) - iv.length
     return integral
 

@@ -105,7 +105,9 @@ def read_events(path, interval: ExposureInterval) -> EventStream:
 
     A ``.evt`` name is read as the binary container, any other as ``t x y p``
     text. A malformed container is a :class:`FormatError` naming the file;
-    malformed text is the line parser's :class:`ParseError`.
+    malformed text is the line parser's :class:`ParseError`. Events that
+    fail the stream's checks (outside ``interval``, negative coordinates)
+    are a ValueError naming the file in either format.
     """
     if Path(path).suffix.lower() == EVT_SUFFIX:
         return _read_event_container(path, interval)
@@ -126,13 +128,22 @@ def read_events(path, interval: ExposureInterval) -> EventStream:
         np.all(np.isfinite(t)) and np.all(t[1:] >= t[:-1]) and np.all((p == 1) | (p == -1))
     ):
         return _read_events_lines(path, interval)
-    return EventStream(
+    return _text_stream(
+        path,
         np.ascontiguousarray(table["x"]),
         np.ascontiguousarray(table["y"]),
         np.ascontiguousarray(t),
         np.ascontiguousarray(p),
         interval,
     )
+
+
+def _text_stream(path, x, y, t, p, interval: ExposureInterval) -> EventStream:
+    """The stream of a parsed text file; a check it fails names the file."""
+    try:
+        return EventStream(x, y, t, p, interval)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _read_event_container(path, interval: ExposureInterval) -> EventStream:
@@ -187,7 +198,8 @@ def _read_events_lines(path, interval: ExposureInterval) -> EventStream:
             ps.append(p)
     if not ts:
         return EventStream.empty(interval)
-    return EventStream(
+    return _text_stream(
+        path,
         np.array(xs, dtype=np.int64),
         np.array(ys, dtype=np.int64),
         np.array(ts, dtype=np.float64),

@@ -14,6 +14,10 @@ neighbour wins, ties going to the earliest equally distant event, and claims
 are compared across each row. Only rows that need nudging run the scalar
 dedup. :func:`select_keypoints` is the one-pixel case of the same search; the
 per-pixel argmin loop lives on in the tests as the oracle both are held to.
+The pixel-major grouping is a stable sort on the narrowest unsigned key that
+holds every row index, which numpy runs as a radix sort on sensors of up to
+65,536 pixels; a stable sort's permutation is unique, so it is the order of
+the int64 sort, and per-row event counts are bincounts, never scatter-adds.
 """
 
 from __future__ import annotations
@@ -113,7 +117,8 @@ def _select_rows(
     ``times`` is sorted; ``row_of_event`` gives each event's pixel row.
     """
     n = base.shape[0]
-    order = np.argsort(row_of_event, kind="stable")  # pixel-major, time order kept
+    # pixel-major, time order kept
+    order = np.argsort(row_of_event.astype(np.min_scalar_type(m - 1)), kind="stable")
     t = times[order]
     counts = np.bincount(row_of_event, minlength=m)
     start = np.cumsum(counts) - counts

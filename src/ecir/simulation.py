@@ -5,6 +5,14 @@ when its log-intensity has moved by at least c+ (or at most c-) since the
 reference level set by its last event. Frames are linearly interpolated in
 log space between timestamps, so events get sub-frame crossing times; a gap
 large enough for several threshold steps emits several events.
+
+The per-event kernels avoid scatter-adds and wide sorts. :func:`voxelize` and
+:func:`signed_count_between` accumulate polarities with one ``np.bincount``
+over a flat bin or pixel index; the sums are of integers held in floats, so
+they are exact and equal to the scatter-add form bit for bit in any order.
+:func:`simulate_events` orders its events with a stable sort on time alone
+and re-sorts only the runs of equal timestamps by (y, x, p), which is the
+permutation of a full (t, y, x, p) lexicographic sort.
 """
 
 from __future__ import annotations
@@ -173,8 +181,26 @@ def simulate_events(video: SharpVideo, cfg: ThresholdConfig) -> EventStream:
     y = np.concatenate(all_y)
     t = np.concatenate(all_t)
     p = np.concatenate(all_p)
-    order = np.lexsort((p, x, y, t))
+    order = _event_order(t, y, x, p)
     return EventStream(x[order], y[order], t[order], p[order], video.interval)
+
+
+def _event_order(t, y, x, p) -> np.ndarray:
+    """The stable permutation that sorts events by (t, y, x, p).
+
+    A stable sort on t alone leaves each run of equal timestamps in input
+    order; sorting those runs again by the full key gives the same
+    permutation as one lexicographic sort over every event, at the cost of
+    the (few) tied events only.
+    """
+    order = np.argsort(t, kind="stable")
+    ts = t[order]
+    tied = np.flatnonzero(ts[1:] == ts[:-1])
+    if tied.size:
+        at = np.union1d(tied, tied + 1)  # positions inside runs of equal t
+        run = order[at]  # ascending within each run, so ties stay stable
+        order[at] = run[np.lexsort((p[run], x[run], y[run], ts[at]))]
+    return order
 
 
 def synthesize_blur(video: SharpVideo) -> BlurryFrame:
@@ -189,21 +215,23 @@ def voxelize(events: EventStream, m: int, shape: tuple[int, int]) -> EventHistog
     """Bin polarities into an (m, h, w) histogram over the exposure interval.
 
     Bin index is floor((t - t_start) / T * m); an event exactly at t_end goes
-    in the last bin.
+    in the last bin. One ``np.bincount`` over the flat (bin, y, x) index sums
+    the polarities; integer sums are exact, so the histogram equals an
+    unbuffered scatter-add of p at (bin, y, x) bit for bit.
     """
     if m < 1:
         raise ValueError("bin count must be >= 1")
     h, w = shape
-    bins = np.zeros((m, h, w))
     if len(events) == 0:
-        return EventHistogram(bins, events.interval)
+        return EventHistogram(np.zeros((m, h, w)), events.interval)
     if np.any(events.x >= w) or np.any(events.y >= h):
         raise ValueError("event coordinates exceed the requested grid shape")
     iv = events.interval
     idx = np.floor((events.t - iv.t_start) / iv.length * m).astype(np.int64)
     idx = np.clip(idx, 0, m - 1)
-    np.add.at(bins, (idx, events.y, events.x), events.p.astype(np.float64))
-    return EventHistogram(bins, iv)
+    flat = (idx * h + events.y) * w + events.x
+    bins = np.bincount(flat, weights=events.p, minlength=m * h * w)
+    return EventHistogram(bins.reshape(m, h, w), iv)
 
 
 def signed_count_between(
@@ -213,15 +241,11 @@ def signed_count_between(
     if t_a > t_b:
         raise ValueError(f"window start {t_a} exceeds end {t_b}")
     h, w = shape
-    out = np.zeros((h, w))
     if len(events) and (np.any(events.x >= w) or np.any(events.y >= h)):
         raise ValueError("event coordinates exceed the requested grid shape")
     lo = int(np.searchsorted(events.t, t_a, side="right"))
     hi = int(np.searchsorted(events.t, t_b, side="right"))
-    if hi > lo:
-        np.add.at(
-            out,
-            (events.y[lo:hi], events.x[lo:hi]),
-            events.p[lo:hi].astype(np.float64),
-        )
-    return out
+    if hi == lo:
+        return np.zeros((h, w))  # bincount of no events is an integer array
+    ids = events.y[lo:hi] * w + events.x[lo:hi]
+    return np.bincount(ids, weights=events.p[lo:hi], minlength=h * w).reshape(h, w)

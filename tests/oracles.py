@@ -1,0 +1,84 @@
+"""Scatter-add references for the per-event kernels, and streams to check them on.
+
+Each oracle is the straightforward ``np.add.at`` form of a kernel the library
+computes another way (one ``np.bincount`` over a flat index, a narrow-key
+radix sort). The tests hold the library to these bit for bit.
+"""
+
+import numpy as np
+from hypothesis import strategies as st
+
+from ecir import EventStream, ExposureInterval
+
+IV = ExposureInterval(-0.06, 0.06)
+
+
+@st.composite
+def tie_heavy_streams(draw):
+    """Small sensors, repeated pixels, both polarities, shared timestamps.
+
+    Returns the stream over ``IV``, its shape and the timestamp pool the
+    events use, so windows and frames can fall exactly on event times.
+    """
+    h, w = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    k = draw(st.integers(0, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = rng.uniform(IV.t_start, IV.t_end, draw(st.integers(1, 8)))
+    pool = np.concatenate([pool, [IV.t_start, IV.t_end]])
+    stream = EventStream(
+        rng.integers(0, w, k), rng.integers(0, h, k), np.sort(rng.choice(pool, k)),
+        rng.choice([-1, 1], k), IV,
+    )
+    return stream, (h, w), pool
+
+
+def oracle_voxelize(events, m, shape):
+    """(m, h, w) histogram: each polarity added at (bin, y, x), one at a time."""
+    h, w = shape
+    bins = np.zeros((m, h, w))
+    if len(events):
+        iv = events.interval
+        idx = np.floor((events.t - iv.t_start) / iv.length * m).astype(np.int64)
+        idx = np.clip(idx, 0, m - 1)
+        np.add.at(bins, (idx, events.y, events.x), events.p.astype(np.float64))
+    return bins
+
+
+def oracle_signed_count(events, t_a, t_b, shape):
+    """Per-pixel sum of the polarities with t in (t_a, t_b]."""
+    out = np.zeros(shape)
+    lo = int(np.searchsorted(events.t, t_a, side="right"))
+    hi = int(np.searchsorted(events.t, t_b, side="right"))
+    np.add.at(out, (events.y[lo:hi], events.x[lo:hi]), events.p[lo:hi].astype(np.float64))
+    return out
+
+
+def oracle_edi_factors(blurry, events, c):
+    """EDI normalizer: segments scatter-added onto T, grouped by an int64 sort."""
+    h, w = blurry.shape
+    iv = events.interval
+    integral = np.full(h * w, iv.length)
+    if len(events) == 0:
+        return integral
+    ids = events.y.astype(np.int64) * w + events.x
+    order = np.argsort(ids, kind="stable")
+    gid = ids[order]
+    gt = events.t[order]
+    gp = events.p[order]
+
+    starts = np.flatnonzero(np.r_[True, np.diff(gid) != 0])
+    group_of = np.cumsum(np.r_[True, np.diff(gid) != 0]) - 1
+    cum = np.cumsum(gp)
+    base = np.r_[0, cum[starts[1:] - 1]] if starts.shape[0] > 1 else np.zeros(1)
+    levels = np.exp(c * (cum - base[group_of]))
+
+    next_t = np.empty_like(gt)
+    next_t[:-1] = gt[1:]
+    is_last = np.zeros(gt.shape[0], dtype=bool)
+    is_last[starts - 1] = True
+    is_last[-1] = True
+    next_t[is_last] = iv.t_end
+
+    np.add.at(integral, gid, (next_t - gt) * levels)
+    integral[gid[starts]] += (gt[starts] - iv.t_start) - iv.length
+    return integral

@@ -316,6 +316,33 @@ class TestErrorHandling:
         run_cli("simulate", "--video", tmp_path / "video", "--manifest", tmp_path / "m.json",
                 "--out", tmp_path / "sim")
 
+    def test_events_outside_interval_names_the_file(self, tmp_path):
+        (tmp_path / "events.txt").write_text("0.05 0 0 1\n")
+        (tmp_path / "bad.txt").write_text("0.05 0 0 1\n0.5 1 0 -1\n")
+        Manifest(t_start=0.0, t_end=0.1, events="events.txt").save(tmp_path / "m.json")
+        proc = run_cli("voxelize", "--manifest", tmp_path / "m.json", "--events",
+                       tmp_path / "bad.txt", "--width", "2", "--height", "2",
+                       "--out", tmp_path / "h.h32", check=False)
+        assert proc.returncode == 2
+        lines = stderr_lines(proc)
+        assert len(lines) == 1
+        assert "bad.txt" in lines[0] and "interval" in lines[0]
+
+    @pytest.mark.parametrize("bound", ["--t-start", "--t-end"])
+    @pytest.mark.parametrize("with_manifest", [True, False], ids=["manifest", "no_manifest"])
+    def test_lone_interval_bound_one_line_diagnostic(self, tmp_path, bound, with_manifest):
+        (tmp_path / "events.txt").write_text("0.05 0 0 1\n")
+        Manifest(t_start=0.0, t_end=0.1, events="events.txt").save(tmp_path / "m.json")
+        source = ["--manifest", tmp_path / "m.json"] if with_manifest else ["--events",
+                                                                             tmp_path / "events.txt"]
+        proc = run_cli("voxelize", *source, bound, "0.09", "--width", "2", "--height", "2",
+                       "--out", tmp_path / "h.h32", check=False)
+        assert proc.returncode == 2
+        lines = stderr_lines(proc)
+        assert len(lines) == 1
+        assert "--t-start and --t-end" in lines[0]
+        assert not (tmp_path / "h.h32").exists()
+
     @pytest.mark.parametrize("body, word", [
         ('{"t_start": 0, "t_end": 0.1, "events": 5}', "events"),
         ('{"t_start": 0, "t_end": 0.1, "events": "e.txt", "overrides": {"bins": {"a": 1}}}', "bins"),

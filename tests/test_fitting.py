@@ -16,12 +16,12 @@ from ecir import (
     edi_video,
     fit_polys,
     render_frame,
-    signed_count_between,
     synthesize_blur,
 )
 from ecir.fitting import _edi_factors
 from ecir.keypoints import pivots
 
+from oracles import oracle_edi_factors, oracle_signed_count, tie_heavy_streams
 from scenes import random_poly_grid
 
 IV = ExposureInterval(-0.06, 0.06)
@@ -42,11 +42,11 @@ def random_stream(rng, k, shape, interval=IV):
 
 
 def oracle_edi_frame(blurry, events, c, t):
-    """EDI frame at ``t`` from a fresh count over (t_start, t] and the normalizer."""
+    """EDI frame at ``t`` from a fresh scatter-add count over (t_start, t]."""
     iv = events.interval
     h, w = blurry.shape
-    integral = _edi_factors(blurry, events, c).reshape(h, w)
-    level = np.exp(c * signed_count_between(events, iv.t_start, float(t), (h, w)))
+    integral = oracle_edi_factors(blurry, events, c).reshape(h, w)
+    level = np.exp(c * oracle_signed_count(events, iv.t_start, float(t), (h, w)))
     return blurry.values * iv.length * level / integral
 
 
@@ -231,26 +231,44 @@ class TestEdi:
                 assert np.array_equal(stack[i], oracle_edi_frame(blurry, stream, c, t))
 
     @settings(max_examples=200, deadline=None)
-    @given(data=st.data())
-    def test_video_matches_single_frames_property(self, data):
+    @given(case=tie_heavy_streams(), data=st.data())
+    def test_video_matches_single_frames_property(self, case, data):
         """The running count is bitwise equal to a fresh count per frame."""
-        h, w = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
-        k = data.draw(st.integers(0, 30))
+        stream, (h, w), grid = case
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        # a few distinct timestamps, so events share times and frames land on them
-        grid = rng.uniform(IV.t_start, IV.t_end, data.draw(st.integers(1, 8)))
-        grid = np.concatenate([grid, [IV.t_start, IV.t_end]])
-        stream = EventStream(
-            rng.integers(0, w, k), rng.integers(0, h, k), np.sort(rng.choice(grid, k)),
-            rng.choice([-1, 1], k), IV,
-        )
         blurry = BlurryFrame(rng.uniform(0.05, 0.95, (h, w)), IV)
         c = data.draw(st.floats(0.01, 1.0))
-        pool = np.concatenate([grid, stream.t, rng.uniform(IV.t_start, IV.t_end, 4)])
+        # frames land on event times as well as between them
+        pool = np.concatenate([grid, rng.uniform(IV.t_start, IV.t_end, 4)])
         times = rng.choice(pool, data.draw(st.integers(1, 12)))
         stack = edi_video(blurry, stream, c, times)
         for i, t in enumerate(times):
             assert stack[i].tobytes() == oracle_edi_frame(blurry, stream, c, t).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=tie_heavy_streams(), c=st.floats(0.01, 2.0))
+    def test_factors_match_scatter_oracle_property(self, case, c):
+        """Each pixel sums ((T + s1) + s2) + ... as the scatter-add does."""
+        stream, shape, _ = case
+        blurry = BlurryFrame(np.full(shape, 0.5), IV)
+        got = _edi_factors(blurry, stream, c)
+        assert got.tobytes() == oracle_edi_factors(blurry, stream, c).tobytes()
+
+    # 256 pixels key on uint8, 257 and 65,536 on uint16, 70,000 on uint32
+    @pytest.mark.parametrize("shape", [(16, 16), (1, 257), (256, 256), (1, 70000)],
+                             ids=["uint8", "uint16_min", "uint16_max", "uint32"])
+    def test_factors_match_int64_sort_oracle_on_every_key_width(self, shape):
+        h, w = shape
+        rng = np.random.default_rng(h * w)
+        edges = np.array([0, 1, 255, 256, 65535, 65536, h * w - 1])
+        ids = np.concatenate([edges[edges < h * w], rng.integers(0, h * w, 60)])
+        ids = np.concatenate([ids, ids[rng.integers(0, ids.shape[0], 40)]])  # repeats
+        k = ids.shape[0]
+        stream = EventStream(ids % w, ids // w, np.sort(rng.uniform(IV.t_start, IV.t_end, k)),
+                             rng.choice([-1, 1], k), IV)
+        blurry = BlurryFrame(np.full(shape, 0.5), IV)
+        got = _edi_factors(blurry, stream, 0.3)
+        assert got.tobytes() == oracle_edi_factors(blurry, stream, 0.3).tobytes()
 
     def test_invalid_inputs(self):
         blurry = BlurryFrame(np.full((2, 2), 0.5), IV)

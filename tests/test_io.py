@@ -99,8 +99,19 @@ class TestEventFiles:
     def test_out_of_interval_rejected(self, tmp_path):
         path = tmp_path / "events.txt"
         path.write_text("0.5 1 1 1\n")
-        with pytest.raises(ValueError):
-            read_events(path, IV)
+        # both text parsers name the file
+        for reader in (read_events, _read_events_lines):
+            with pytest.raises(ValueError, match="outside the exposure interval") as info:
+                reader(path, IV)
+            assert str(info.value).startswith(f"{path}: ")
+
+    def test_negative_coordinate_names_the_file(self, tmp_path):
+        path = tmp_path / "events.txt"
+        path.write_text("0.0 -1 1 1\n")
+        for reader in (read_events, _read_events_lines):
+            with pytest.raises(ValueError, match="non-negative") as info:
+                reader(path, IV)
+            assert str(info.value).startswith(f"{path}: ")
 
     def test_nan_timestamp_reports_line_number(self, tmp_path):
         path = tmp_path / "events.txt"

@@ -30,13 +30,19 @@ def loop_select(event_times, interval, n):
 
 
 def loop_keypoint_grid(events, interval, n, shape):
-    """Reference for ``keypoint_grid``: ``loop_select`` on every pixel."""
+    """Reference for ``keypoint_grid``: ``loop_select`` on every pixel.
+
+    Pixels with events are found by an int64 stable argsort of their ids;
+    the rest keep the pivot row.
+    """
     h, w = shape
-    grid = np.broadcast_to(pivots(interval, n), (h, w, n)).copy()
-    for y in range(h):
-        for x in range(w):
-            grid[y, x] = loop_select(events.pixel_times(x, y), interval, n)
-    return grid
+    grid = np.broadcast_to(pivots(interval, n), (h * w, n)).copy()
+    ids = events.y.astype(np.int64) * w + events.x
+    order = np.argsort(ids, kind="stable")
+    pixels, firsts = np.unique(ids[order], return_index=True)
+    for pixel, times in zip(pixels, np.split(events.t[order], firsts[1:])):
+        grid[pixel] = loop_select(times, interval, n)
+    return grid.reshape(h, w, n)
 
 
 def bits(a):
@@ -202,6 +208,20 @@ class TestKeypointGrid:
         )
         with pytest.raises(ValueError):
             keypoint_grid(stream, HALF_UNIT, 3, (2, 2))
+
+    # 256 touched pixels key the sort on uint8, 257 and 65,536 on uint16,
+    # 70,000 on uint32
+    @pytest.mark.parametrize("shape", [(16, 16), (1, 257), (256, 256), (1, 70000)],
+                             ids=["uint8", "uint16_min", "uint16_max", "uint32"])
+    def test_matches_int64_sort_oracle_on_every_key_width(self, shape):
+        h, w = shape
+        rng = np.random.default_rng(h * w)
+        ids = np.concatenate([np.arange(h * w), rng.integers(0, h * w, 200)])  # repeats
+        k = ids.shape[0]
+        t = np.sort(rng.uniform(-0.5, 0.5, k))
+        stream = EventStream(ids % w, ids // w, t, np.ones(k), HALF_UNIT)
+        grid = keypoint_grid(stream, HALF_UNIT, 2, shape)
+        assert np.array_equal(bits(grid), bits(loop_keypoint_grid(stream, HALF_UNIT, 2, shape)))
 
     def test_events_outside_interval_rejected(self):
         stream = EventStream(

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ecir import (
     EventStream,
@@ -16,6 +18,9 @@ from ecir import (
     synthesize_blur,
     voxelize,
 )
+from ecir.simulation import _event_order
+
+from oracles import oracle_signed_count, oracle_voxelize, tie_heavy_streams
 
 IV = ExposureInterval(-0.06, 0.06)
 
@@ -160,12 +165,55 @@ class TestSimulateEvents:
         keys = list(zip(events.t, events.y, events.x, events.p))
         assert keys == sorted(keys)
 
+    @pytest.mark.parametrize("seed", [5, 6, 7])
+    def test_order_is_lexsort_on_ulp_spaced_frames(self, seed):
+        # frames one ulp apart round every crossing time onto a frame time,
+        # so a pixel that rises into a frame time and falls out of it emits
+        # two events with equal (t, y, x) and opposite p
+        rng = np.random.default_rng(seed)
+        t0, k = 2.0**20, 12
+        times = t0 + np.arange(k) * np.spacing(t0)
+        steps = rng.choice([-1, 1], (k, 3, 4)) * rng.uniform(0.3, 0.9, (k, 3, 4))
+        ln = np.log(0.3) + np.cumsum(steps, axis=0)
+        video = SharpVideo(times, np.exp(ln), ExposureInterval(times[0], times[-1]))
+        ev = simulate_events(video, ThresholdConfig(c_plus=0.2, c_minus=-0.2))
+        same = (ev.t[1:] == ev.t[:-1]) & (ev.x[1:] == ev.x[:-1]) & (ev.y[1:] == ev.y[:-1])
+        assert np.any(same & (ev.p[1:] != ev.p[:-1]))
+        assert np.array_equal(np.lexsort((ev.p, ev.x, ev.y, ev.t)), np.arange(len(ev)))
+
+    def test_order_is_lexsort_on_identical_and_mirrored_pixels(self):
+        # copies of one log-intensity walk fire at the same times on several
+        # pixels; its mirror image fires the opposite polarity at those times
+        rng = np.random.default_rng(101)
+        times = np.linspace(IV.t_start, IV.t_end, 9)
+        walk = np.log(0.3) + np.cumsum(rng.uniform(-0.6, 0.6, 9))
+        mirror = 2 * walk[0] - walk
+        frames = np.exp(np.stack([walk, mirror, walk, mirror, walk, walk], axis=1)).reshape(9, 2, 3)
+        ev = simulate_events(SharpVideo(times, frames, IV), ThresholdConfig(c_plus=0.2, c_minus=-0.2))
+        tied = ev.t[1:] == ev.t[:-1]
+        assert np.any(tied & (ev.p[1:] != ev.p[:-1]))
+        assert np.array_equal(np.lexsort((ev.p, ev.x, ev.y, ev.t)), np.arange(len(ev)))
+
     def test_non_finite_input_rejected(self):
         times = np.linspace(IV.t_start, IV.t_end, 3)
         frames = np.full((3, 2, 2), 0.5)
         frames[1, 0, 0] = np.nan
         with pytest.raises(ValueError):
             simulate_events(SharpVideo(times, frames, IV), ThresholdConfig())
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_event_order_matches_four_key_lexsort(data):
+    """A stable time sort with tied runs re-sorted is the (t, y, x, p) lexsort."""
+    k = data.draw(st.integers(0, 60))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    pool = np.array([-1.5, -0.0, 0.0, 1e-300, 0.25, 0.25 + 2**-54, 3.0])
+    t = rng.choice(pool[: data.draw(st.integers(1, pool.shape[0]))], k)
+    side = data.draw(st.integers(1, 3))
+    y, x = rng.integers(0, side, k), rng.integers(0, side, k)
+    p = rng.choice([-1, 1], k)
+    assert np.array_equal(_event_order(t, y, x, p), np.lexsort((p, x, y, t)))
 
 
 class TestSynthesizeBlur:
@@ -257,6 +305,28 @@ class TestVoxelize:
             voxelize(stream, 4, (2, 2))
         with pytest.raises(ValueError):
             signed_count_between(stream, IV.t_start, IV.t_end, (2, 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=tie_heavy_streams(), m=st.integers(1, 50))
+def test_voxelize_matches_scatter_oracle_bitwise(case, m):
+    stream, shape, _ = case
+    bins = voxelize(stream, m, shape).bins
+    expected = oracle_voxelize(stream, m, shape)
+    assert bins.dtype == expected.dtype and bins.shape == expected.shape
+    assert bins.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=tie_heavy_streams(), data=st.data())
+def test_signed_count_matches_scatter_oracle_bitwise(case, data):
+    stream, shape, pool = case
+    ends = st.sampled_from(list(pool) + [IV.t_start - 1.0, 0.0])
+    t_a, t_b = sorted((data.draw(ends), data.draw(ends)))  # t_a == t_b: empty window
+    got = signed_count_between(stream, t_a, t_b, shape)
+    expected = oracle_signed_count(stream, t_a, t_b, shape)
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
 
 
 class TestSignedCountBetween:
