@@ -47,7 +47,6 @@ from .representation import (
 )
 from .simulation import (
     EventHistogram,
-    RefState,
     ThresholdConfig,
     polarity,
     signed_count_between,
@@ -71,7 +70,6 @@ __all__ = [
     "LossConfig",
     "MonomialPoly",
     "PolyGrid",
-    "RefState",
     "RefineProblem",
     "SharpVideo",
     "SingularBasisError",

@@ -150,16 +150,16 @@ def cmd_simulate(args) -> int:
 
 def cmd_fit(args) -> int:
     manifest = _manifest_of(args)
+    bounded = manifest is not None or args.t_start is not None or args.t_end is not None
+    window = _interval_of(args, manifest) if bounded else None
     n = _setting(args.n, manifest, "n", DEFAULT_KEYPOINTS)
     blurry_path = _path_setting(args.blurry, manifest, "blurry")
     events_path = _path_setting(args.events, manifest, "events")
     video_path = _path_setting(args.gt_video, manifest, "gt_video")
 
     video = io.read_video_dir(video_path)
-    if args.t_start is not None and args.t_end is not None:
-        video = video.window(ExposureInterval(args.t_start, args.t_end))
-    elif manifest is not None:
-        video = video.window(manifest.interval)
+    if window is not None:
+        video = video.window(window)
     interval = video.interval
     blurry = BlurryFrame(io.read_frame(blurry_path), interval)
     events = io.read_events(events_path, interval)

@@ -18,10 +18,10 @@ count to a running total, so the event stream is scanned once however many
 frames are asked for. The counts are integers held in floats, so the running
 total is exact. ``edi_reconstruct`` is the one-frame call of the same path.
 The EDI kernels use no scatter-add: the window counts come from
-``signed_count_between``'s bincount, and the normalizer groups events by
-pixel with a narrow-key stable sort and sums them with one bincount whose
-per-pixel order is the scatter-add's, so both are bitwise equal to the
-scatter-add forms the tests keep as oracles.
+:func:`ecir.simulation.window_counts`, and the normalizer groups events with
+:func:`ecir.types.key_groups` and sums them with one bincount whose per-pixel
+order is the scatter-add's, so both are bitwise equal to the scatter-add
+forms the tests keep as oracles.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ import warnings
 import numpy as np
 
 from .representation import PolyGrid, horner
-from .simulation import signed_count_between
-from .types import BlurryFrame, EventStream, SharpVideo
+from .simulation import window_counts
+from .types import BlurryFrame, EventStream, SharpVideo, key_groups
 
 __all__ = ["fit_polys", "edi_reconstruct", "edi_video"]
 
@@ -104,44 +104,28 @@ def fit_polys(video: SharpVideo, keypoints: np.ndarray, blurry: BlurryFrame) -> 
 def _edi_factors(blurry: BlurryFrame, events: EventStream, c: float) -> np.ndarray:
     """Per-pixel integral of exp(c*S) over the interval, flattened to (h*w,).
 
-    This is the normalizer of the double-integral model. Events are grouped
-    pixel-major by a stable sort on the narrowest unsigned key that holds
-    every pixel id (a radix sort for up to 65,536 pixels); the permutation
-    of a stable sort is unique, so the order does not depend on the key's
-    width. One ``np.bincount`` then sums each pixel's segments after a
-    leading weight of T per pixel, so every pixel accumulates
-    ``((T + s1) + s2) + ...`` in time order, the sums a scatter-add of the
-    segments onto a T-filled array performs, and the result is bitwise
-    equal to it.
+    This is the normalizer of the double-integral model. One ``np.bincount``
+    sums each pixel's segments, in time order, after a leading weight of T
+    per pixel, so every pixel accumulates ``((T + s1) + s2) + ...``, the sums
+    a scatter-add of the segments onto a T-filled array performs, and the
+    result is bitwise equal to it.
     """
     h, w = blurry.shape
     iv = events.interval
     if len(events) == 0:
         return np.full(h * w, iv.length)
 
-    if np.any(events.x >= w) or np.any(events.y >= h):
-        raise ValueError("event coordinates exceed the blurry frame")
-    ids = events.y * w + events.x
-    order = np.argsort(ids.astype(np.min_scalar_type(h * w - 1)), kind="stable")
+    ids = events.pixel_ids((h, w))
+    order, start, end = key_groups(ids, h * w)
     gid = ids[order]
     gt = events.t[order]
-    gp = events.p[order]
-
-    starts = np.flatnonzero(np.r_[True, np.diff(gid) != 0])
-    group_of = np.cumsum(np.r_[True, np.diff(gid) != 0]) - 1
-    cum = np.cumsum(gp)
-    base = np.r_[0, cum[starts[1:] - 1]] if starts.shape[0] > 1 else np.zeros(1)
-    signed = cum - base[group_of]  # within-pixel cumulative signed count
-    levels = np.exp(c * signed)
+    cum = np.cumsum(events.p[order])
+    levels = np.exp(c * (cum - np.r_[0, cum][start][gid]))  # within-pixel running count
 
     # segment from each event to the next event of the same pixel (or t_end)
-    next_t = np.empty_like(gt)
-    next_t[:-1] = gt[1:]
-    next_t[-1] = iv.t_end
-    is_last = np.zeros(gt.shape[0], dtype=bool)
-    is_last[starts - 1] = True  # start of next group marks end of previous
-    is_last[-1] = True
-    next_t[is_last] = iv.t_end
+    has = end > start
+    next_t = np.r_[gt[1:], iv.t_end]
+    next_t[end[has] - 1] = iv.t_end
 
     seg = (next_t - gt) * levels
     integral = np.bincount(
@@ -149,7 +133,7 @@ def _edi_factors(blurry: BlurryFrame, events: EventStream, c: float) -> np.ndarr
         weights=np.r_[np.full(h * w, iv.length), seg],
         minlength=h * w,
     )
-    integral[gid[starts]] += (gt[starts] - iv.t_start) - iv.length
+    integral[has] += (gt[start[has]] - iv.t_start) - iv.length
     return integral
 
 
@@ -177,16 +161,15 @@ def edi_video(
     h, w = blurry.shape
     out = np.empty((times.shape[0], h, w))
     count = np.zeros((h, w))
-    prev = iv.t_start
+    order = np.argsort(times, kind="stable")
+    windows = window_counts(events, np.r_[iv.t_start, times[order]], (h, w))
     try:
         # with finite inputs these flags are set only when exp(c * count)
         # or the normalizer overflows, which leaves no meaningful frame
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             integral = _edi_factors(blurry, events, c).reshape(h, w)
-            for i in np.argsort(times, kind="stable"):
-                t = float(times[i])
-                count += signed_count_between(events, prev, t, (h, w))
-                prev = t
+            for i, window in zip(order, windows):
+                count += window
                 out[i] = blurry.values * iv.length * np.exp(c * count) / integral
     except FloatingPointError:
         raise ValueError(

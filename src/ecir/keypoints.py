@@ -14,10 +14,8 @@ neighbour wins, ties going to the earliest equally distant event, and claims
 are compared across each row. Only rows that need nudging run the scalar
 dedup. :func:`select_keypoints` is the one-pixel case of the same search; the
 per-pixel argmin loop lives on in the tests as the oracle both are held to.
-The pixel-major grouping is a stable sort on the narrowest unsigned key that
-holds every row index, which numpy runs as a radix sort on sensors of up to
-65,536 pixels; a stable sort's permutation is unique, so it is the order of
-the int64 sort, and per-row event counts are bincounts, never scatter-adds.
+Events are grouped pixel-major by :func:`ecir.types.key_groups`, and per-row
+event counts are bincounts, never scatter-adds.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from .representation import KeypointSet
-from .types import EventStream, ExposureInterval
+from .types import EventStream, ExposureInterval, key_groups
 
 __all__ = ["pivots", "select_keypoints", "keypoint_grid"]
 
@@ -91,11 +89,9 @@ def keypoint_grid(
     if len(events) == 0:
         return grid
 
-    if np.any(events.x >= w) or np.any(events.y >= h):
-        raise ValueError("event coordinates exceed the requested grid shape")
+    ids = events.pixel_ids(shape)
     if not interval.contains(events.t):
         raise ValueError("event times must be sorted and inside the interval")
-    ids = events.y * w + events.x
     touched = np.zeros(h * w, dtype=bool)
     touched[ids] = True
     pixels = np.flatnonzero(touched)
@@ -117,12 +113,8 @@ def _select_rows(
     ``times`` is sorted; ``row_of_event`` gives each event's pixel row.
     """
     n = base.shape[0]
-    # pixel-major, time order kept
-    order = np.argsort(row_of_event.astype(np.min_scalar_type(m - 1)), kind="stable")
+    order, start, end = key_groups(row_of_event, m)  # pixel-major, time order kept
     t = times[order]
-    counts = np.bincount(row_of_event, minlength=m)
-    start = np.cumsum(counts) - counts
-    end = start + counts
 
     # right[r, i]: the row's first event at or after pivot i. The events before
     # a pivot are a prefix of the sorted stream, counted per row incrementally.

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .simulation import signed_count_between
+from .simulation import window_counts
 from .types import EventStream
 
 __all__ = [
@@ -126,10 +126,7 @@ def surrogate_residuals(
         # with a finite c and finite frames, these flags are set only when
         # exp(c * signed count) overflows
         with np.errstate(over="raise", invalid="raise"):
-            for i in range(d - 1):
-                counts = signed_count_between(
-                    events, float(schedule[i]), float(schedule[i + 1]), shape
-                )
+            for i, counts in enumerate(window_counts(events, schedule, shape)):
                 out[i] = initial[i] * np.expm1(c * counts)
     except FloatingPointError:
         raise ValueError(

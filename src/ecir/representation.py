@@ -18,7 +18,6 @@ never by quadrature.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -342,14 +341,6 @@ class PolyGrid:
             self.derivatives[y, x],
             float(self.constants[y, x]),
         )
-
-    @classmethod
-    def from_pixels(cls, polys: Sequence[Sequence[IntensityPoly]]) -> "PolyGrid":
-        interval = polys[0][0].interval
-        keypoints = np.stack([np.stack([p.keypoints.timestamps for p in row]) for row in polys])
-        derivs = np.stack([np.stack([p.derivative_values for p in row]) for row in polys])
-        consts = np.array([[p.integration_constant for p in row] for row in polys])
-        return cls(keypoints, derivs, consts, interval)
 
 
 def render_frame(polys: PolyGrid, t: float) -> np.ndarray:

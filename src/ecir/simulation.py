@@ -7,17 +7,19 @@ log space between timestamps, so events get sub-frame crossing times; a gap
 large enough for several threshold steps emits several events.
 
 The per-event kernels avoid scatter-adds and wide sorts. :func:`voxelize` and
-:func:`signed_count_between` accumulate polarities with one ``np.bincount``
-over a flat bin or pixel index; the sums are of integers held in floats, so
-they are exact and equal to the scatter-add form bit for bit in any order.
-:func:`simulate_events` orders its events with a stable sort on time alone
-and re-sorts only the runs of equal timestamps by (y, x, p), which is the
-permutation of a full (t, y, x, p) lexicographic sort.
+:func:`window_counts`, the signed-count kernel every consumer reads, sum
+polarities with one ``np.bincount`` over a flat bin or pixel index; the sums
+are of integers held in floats, so they are exact and equal to the
+scatter-add form bit for bit in any order. :func:`simulate_events` orders
+its events with a stable sort on time alone and re-sorts only the runs of
+equal timestamps by (y, x, p), which is the permutation of a full
+(t, y, x, p) lexicographic sort.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -25,13 +27,13 @@ from .types import EventStream, ExposureInterval, BlurryFrame, SharpVideo
 
 __all__ = [
     "ThresholdConfig",
-    "RefState",
     "EventHistogram",
     "polarity",
     "simulate_events",
     "synthesize_blur",
     "voxelize",
     "signed_count_between",
+    "window_counts",
 ]
 
 # intensities are floored before the log so dark pixels stay finite
@@ -74,22 +76,6 @@ class ThresholdConfig:
 
 
 @dataclass
-class RefState:
-    """Per-pixel reference the contrast rule compares against.
-
-    Initialized to the first frame; both fields update only when an event
-    fires (the new reference level is exactly the crossed threshold level).
-    """
-
-    t_ref: np.ndarray
-    ln_ref: np.ndarray
-
-    @classmethod
-    def from_first_frame(cls, t0: float, ln0: np.ndarray) -> "RefState":
-        return cls(np.full(ln0.shape, t0), ln0.copy())
-
-
-@dataclass
 class EventHistogram:
     """Signed per-bin event counts, shape (m, h, w)."""
 
@@ -100,10 +86,6 @@ class EventHistogram:
         self.bins = np.asarray(self.bins, dtype=np.float64)
         if self.bins.ndim != 3:
             raise ValueError("histogram must be (m, h, w)")
-
-    @property
-    def bin_count(self) -> int:
-        return int(self.bins.shape[0])
 
 
 def polarity(delta_ln: float, c_plus: float, c_minus: float) -> int:
@@ -131,8 +113,7 @@ def _emit_for_gap(flat_ref, count, threshold, l0, l1, t0, t1):
     frac = (levels - l0[pix]) / (l1[pix] - l0[pix])
     # t0 + 1.0 * (t1 - t0) can round past t1; keep crossings inside the gap
     times = np.clip(t0 + frac * (t1 - t0), t0, t1)
-    last = offs + reps - 1
-    return idx, reps, pix, times, times[last]
+    return idx, reps, pix, times
 
 
 def simulate_events(video: SharpVideo, cfg: ThresholdConfig) -> EventStream:
@@ -149,9 +130,8 @@ def simulate_events(video: SharpVideo, cfg: ThresholdConfig) -> EventStream:
     cp, cm = cfg.per_pixel((h, w))
     cp_f, cm_f = cp.ravel(), cm.ravel()
 
-    state = RefState.from_first_frame(float(video.times[0]), ln[0])
-    ref = state.ln_ref.ravel()
-    t_ref = state.t_ref.ravel()
+    # each pixel's reference log level, reset to the crossed level on each event
+    ref = ln[0].ravel().copy()
 
     ys, xs = np.divmod(np.arange(h * w), w)
     all_x, all_y, all_t, all_p = [], [], [], []
@@ -166,14 +146,13 @@ def simulate_events(video: SharpVideo, cfg: ThresholdConfig) -> EventStream:
             emitted = _emit_for_gap(ref, count, threshold, l0, l1, t0, t1)
             if emitted is None:
                 continue
-            idx, reps, pix, times, last_times = emitted
+            idx, reps, pix, times = emitted
             all_x.append(xs[pix])
             all_y.append(ys[pix])
             all_t.append(times)
             all_p.append(np.full(pix.shape[0], pol, dtype=np.int64))
             # the last crossing per pixel becomes the new reference
             ref[idx] += reps * threshold[idx]
-            t_ref[idx] = last_times
 
     if not all_t:
         return EventStream.empty(video.interval)
@@ -222,30 +201,33 @@ def voxelize(events: EventStream, m: int, shape: tuple[int, int]) -> EventHistog
     if m < 1:
         raise ValueError("bin count must be >= 1")
     h, w = shape
-    if len(events) == 0:
-        return EventHistogram(np.zeros((m, h, w)), events.interval)
-    if np.any(events.x >= w) or np.any(events.y >= h):
-        raise ValueError("event coordinates exceed the requested grid shape")
+    ids = events.pixel_ids(shape)
     iv = events.interval
     idx = np.floor((events.t - iv.t_start) / iv.length * m).astype(np.int64)
     idx = np.clip(idx, 0, m - 1)
-    flat = (idx * h + events.y) * w + events.x
-    bins = np.bincount(flat, weights=events.p, minlength=m * h * w)
+    bins = np.bincount(idx * (h * w) + ids, weights=events.p, minlength=m * h * w)
     return EventHistogram(bins.reshape(m, h, w), iv)
+
+
+def window_counts(events: EventStream, edges, shape: tuple[int, int]) -> Iterator[np.ndarray]:
+    """Per-pixel polarity sums, one (h, w) array per window (edges[i], edges[i+1]].
+
+    Edges must be non-decreasing. Pixel ids are formed once per call; each
+    window is one ``np.bincount`` of its slice, yielded alone, never stacked.
+    """
+    edges = np.asarray(edges, dtype=np.float64)
+    if np.any(np.diff(edges) < 0):
+        raise ValueError(f"window edges must be non-decreasing, got {edges}")
+    h, w = shape
+    ids = events.pixel_ids(shape)
+    cuts = np.searchsorted(events.t, edges, side="right")
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        counts = np.bincount(ids[lo:hi], weights=events.p[lo:hi], minlength=h * w)
+        yield counts.reshape(h, w).astype(np.float64, copy=False)  # no events: int zeros
 
 
 def signed_count_between(
     events: EventStream, t_a: float, t_b: float, shape: tuple[int, int]
 ) -> np.ndarray:
     """Per-pixel sum of polarities with t in the half-open window (t_a, t_b]."""
-    if t_a > t_b:
-        raise ValueError(f"window start {t_a} exceeds end {t_b}")
-    h, w = shape
-    if len(events) and (np.any(events.x >= w) or np.any(events.y >= h)):
-        raise ValueError("event coordinates exceed the requested grid shape")
-    lo = int(np.searchsorted(events.t, t_a, side="right"))
-    hi = int(np.searchsorted(events.t, t_b, side="right"))
-    if hi == lo:
-        return np.zeros((h, w))  # bincount of no events is an integer array
-    ids = events.y[lo:hi] * w + events.x[lo:hi]
-    return np.bincount(ids, weights=events.p[lo:hi], minlength=h * w).reshape(h, w)
+    return next(window_counts(events, [t_a, t_b], shape))

@@ -19,6 +19,7 @@ __all__ = [
     "EventStream",
     "BlurryFrame",
     "SharpVideo",
+    "key_groups",
 ]
 
 
@@ -50,9 +51,6 @@ class ExposureInterval:
     def normalize(self, t):
         """Map absolute seconds to the normalized domain [-1, 1]."""
         return 2.0 * (np.asarray(t, dtype=np.float64) - self.t_start) / self.length - 1.0
-
-    def denormalize(self, tau):
-        return self.t_start + (np.asarray(tau, dtype=np.float64) + 1.0) * (self.length / 2.0)
 
     def uniform_times(self, count: int) -> np.ndarray:
         """``count`` timestamps spanning the interval inclusively."""
@@ -116,15 +114,6 @@ class EventStream:
         z = np.zeros(0)
         return cls(z, z, z, z, interval)
 
-    @classmethod
-    def from_events(cls, events, interval: ExposureInterval) -> "EventStream":
-        events = list(events)
-        x = np.array([e.x for e in events], dtype=np.int64)
-        y = np.array([e.y for e in events], dtype=np.int64)
-        t = np.array([e.t for e in events], dtype=np.float64)
-        p = np.array([e.p for e in events], dtype=np.int64)
-        return cls(x, y, t, p, interval)
-
     def __len__(self) -> int:
         return int(self.t.shape[0])
 
@@ -132,10 +121,31 @@ class EventStream:
         for x, y, t, p in zip(self.x, self.y, self.t, self.p):
             yield Event(int(x), int(y), float(t), int(p))
 
+    def pixel_ids(self, shape: tuple[int, int]) -> np.ndarray:
+        """Row-major int64 ``y * w + x`` per event; off-grid events (aliasing ids) raise."""
+        h, w = shape
+        if np.any(self.x >= w) or np.any(self.y >= h):
+            raise ValueError("event coordinates exceed the requested grid shape")
+        return self.y.astype(np.int64, copy=False) * w + self.x
+
     def pixel_times(self, x: int, y: int) -> np.ndarray:
         """Timestamps of this pixel's events, in time order."""
         mask = (self.x == x) & (self.y == y)
         return self.t[mask]
+
+
+def key_groups(keys: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stable key-major order of ``keys`` in [0, m), and each key's [start, end).
+
+    Key k's entries are ``order[start[k]:end[k]]``, in input order. The sort
+    keys on the narrowest unsigned type holding m - 1, a radix sort for up to
+    65,536 keys; a stable sort's permutation is unique, so it is the int64
+    sort's. Group sizes are one ``np.bincount``, never a scatter-add.
+    """
+    order = np.argsort(keys.astype(np.min_scalar_type(m - 1)), kind="stable")
+    counts = np.bincount(keys, minlength=m)
+    end = np.cumsum(counts)
+    return order, end - counts, end
 
 
 @dataclass

@@ -328,20 +328,29 @@ class TestErrorHandling:
         assert len(lines) == 1
         assert "bad.txt" in lines[0] and "interval" in lines[0]
 
+    LONE_BOUND_ARGS = {
+        "voxelize": (["--width", "2", "--height", "2"], "h.h32"),
+        "fit": (["--gt-video", "video", "--blurry", "b.f32", "--n", "4"], "p.npz"),
+    }
+
     @pytest.mark.parametrize("bound", ["--t-start", "--t-end"])
-    @pytest.mark.parametrize("with_manifest", [True, False], ids=["manifest", "no_manifest"])
-    def test_lone_interval_bound_one_line_diagnostic(self, tmp_path, bound, with_manifest):
+    @pytest.mark.parametrize("command, with_manifest", [
+        ("voxelize", True), ("voxelize", False), ("fit", True), ("fit", False),
+    ], ids=["manifest", "no_manifest", "fit-manifest", "fit-no_manifest"])
+    def test_lone_interval_bound_one_line_diagnostic(self, tmp_path, bound, command,
+                                                     with_manifest):
         (tmp_path / "events.txt").write_text("0.05 0 0 1\n")
         Manifest(t_start=0.0, t_end=0.1, events="events.txt").save(tmp_path / "m.json")
         source = ["--manifest", tmp_path / "m.json"] if with_manifest else ["--events",
                                                                              tmp_path / "events.txt"]
-        proc = run_cli("voxelize", *source, bound, "0.09", "--width", "2", "--height", "2",
-                       "--out", tmp_path / "h.h32", check=False)
+        rest, out = self.LONE_BOUND_ARGS[command]
+        proc = run_cli(command, *source, bound, "0.09", *rest, "--out", tmp_path / out,
+                       check=False)
         assert proc.returncode == 2
         lines = stderr_lines(proc)
         assert len(lines) == 1
         assert "--t-start and --t-end" in lines[0]
-        assert not (tmp_path / "h.h32").exists()
+        assert not (tmp_path / out).exists()
 
     @pytest.mark.parametrize("body, word", [
         ('{"t_start": 0, "t_end": 0.1, "events": 5}', "events"),

@@ -8,17 +8,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ecir import (
+    BlurryFrame,
     EventStream,
     ExposureInterval,
     SharpVideo,
     ThresholdConfig,
+    edi_video,
+    keypoint_grid,
     polarity,
     signed_count_between,
     simulate_events,
+    surrogate_residuals,
     synthesize_blur,
     voxelize,
 )
-from ecir.simulation import _event_order
+from ecir.simulation import _event_order, window_counts
 
 from oracles import oracle_signed_count, oracle_voxelize, tie_heavy_streams
 
@@ -329,6 +333,44 @@ def test_signed_count_matches_scatter_oracle_bitwise(case, data):
     assert got.tobytes() == expected.tobytes()
 
 
+@settings(max_examples=300, deadline=None)
+@given(case=tie_heavy_streams(), data=st.data())
+def test_window_counts_match_scatter_oracle_bitwise(case, data):
+    """Repeated edges and edges on event times included."""
+    stream, shape, pool = case
+    ends = st.sampled_from(list(pool) + [IV.t_start - 1.0, 0.0])
+    edges = sorted(data.draw(st.lists(ends, min_size=1, max_size=8)))
+    windows = list(window_counts(stream, edges, shape))
+    assert len(windows) == len(edges) - 1
+    for t_a, t_b, got in zip(edges[:-1], edges[1:], windows):
+        expected = oracle_signed_count(stream, t_a, t_b, shape)
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+
+SHAPE = (2, 2)
+EVENT_CONSUMERS = {
+    "voxelize": lambda s: voxelize(s, 4, SHAPE),
+    "signed_count_between": lambda s: signed_count_between(s, IV.t_start, IV.t_end, SHAPE),
+    "edi_video": lambda s: edi_video(BlurryFrame(np.full(SHAPE, 0.5), IV), s, 0.2, [0.0]),
+    "surrogate_residuals": lambda s: surrogate_residuals(
+        np.full((2, *SHAPE), 0.5), s, 0.2, np.array([IV.t_start, IV.t_end])),
+    "keypoint_grid": lambda s: keypoint_grid(s, IV, 3, SHAPE),
+}
+
+
+# x = 2 on row 0 of a 2x2 grid has id 2, the id of pixel (x=0, y=1): without
+# the check it would count silently for the wrong pixel
+@pytest.mark.parametrize("x, y", [(2, 0), (0, 2), (7, 5)],
+                         ids=["aliases_next_row", "row_off_grid", "both_off_grid"])
+@pytest.mark.parametrize("consumer", sorted(EVENT_CONSUMERS))
+def test_every_event_consumer_rejects_off_grid_events(consumer, x, y):
+    stream = EventStream(np.array([1, x]), np.array([1, y]), np.array([-0.01, 0.01]),
+                         np.array([1, -1]), IV)
+    with pytest.raises(ValueError, match="exceed the requested grid shape"):
+        EVENT_CONSUMERS[consumer](stream)
+
+
 class TestSignedCountBetween:
     @staticmethod
     def naive(stream, t_a, t_b, shape):
@@ -372,6 +414,8 @@ class TestSignedCountBetween:
     def test_reversed_window_rejected(self):
         with pytest.raises(ValueError):
             signed_count_between(EventStream.empty(IV), 0.02, -0.02, (1, 1))
+        with pytest.raises(ValueError, match="non-decreasing"):
+            list(window_counts(EventStream.empty(IV), [-0.01, 0.02, 0.01], (1, 1)))
 
 
 class TestThresholdJitter:
