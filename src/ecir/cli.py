@@ -165,6 +165,7 @@ def cmd_fit(args) -> int:
     events = io.read_events(events_path, interval)
 
     keypoints = keypoint_grid(events, interval, n, video.shape)
+    del events  # the fit reads only the keypoints
     grid = fit_polys(video, keypoints, blurry)
     io.save_polys(args.out, grid)
     flag = " (rank-deficient, ridge engaged)" if grid.fit_warning else ""

@@ -93,9 +93,13 @@ def fit_polys(video: SharpVideo, keypoints: np.ndarray, blurry: BlurryFrame) -> 
         )
 
     rhs = design.T @ video.frames.reshape(video.frame_count, -1)
-    theta = np.linalg.solve(gram, rhs) / col_norms[:, None]  # (n+1, pixels)
+    theta = np.linalg.solve(gram, rhs)  # (n+1, pixels)
+    del rhs
+    theta /= col_norms[:, None]
     deriv_mono = ((theta[:n].T / half) @ leg_to_mono).reshape(h, w, n)
+    del theta
     derivs = horner(deriv_mono[:, :, None, :], interval.normalize(keypoints))
+    del deriv_mono
 
     grid = PolyGrid(keypoints, derivs, np.zeros((h, w)), interval, fit_warning=warn)
     return grid.with_constants_from_blur(blurry.values)
@@ -115,25 +119,44 @@ def _edi_factors(blurry: BlurryFrame, events: EventStream, c: float) -> np.ndarr
     if len(events) == 0:
         return np.full(h * w, iv.length)
 
+    hw = h * w
     ids = events.pixel_ids((h, w))
-    order, start, end = key_groups(ids, h * w)
-    gid = ids[order]
-    gt = events.t[order]
+    order, start, end = key_groups(ids, hw)
+    # the bincount's keys and weights: every pixel once (weight T), then the
+    # events pixel-major (weight: their segment), each filled in place
+    keys = np.empty(hw + len(events), dtype=np.int64)
+    keys[:hw] = np.arange(hw)
+    # order is a permutation, so "clip" never clips; unlike the default
+    # mode it fills ``out`` without an intermediate buffer
+    gid = np.take(ids, order, out=keys[hw:], mode="clip")
+    del ids
+
     cum = np.cumsum(events.p[order])
-    levels = np.exp(c * (cum - np.r_[0, cum][start][gid]))  # within-pixel running count
+    # within-pixel running count: subtract the total of the pixels before
+    prior = cum[start - 1]
+    prior[start == 0] = 0
+    cum -= prior[gid]
+    levels = np.multiply(c, cum)
+    del cum
+    np.exp(levels, out=levels)
 
     # segment from each event to the next event of the same pixel (or t_end)
+    gt = events.t[order]
+    del order
     has = end > start
-    next_t = np.r_[gt[1:], iv.t_end]
-    next_t[end[has] - 1] = iv.t_end
+    first_t = gt[start[has]]
+    weights = np.empty(hw + len(events))
+    weights[:hw] = iv.length
+    seg = weights[hw:]
+    seg[:-1] = gt[1:]
+    seg[end[has] - 1] = iv.t_end
+    seg -= gt
+    del gt
+    seg *= levels
+    del levels
 
-    seg = (next_t - gt) * levels
-    integral = np.bincount(
-        np.r_[np.arange(h * w), gid],
-        weights=np.r_[np.full(h * w, iv.length), seg],
-        minlength=h * w,
-    )
-    integral[has] += (gt[start[has]] - iv.t_start) - iv.length
+    integral = np.bincount(keys, weights=weights, minlength=hw)
+    integral[has] += (first_t - iv.t_start) - iv.length
     return integral
 
 
@@ -161,6 +184,7 @@ def edi_video(
     h, w = blurry.shape
     out = np.empty((times.shape[0], h, w))
     count = np.zeros((h, w))
+    level = np.empty((h, w))
     order = np.argsort(times, kind="stable")
     windows = window_counts(events, np.r_[iv.t_start, times[order]], (h, w))
     try:
@@ -168,9 +192,13 @@ def edi_video(
         # or the normalizer overflows, which leaves no meaningful frame
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             integral = _edi_factors(blurry, events, c).reshape(h, w)
+            scaled = blurry.values * iv.length
             for i, window in zip(order, windows):
                 count += window
-                out[i] = blurry.values * iv.length * np.exp(c * count) / integral
+                np.multiply(c, count, out=level)
+                np.exp(level, out=level)
+                np.multiply(scaled, level, out=out[i])
+                out[i] /= integral
     except FloatingPointError:
         raise ValueError(
             f"edi frames are not finite at c={c}: exp(c * signed count) overflows"

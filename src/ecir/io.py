@@ -11,9 +11,11 @@ same whichever path saw the file first. :func:`write_events` formats text a
 chunk of lines at a time, byte for byte as one ``repr``-based line per
 event would. A ``.evt`` file is the binary event container: magic
 ``ECIREVT``, a little-endian uint64 count, then the t, x, y and p columns
-as float64, int32, int32 and int8 (17 bytes an event); ``simulate`` writes
-one beside ``events.txt`` and its manifest names the container, so each
-``--manifest`` command skips the text parse. :func:`load_manifest` only
+as float64, int32, int32 and int8 (17 bytes an event). The reader fills
+one array per column, in those dtypes, straight from the file: no buffer of
+the whole file is made or pinned by a view, and no column is widened.
+``simulate`` writes a container beside ``events.txt`` and its manifest names
+it, so each ``--manifest`` command skips the text parse. :func:`load_manifest` only
 checks that the events file exists; the command that needs the events reads
 them, once, against its own exposure interval.
 Frames export either as 8-bit binary PGM (clamped and quantized) or as a
@@ -79,6 +81,10 @@ EVENT_TEXT_CHUNK = 8192
 # a table of their strings instead of calling str on each
 _COORD_NAMES = 65536
 TIMESTAMPS_FILE = "timestamps.txt"
+# the leading bytes np.load dispatches on: a zip (local header or empty
+# archive) is an .npz, the .npy magic a single array
+ZIP_MAGICS = (b"PK\x03\x04", b"PK\x05\x06")
+NPY_MAGIC = b"\x93NUMPY"
 
 
 class ParseError(ValueError):
@@ -147,25 +153,32 @@ def _text_stream(path, x, y, t, p, interval: ExposureInterval) -> EventStream:
 
 
 def _read_event_container(path, interval: ExposureInterval) -> EventStream:
-    data = Path(path).read_bytes()
-    if len(data) < 16 or data[:8] != EVT_MAGIC:
-        raise FormatError(f"{path}: bad ECIREVT magic")
-    (n,) = struct.unpack("<Q", data[8:16])
-    expected = 16 + EVT_RECORD_BYTES * n
-    if len(data) != expected:
-        raise FormatError(f"{path}: {n} events need {expected} bytes, got {len(data)}")
-    t = np.frombuffer(data, dtype="<f8", count=n, offset=16)
+    with open(path, "rb") as fh:
+        header = fh.read(16)
+        if len(header) < 16 or header[:8] != EVT_MAGIC:
+            raise FormatError(f"{path}: bad ECIREVT magic")
+        (n,) = struct.unpack("<Q", header[8:16])
+        expected = 16 + EVT_RECORD_BYTES * n
+        size = os.fstat(fh.fileno()).st_size
+        if size != expected:
+            raise FormatError(f"{path}: {n} events need {expected} bytes, got {size}")
+        # each column is read into its own array in the stream's dtype, so
+        # no buffer of the whole file exists and no column is widened
+        t, x, y, p = (_read_column(path, fh, dtype, n) for dtype in ("<f8", "<i4", "<i4", "i1"))
     if not np.all(np.isfinite(t)):
         raise FormatError(f"{path}: timestamps hold NaN or infinite values")
-    x = np.frombuffer(data, dtype="<i4", count=n, offset=16 + 8 * n)
-    y = np.frombuffer(data, dtype="<i4", count=n, offset=16 + 12 * n)
-    p = np.frombuffer(data, dtype="i1", count=n, offset=16 + 16 * n)
     try:
-        # the constructor checks order, interval, polarity and coordinates;
-        # t is copied so the stream does not pin the file's bytes
-        return EventStream(x, y, t.astype(np.float64), p, interval)
+        # the constructor checks order, interval, polarity and coordinates
+        return EventStream(x, y, t, p, interval)
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from None
+
+
+def _read_column(path, fh, dtype: str, n: int) -> np.ndarray:
+    column = np.empty(n, dtype=dtype)
+    if fh.readinto(column.view(np.uint8)) != column.nbytes:
+        raise FormatError(f"{path}: file ended inside the {dtype} column")
+    return column
 
 
 def _read_events_lines(path, interval: ExposureInterval) -> EventStream:
@@ -418,7 +431,18 @@ def read_video_dir(path, interval: ExposureInterval | None = None) -> SharpVideo
         raise ValueError(
             f"{directory}: {len(paths)} frames but {len(times)} timestamps"
         )
-    frames = np.stack([read_frame(p) for p in paths])
+    # one preallocated stack, filled a frame at a time: no list of frames
+    first = read_frame(paths[0])
+    frames = np.empty((len(paths),) + first.shape)
+    frames[0] = first
+    for i, frame_path in enumerate(paths[1:], start=1):
+        frame = read_frame(frame_path)
+        if frame.shape != first.shape:
+            raise ValueError(
+                f"{frame_path}: frame shape {frame.shape} differs from "
+                f"{paths[0].name}'s {first.shape}"
+            )
+        frames[i] = frame
     return SharpVideo(np.array(times), frames, interval)
 
 
@@ -452,6 +476,11 @@ def save_polys(path, grid: PolyGrid) -> None:
 def load_polys(path) -> PolyGrid:
     # a missing or unreadable file raises its own OSError here
     with open(path, "rb") as fh:
+        # np.load tries to unpickle whatever is neither a zip nor a .npy file
+        magic = fh.read(len(NPY_MAGIC))
+        if not (magic.startswith(ZIP_MAGICS) or magic == NPY_MAGIC):
+            raise FormatError(f"{path}: not an .npz archive")
+        fh.seek(0)
         try:
             data = np.load(fh)
             if isinstance(data, np.ndarray):

@@ -95,10 +95,20 @@ def keypoint_grid(
     touched = np.zeros(h * w, dtype=bool)
     touched[ids] = True
     pixels = np.flatnonzero(touched)
-    row_of_event = (np.cumsum(touched) - 1)[ids]
+    # row ids in the narrowest type holding them; the pixel ids go once they exist
+    row_ids = np.cumsum(touched) - 1
+    row_of_event = row_ids.astype(np.min_scalar_type(pixels.shape[0] - 1))[ids]
+    del ids, row_ids
     rows = _select_rows(events.t, row_of_event, pixels.shape[0], base, interval)
     grid.reshape(h * w, n)[pixels] = rows
     return grid
+
+
+def _distances(t: np.ndarray, at: np.ndarray, base: np.ndarray) -> np.ndarray:
+    """``|t[at] - base|``, formed in the gathered array."""
+    d = t[at]
+    d -= base
+    return np.abs(d, out=d)
 
 
 def _select_rows(
@@ -115,6 +125,7 @@ def _select_rows(
     n = base.shape[0]
     order, start, end = key_groups(row_of_event, m)  # pixel-major, time order kept
     t = times[order]
+    del order
 
     # right[r, i]: the row's first event at or after pivot i. The events before
     # a pivot are a prefix of the sorted stream, counted per row incrementally.
@@ -129,12 +140,14 @@ def _select_rows(
 
     # fl(t - pivot) is monotone in t, so distances fall up to the left
     # neighbour and rise from the right one; ties go to the earliest event
-    last = t.shape[0] - 1
-    left = right - 1
-    d_right = np.where(right < end[:, None], np.abs(t[np.minimum(right, last)] - base), np.inf)
-    d_left = np.where(left >= start[:, None], np.abs(t[np.maximum(left, 0)] - base), np.inf)
+    d_right = _distances(t, np.minimum(right, t.shape[0] - 1), base)
+    d_right[right >= end[:, None]] = np.inf
+    d_left = _distances(t, np.maximum(right - 1, 0), base)
+    d_left[right <= start[:, None]] = np.inf
     go_left = d_left <= d_right
-    nearest = np.where(go_left, left, right)
+    del d_right
+    nearest = right
+    nearest -= go_left  # the left neighbour is the event before the right one
 
     # walk left winners back over every earlier event equally far from the
     # pivot: equal times, or distinct times whose distances round alike
@@ -145,12 +158,16 @@ def _select_rows(
         tied = (prev >= start[pairs // n]) & (np.abs(t[prev] - base[pairs % n]) == d_flat[pairs])
         pairs = pairs[tied]
         flat[pairs] = prev[tied]
+    del d_left, d_flat, go_left
 
     # a pivot whose event an earlier pivot of the row already took stays put
-    earlier = np.tri(n, k=-1, dtype=bool)
-    claimed = np.any((nearest[:, :, None] == nearest[:, None, :]) & earlier, axis=2)
-    chosen = np.where(claimed, base, t[nearest])
+    chosen = t[nearest]
+    del t
+    for i in range(1, n):
+        claimed = np.any(nearest[:, :i] == nearest[:, i, None], axis=1)
+        chosen[claimed, i] = base[i]
+    del nearest, flat
     rows = np.sort(chosen, axis=1)
-    for r in np.flatnonzero(np.any(np.diff(rows, axis=1) <= 0, axis=1)):
+    for r in np.flatnonzero(np.any(rows[:, 1:] <= rows[:, :-1], axis=1)):
         rows[r] = _dedup_increasing(chosen[r], interval)
     return rows

@@ -178,6 +178,11 @@ def descend(problem: RefineProblem) -> np.ndarray:
     2 / lambda_max of the Hessian and |1 - step * lambda_max| ** i_max
     overflows Q, or when the flow times Q overflows.
     """
+    return _descend(problem, problem.residuals.copy())
+
+
+def _descend(problem: RefineProblem, flow: np.ndarray) -> np.ndarray:
+    """``descend``, forming the flow in ``flow``: residuals it may overwrite."""
     d = problem.frame_count
     basis = RefineProblem(
         np.zeros((d, d - 1)),
@@ -192,11 +197,9 @@ def descend(problem: RefineProblem) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(problem.i_max):
             response -= problem.step * gradient(basis, response)
-        # the output is allocated before the flow temporary: the other order
-        # measured 22 MB more peak RSS (heap layout) in the frame_heavy
-        # bench's refine stage
         frames = np.empty_like(initial)
-        flow = initial[:-1] + problem.residuals.reshape(d - 1, -1)
+        flow = flow.reshape(d - 1, -1)
+        flow += initial[:-1]
         flow -= initial[1:]
         np.matmul(response, flow, out=frames)
         frames += initial
@@ -226,26 +229,25 @@ def tridiagonal_solve(problem: RefineProblem) -> np.ndarray:
     diag = np.full(d, 2.0 + lam)
     diag[0] = diag[-1] = 1.0 + lam
 
-    rhs = lam * init.copy()
+    rhs = lam * init
     rhs[0] -= r[0]
     rhs[-1] += r[-1]
-    if d > 2:
-        rhs[1:-1] += r[:-1] - r[1:]
+    for i in range(1, d - 1):
+        rhs[i] += r[i - 1] - r[i]
 
-    # Thomas algorithm with constant off-diagonal -1
+    # Thomas algorithm with constant off-diagonal -1; both sweeps overwrite
+    # rhs, which holds the forward sweep's values and then the solution
     gamma = np.empty(d)
-    work = np.empty_like(rhs)
     beta = diag[0]
-    work[0] = rhs[0] / beta
+    rhs[0] /= beta
     for i in range(1, d):
         gamma[i - 1] = -1.0 / beta
         beta = diag[i] + gamma[i - 1]
-        work[i] = (rhs[i] + work[i - 1]) / beta
-    out = np.empty_like(rhs)
-    out[-1] = work[-1]
+        rhs[i] += rhs[i - 1]
+        rhs[i] /= beta
     for i in range(d - 2, -1, -1):
-        out[i] = work[i] - gamma[i] * out[i + 1]
-    return out
+        rhs[i] -= gamma[i] * rhs[i + 1]
+    return rhs
 
 
 def refine(
@@ -258,13 +260,17 @@ def refine(
     solver: str = "tridiag",
     step: float | None = None,
 ) -> np.ndarray:
-    """Full refinement pass: surrogate residuals, solve, clamp to [0, 1]."""
+    """Full refinement pass: surrogate residuals, solve, clamp to [0, 1].
+
+    The residuals are this call's own, so descent forms its flow in them,
+    and the solution is clamped in place.
+    """
     residuals = surrogate_residuals(initial, events, c, schedule)
     problem = RefineProblem(initial, residuals, lam=lam, i_max=i_max, step=step)
     if solver == "tridiag":
         frames = tridiagonal_solve(problem)
     elif solver == "gd":
-        frames = descend(problem)
+        frames = _descend(problem, residuals)
     else:
         raise ValueError(f"unknown solver {solver!r} (expected 'tridiag' or 'gd')")
-    return np.clip(frames, 0.0, 1.0)
+    return np.clip(frames, 0.0, 1.0, out=frames)

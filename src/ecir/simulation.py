@@ -122,10 +122,26 @@ def simulate_events(video: SharpVideo, cfg: ThresholdConfig) -> EventStream:
     Deterministic for fixed inputs and seed. Output sorted by t with ties
     broken by (t, y, x, p).
     """
-    frames = video.frames
-    if not np.all(np.isfinite(frames)):
+    if not np.all(np.isfinite(video.frames)):
         raise ValueError("video frames contain non-finite intensities")
-    ln = np.log(np.maximum(frames, INTENSITY_FLOOR))
+    columns = _crossings(video, cfg)
+    if not columns[0]:
+        return EventStream.empty(video.interval)
+    # each column's per-gap pieces are freed once joined, and the order is
+    # applied to one column at a time
+    x, y, t, p = (_join(pieces) for pieces in columns)
+    order = _event_order(t, y, x, p)
+    x = x[order]
+    y = y[order]
+    t = t[order]
+    p = p[order]
+    return EventStream(x, y, t, p, video.interval)
+
+
+def _crossings(video: SharpVideo, cfg: ThresholdConfig) -> tuple[list, list, list, list]:
+    """Per-gap x, y, t and p pieces of every event, in gap order."""
+    ln = np.maximum(video.frames, INTENSITY_FLOOR)
+    np.log(ln, out=ln)
     h, w = video.shape
     cp, cm = cfg.per_pixel((h, w))
     cp_f, cm_f = cp.ravel(), cm.ravel()
@@ -133,7 +149,8 @@ def simulate_events(video: SharpVideo, cfg: ThresholdConfig) -> EventStream:
     # each pixel's reference log level, reset to the crossed level on each event
     ref = ln[0].ravel().copy()
 
-    ys, xs = np.divmod(np.arange(h * w), w)
+    # pixel coordinates in the stream's int32 columns when the frame allows
+    ys, xs = np.divmod(np.arange(h * w, dtype=np.int32 if h * w < 2**31 else np.int64), w)
     all_x, all_y, all_t, all_p = [], [], [], []
 
     for g in range(video.frame_count - 1):
@@ -150,18 +167,17 @@ def simulate_events(video: SharpVideo, cfg: ThresholdConfig) -> EventStream:
             all_x.append(xs[pix])
             all_y.append(ys[pix])
             all_t.append(times)
-            all_p.append(np.full(pix.shape[0], pol, dtype=np.int64))
+            all_p.append(np.full(pix.shape[0], pol, dtype=np.int8))
             # the last crossing per pixel becomes the new reference
             ref[idx] += reps * threshold[idx]
+    return all_x, all_y, all_t, all_p
 
-    if not all_t:
-        return EventStream.empty(video.interval)
-    x = np.concatenate(all_x)
-    y = np.concatenate(all_y)
-    t = np.concatenate(all_t)
-    p = np.concatenate(all_p)
-    order = _event_order(t, y, x, p)
-    return EventStream(x[order], y[order], t[order], p[order], video.interval)
+
+def _join(pieces: list) -> np.ndarray:
+    """Concatenate ``pieces`` and empty the list, so the pieces can be freed."""
+    joined = np.concatenate(pieces)
+    pieces.clear()
+    return joined
 
 
 def _event_order(t, y, x, p) -> np.ndarray:
@@ -185,7 +201,8 @@ def _event_order(t, y, x, p) -> np.ndarray:
 def synthesize_blur(video: SharpVideo) -> BlurryFrame:
     """Trapezoidal temporal average of the frames over the exposure interval."""
     dt = np.diff(video.times)
-    mids = 0.5 * (video.frames[:-1] + video.frames[1:])
+    mids = video.frames[:-1] + video.frames[1:]
+    mids *= 0.5
     total = np.tensordot(dt, mids, axes=(0, 0))
     return BlurryFrame(total / video.interval.length, video.interval)
 
@@ -203,9 +220,16 @@ def voxelize(events: EventStream, m: int, shape: tuple[int, int]) -> EventHistog
     h, w = shape
     ids = events.pixel_ids(shape)
     iv = events.interval
-    idx = np.floor((events.t - iv.t_start) / iv.length * m).astype(np.int64)
-    idx = np.clip(idx, 0, m - 1)
-    bins = np.bincount(idx * (h * w) + ids, weights=events.p, minlength=m * h * w)
+    scaled = events.t - iv.t_start
+    scaled /= iv.length
+    scaled *= m
+    idx = np.floor(scaled, out=scaled).astype(np.int64)
+    del scaled
+    np.clip(idx, 0, m - 1, out=idx)
+    idx *= h * w
+    idx += ids
+    del ids
+    bins = np.bincount(idx, weights=events.p, minlength=m * h * w)
     return EventHistogram(bins.reshape(m, h, w), iv)
 
 

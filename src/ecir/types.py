@@ -22,6 +22,8 @@ __all__ = [
     "key_groups",
 ]
 
+_INT32 = np.iinfo(np.int32)
+
 
 @dataclass(frozen=True)
 class ExposureInterval:
@@ -81,8 +83,13 @@ class Event:
 class EventStream:
     """Events sorted by time, all inside one exposure interval.
 
-    Stored as structure-of-arrays for vectorized processing. ``x``/``y`` are
-    int64 pixel indices, ``t`` float64 seconds, ``p`` int64 in {-1, +1}.
+    Stored as structure-of-arrays for vectorized processing, in the binary
+    container's widths: ``t`` float64 seconds, ``p`` int8 in {-1, +1}, and
+    ``x``/``y`` int32 pixel indices, 17 bytes an event. A coordinate column
+    stays int64 when one of its values lies outside the int32 range (a text
+    file may hold any integer); every value is checked before a cast, so no
+    cast wraps. Arithmetic on coordinates goes through :meth:`pixel_ids`,
+    which forms int64 ids.
     """
 
     x: np.ndarray
@@ -92,22 +99,26 @@ class EventStream:
     interval: ExposureInterval
 
     def __post_init__(self) -> None:
-        self.x = np.asarray(self.x, dtype=np.int64)
-        self.y = np.asarray(self.y, dtype=np.int64)
+        self.x = _coordinates(self.x)
+        self.y = _coordinates(self.y)
         self.t = np.asarray(self.t, dtype=np.float64)
-        self.p = np.asarray(self.p, dtype=np.int64)
+        p = np.asarray(self.p)
+        if p.dtype != np.int8:
+            p = np.asarray(p, dtype=np.int64)
         n = self.t.shape[0]
-        if not (self.x.shape == self.y.shape == self.p.shape == (n,)):
+        if not (self.x.shape == self.y.shape == p.shape == (n,)):
             raise ValueError("event component arrays must share one length")
         if n:
-            if np.any(np.diff(self.t) < 0):
+            # a NaN compares false here and fails the interval check below
+            if np.any(self.t[1:] < self.t[:-1]):
                 raise ValueError("event timestamps must be sorted non-decreasing")
             if not self.interval.contains(self.t):
                 raise ValueError("event timestamps fall outside the exposure interval")
-            if np.any((self.p != 1) & (self.p != -1)):
+            if np.any((p != 1) & (p != -1)):
                 raise ValueError("polarities must be -1 or +1")
             if np.any(self.x < 0) or np.any(self.y < 0):
                 raise ValueError("pixel indices must be non-negative")
+        self.p = p.astype(np.int8, copy=False)  # every value is -1 or +1 by now
 
     @classmethod
     def empty(cls, interval: ExposureInterval) -> "EventStream":
@@ -134,6 +145,17 @@ class EventStream:
         return self.t[mask]
 
 
+def _coordinates(values) -> np.ndarray:
+    """A coordinate column as int32 when every value fits, else as int64."""
+    a = np.asarray(values)
+    if a.dtype == np.int32:
+        return a
+    a = np.asarray(a, dtype=np.int64)
+    if a.size and (a.min() < _INT32.min or a.max() > _INT32.max):
+        return a
+    return a.astype(np.int32)
+
+
 def key_groups(keys: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Stable key-major order of ``keys`` in [0, m), and each key's [start, end).
 
@@ -142,7 +164,7 @@ def key_groups(keys: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray, np.nda
     65,536 keys; a stable sort's permutation is unique, so it is the int64
     sort's. Group sizes are one ``np.bincount``, never a scatter-add.
     """
-    order = np.argsort(keys.astype(np.min_scalar_type(m - 1)), kind="stable")
+    order = np.argsort(keys.astype(np.min_scalar_type(m - 1), copy=False), kind="stable")
     counts = np.bincount(keys, minlength=m)
     end = np.cumsum(counts)
     return order, end - counts, end
@@ -215,10 +237,21 @@ class SharpVideo:
         return (1.0 - w) * self.frames[j - 1] + w * self.frames[j]
 
     def window(self, interval: ExposureInterval) -> "SharpVideo":
-        """Cut the video down to ``interval``, interpolating boundary frames."""
+        """Cut the video down to ``interval``, interpolating boundary frames.
+
+        When both bounds are frame times the result is a slice of this
+        video: its frames are a view of this stack, not a copy.
+        """
         tol = 1e-9 * max(1.0, self.interval.length)
         if interval.t_start < self.times[0] - tol or interval.t_end > self.times[-1] + tol:
             raise ValueError("requested window extends beyond the video")
+        lo, hi = np.searchsorted(self.times, [interval.t_start, interval.t_end])
+        if (
+            hi < self.frame_count
+            and self.times[lo] == interval.t_start
+            and self.times[hi] == interval.t_end
+        ):
+            return SharpVideo(self.times[lo : hi + 1], self.frames[lo : hi + 1], interval)
         inside = (self.times > interval.t_start) & (self.times < interval.t_end)
         times = [interval.t_start]
         frames = [self.frame_at(interval.t_start)]

@@ -261,6 +261,25 @@ class TestErrorHandling:
         assert len(lines) == 1
         assert "corrupt.npz" in lines[0]
 
+    def test_mismatched_frame_shapes_one_line_diagnostic(self, tmp_path):
+        manifest = write_small_exposure(tmp_path)
+        write_f32(tmp_path / "frames" / "frame_00002.f32", np.full((5, 4), 0.5))
+        proc = run_cli("refine", "--frames", tmp_path / "frames", "--manifest", manifest,
+                       "--out", tmp_path / "refined", check=False)
+        assert proc.returncode == 2
+        assert stderr_lines(proc) == [
+            f"ecir refine: error: {tmp_path / 'frames' / 'frame_00002.f32'}: "
+            "frame shape (5, 4) differs from frame_00000.f32's (4, 5)"
+        ]
+
+    def test_polys_not_an_archive_one_line_diagnostic(self, tmp_path):
+        manifest = write_small_exposure(tmp_path)
+        proc = run_cli("render", "--polys", manifest, "--out", tmp_path / "frames_out",
+                       check=False)
+        assert proc.returncode == 2
+        assert stderr_lines(proc) == [f"ecir render: error: {manifest}: not an .npz archive"]
+        assert not (tmp_path / "frames_out").exists()
+
     def test_degenerate_interval_diagnostic(self, tmp_path):
         (tmp_path / "events.txt").write_text("")
         proc = run_cli("voxelize", "--events", tmp_path / "events.txt",

@@ -1,0 +1,121 @@
+"""Peak-memory budgets of the per-event and per-frame paths.
+
+Each test runs one function on a fixed seeded scene and reads, with
+``tracemalloc`` (numpy reports its array buffers to it), the peak of traced
+memory above the heap at the call. Per-event paths are held to bytes per
+event, per-frame paths to frame stacks, where a stack is the scene's
+float64 frames. A budget is the value measured when it was set plus 25%
+for numpy-version drift, below every value measured before, so a change
+that brings back a wide per-event temporary or a second stack fails here.
+"""
+
+import gc
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from ecir import (
+    ExposureInterval,
+    SharpVideo,
+    ThresholdConfig,
+    edi_video,
+    keypoint_grid,
+    refine,
+    simulate_events,
+    synthesize_blur,
+)
+from ecir.io import read_video_dir, write_video_dir
+
+from scenes import random_monomial_scene, render_scene
+
+IV = ExposureInterval(0.0, 0.12)
+H, W, FRAMES = 48, 64, 32
+C = 0.1
+STACK = FRAMES * H * W * 8  # bytes of the scene's float64 frame stack
+MARGIN = 1.25
+
+# Peaks measured on this scene when the budgets were set (numpy 2.4, Python
+# 3.11), and before, when per-event temporaries were wide and frames were
+# re-stacked. Bytes an event for the per-event paths, stacks for the rest.
+MEASURED = {
+    "simulate_events": 34.1,  # before: 125.7
+    "keypoint_grid": 27.3,  # before: 62.4
+    "edi_video": 38.9,  # before: 85.8
+    "read_video_dir": 1.14,  # before: 2.03
+    "refine_tridiag": 2.01,  # before: 4.04
+    "refine_gd": 2.13,  # before: 3.10
+}
+
+
+def traced_peak(fn, *args, **kwargs):
+    """(result, peak bytes traced above the heap at the call)."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = fn(*args, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+@pytest.fixture(scope="module")
+def scene():
+    coeffs = random_monomial_scene(np.random.default_rng(2027), H, W, 10, taper=0.6)
+    times = np.linspace(IV.t_start, IV.t_end, FRAMES)
+    video = SharpVideo(times, render_scene(coeffs, IV, times), IV)
+    events = simulate_events(video, ThresholdConfig(C, -C))
+    return video, events
+
+
+def test_scene_is_event_dominated(scene):
+    # the per-event budgets mean something only if events outweigh pixels
+    _, events = scene
+    assert len(events) > 20 * H * W
+
+
+def test_simulate_events_per_event(scene):
+    video, events = scene
+    _, peak = traced_peak(simulate_events, video, ThresholdConfig(C, -C))
+    assert peak / len(events) <= MARGIN * MEASURED["simulate_events"]
+
+
+def test_keypoint_grid_per_event(scene):
+    video, events = scene
+    _, peak = traced_peak(keypoint_grid, events, IV, 10, video.shape)
+    assert peak / len(events) <= MARGIN * MEASURED["keypoint_grid"]
+
+
+def test_edi_video_per_event(scene):
+    video, events = scene
+    blurry = synthesize_blur(video)
+    times = IV.uniform_times(14)
+    _, peak = traced_peak(edi_video, blurry, events, C, times)
+    assert peak / len(events) <= MARGIN * MEASURED["edi_video"]
+
+
+def test_read_video_dir_per_frame(scene, tmp_path):
+    video, _ = scene
+    write_video_dir(tmp_path / "video", video.times, video.frames)
+    back, peak = traced_peak(read_video_dir, tmp_path / "video")
+    assert np.array_equal(back.frames, video.frames.astype(np.float32))
+    assert peak / STACK <= MARGIN * MEASURED["read_video_dir"]
+
+
+def test_window_on_frame_times_per_frame(scene):
+    video, _ = scene
+    window = ExposureInterval(float(video.times[3]), float(video.times[-5]))
+    cut, peak = traced_peak(video.window, window)
+    assert np.shares_memory(cut.frames, video.frames)
+    # a slice copies nothing (measured: 0.004 stacks; before: 1.58), so the
+    # budget is one frame
+    assert peak <= STACK / FRAMES
+
+
+@pytest.mark.parametrize("solver", ["tridiag", "gd"])
+def test_refine_per_frame(scene, solver):
+    video, events = scene
+    _, peak = traced_peak(refine, video.frames, events, C, video.times, solver=solver)
+    assert peak / STACK <= MARGIN * MEASURED[f"refine_{solver}"]
