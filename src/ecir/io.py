@@ -9,11 +9,19 @@ line-by-line parser, which is the reference for what a valid text file is
 and raises the line-numbered :class:`ParseError`; errors are therefore the
 same whichever path saw the file first. :func:`write_events` formats text a
 chunk of lines at a time, byte for byte as one ``repr``-based line per
-event would. A ``.evt`` file is the binary event container: magic
-``ECIREVT``, a little-endian uint64 count, then the t, x, y and p columns
-as float64, int32, int32 and int8 (17 bytes an event). The reader fills
-one array per column, in those dtypes, straight from the file: no buffer of
-the whole file is made or pinned by a view, and no column is widened.
+event would. It splits a stream into contiguous parts, one per CPU of the
+process's affinity mask but none shorter than ``EVENT_TEXT_PART`` events
+(one part where ``os.fork`` is missing). Forked children format every part
+but the first, each into a buffer of its own that lives in the child
+(about 30 bytes an event: 9 MB for half of a 600k-event stream), and send
+it through a pipe. The caller streams the first part to the file chunk by
+chunk, then appends the children's text in order, so the bytes do not
+depend on the number of parts. A ``.evt`` file is the binary event
+container: magic ``ECIREVT``, a little-endian uint64 count, then the t,
+x, y and p columns as float64, int32, int32 and int8 (17 bytes an event).
+The reader fills one array per column, in those dtypes, straight from the
+file: no buffer of the whole file is made or pinned by a view, and no
+column is widened.
 ``simulate`` writes a container beside ``events.txt`` and its manifest names
 it, so each ``--manifest`` command skips the text parse. :func:`load_manifest` only
 checks that the events file exists; the command that needs the events reads
@@ -75,8 +83,16 @@ EVT_RECORD_BYTES = 17
 # lines formatted per write by the text writer. A chunk's Python strings
 # take about 170 bytes a line; at 8192 lines, writing 600k events raises the
 # peak RSS of simulate by under 2 MB (65536 lines: 11 MB, all at once: 78 MB)
-# and runs no slower.
+# and runs no slower. The caller streams its part a chunk at a time; a forked
+# child buffers its whole part's text (about 30 bytes a line), outside the
+# caller's RSS.
 EVENT_TEXT_CHUNK = 8192
+# fewest events in a part of a text write. A fork and its wait cost about
+# 2 ms; on 2 CPUs, splitting 2 x 32768 events at worst broke even, so parts
+# of at least 65536 leave a margin for a slower fork.
+EVENT_TEXT_PART = 8 * EVENT_TEXT_CHUNK
+# bytes a read of a text-part child's pipe asks for
+_PIPE_READ = 1 << 16
 # when every coordinate is below this, the text writer looks coordinates up in
 # a table of their strings instead of calling str on each
 _COORD_NAMES = 65536
@@ -225,8 +241,13 @@ def write_events(path, events: EventStream) -> None:
     """Write ``events`` as the binary container for a ``.evt`` name, else as text.
 
     Text is one ``t x y p`` line per event, with ``repr`` keeping timestamps
-    round-trip exact. A pixel coordinate beyond the container's int32 range
-    is a ValueError, raised before the file is opened.
+    round-trip exact. A long stream is formatted in contiguous parts, one
+    per usable CPU: forked children format every part but the first and
+    send their text through pipes, which are appended to the file in order,
+    so the bytes do not depend on the number of parts. A child that fails
+    is an OSError naming the file. A pixel coordinate beyond the
+    container's int32 range is a ValueError, raised before the file is
+    opened.
     """
     if Path(path).suffix.lower() == EVT_SUFFIX:
         _write_event_container(path, events)
@@ -234,16 +255,97 @@ def write_events(path, events: EventStream) -> None:
     n = len(events)
     top = int(max(events.x.max(), events.y.max())) + 1 if n else 0
     coord = [str(i) for i in range(top)].__getitem__ if top <= _COORD_NAMES else str
+    edges = _text_part_edges(n)
+    forked = []  # (pid, pipe read end, first event, end event) of each forked part
+    reaped = 0  # forked[:reaped] have exited and been collected
+    try:
+        # fork before the file is opened, so no child inherits its buffer
+        for lo, hi in zip(edges[1:-1], edges[2:]):
+            forked.append((*_fork_text_part(events, lo, hi, coord), lo, hi))
+        with open(path, "w", encoding="ascii") as fh:
+            # writelines drops each chunk before the next is formatted
+            fh.writelines(_text_chunks(events, 0, edges[1], coord))
+            fh.flush()
+            for pid, read_end, lo, hi in forked:
+                while block := os.read(read_end, _PIPE_READ):
+                    fh.buffer.write(block)
+                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                reaped += 1
+                if status:
+                    raise OSError(
+                        f"{path}: the process formatting events {lo} to {hi} "
+                        f"exited with status {status}"
+                    )
+    finally:
+        for pid, _, _, _ in forked[reaped:]:
+            _kill_and_reap(pid)
+        for _, read_end, _, _ in forked:
+            os.close(read_end)
+
+
+def _text_part_edges(n: int) -> list[int]:
+    """Bounds of the contiguous parts the text writer splits ``n`` events into.
+
+    One part per CPU this process may run on, but none shorter than
+    ``EVENT_TEXT_PART``; one part where ``os.fork`` is missing.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    parts = max(1, min(cpus if hasattr(os, "fork") else 1, n // EVENT_TEXT_PART))
+    return [n * i // parts for i in range(parts + 1)]
+
+
+def _text_chunks(events: EventStream, lo: int, hi: int, coord):
+    """The text lines of ``events[lo:hi]``, ``EVENT_TEXT_CHUNK`` lines a string."""
     polarity = {1: "1", -1: "-1"}.__getitem__
-    with open(path, "w", encoding="ascii") as fh:
-        for lo in range(0, n, EVENT_TEXT_CHUNK):
-            hi = lo + EVENT_TEXT_CHUNK
-            # repr of a float list is the repr of each float, joined by ", "
-            ts = repr(events.t[lo:hi].tolist())[1:-1].split(", ")
-            xs = map(coord, events.x[lo:hi].tolist())
-            ys = map(coord, events.y[lo:hi].tolist())
-            ps = map(polarity, events.p[lo:hi].tolist())
-            fh.write("".join([f"{t} {x} {y} {p}\n" for t, x, y, p in zip(ts, xs, ys, ps)]))
+    for start in range(lo, hi, EVENT_TEXT_CHUNK):
+        end = min(start + EVENT_TEXT_CHUNK, hi)
+        # repr of a float list is the repr of each float, joined by ", "
+        ts = repr(events.t[start:end].tolist())[1:-1].split(", ")
+        xs = map(coord, events.x[start:end].tolist())
+        ys = map(coord, events.y[start:end].tolist())
+        ps = map(polarity, events.p[start:end].tolist())
+        yield "".join([f"{t} {x} {y} {p}\n" for t, x, y, p in zip(ts, xs, ys, ps)])
+
+
+def _fork_text_part(events: EventStream, lo: int, hi: int, coord) -> tuple[int, int]:
+    """Fork a child that writes the text of ``events[lo:hi]`` to a pipe; (pid, read end).
+
+    The child formats its whole part before its first write, because the
+    parent reads the pipe only after its own part and a pipe holds little.
+    It runs no BLAS call and touches no Python stream, and it always leaves
+    through ``os._exit``, so nothing of the parent's runs or flushes twice.
+    """
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_end)
+            chunks = [text.encode("ascii") for text in _text_chunks(events, lo, hi, coord)]
+            with open(write_end, "wb") as pipe:
+                pipe.writelines(chunks)
+            code = 0
+        finally:
+            os._exit(code)
+    # closed before the next fork, so the pipe ends when this child exits
+    os.close(write_end)
+    return pid, read_end
+
+
+def _kill_and_reap(pid: int) -> None:
+    """End a text-part child the writer no longer waits for, and collect its status."""
+    import signal  # only a failed write gets here; kept out of the import of ecir.io
+
+    os.kill(pid, signal.SIGKILL)  # a child that has exited is a zombie until reaped
+    os.waitpid(pid, 0)
 
 
 def _write_event_container(path, events: EventStream) -> None:

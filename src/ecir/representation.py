@@ -100,7 +100,9 @@ def antiderivative_coeffs(deriv_mono: np.ndarray, half_length: float) -> np.ndar
     """
     n = deriv_mono.shape[-1]
     out = np.zeros(deriv_mono.shape[:-1] + (n + 1,), dtype=np.float64)
-    out[..., 1:] = half_length * deriv_mono / np.arange(1, n + 1, dtype=np.float64)
+    # in place, in the order of half_length * deriv_mono / arange: no (..., n) temporaries
+    np.multiply(half_length, deriv_mono, out=out[..., 1:])
+    out[..., 1:] /= np.arange(1, n + 1, dtype=np.float64)
     return out
 
 

@@ -1,6 +1,9 @@
 """File formats: events, PGM, raw float frames, histograms, videos, manifests."""
 
+import os
+import signal
 import struct
+import warnings
 import zipfile
 
 import numpy as np
@@ -9,10 +12,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import ecir.io
 from ecir import EventStream, ExposureInterval, PolyGrid, SharpVideo
 from ecir.io import (
     _read_events_lines,
     EVENT_TEXT_CHUNK,
+    EVENT_TEXT_PART,
     EVT_MAGIC,
     FormatError,
     Manifest,
@@ -249,6 +254,143 @@ def test_chunked_writer_bytes_equal_oracle(tmp_path, stream):
     write_events(tmp_path / "chunked.txt", stream)
     oracle_write_events(tmp_path / "oracle.txt", stream)
     assert (tmp_path / "chunked.txt").read_bytes() == (tmp_path / "oracle.txt").read_bytes()
+
+
+def part_stream(n, wide=False):
+    """A seeded stream of ``n`` events; ``wide`` puts coordinates past the writer's name table."""
+    rng = np.random.default_rng(n + wide)
+    top = 2**40 if wide else 240
+    t = np.sort(rng.uniform(IV.t_start, IV.t_end, n))
+    return EventStream(rng.integers(0, top, n), rng.integers(0, top, n), t, rng.choice([-1, 1], n), IV)
+
+
+@pytest.fixture(scope="module")
+def oracle_text(tmp_path_factory):
+    """(stream, reference bytes) for a length and coordinate width, each made once."""
+    made = {}
+
+    def get(n, wide=False):
+        if (n, wide) not in made:
+            stream = part_stream(n, wide)
+            path = tmp_path_factory.mktemp("oracle") / "events.txt"
+            oracle_write_events(path, stream)
+            made[n, wide] = stream, path.read_bytes()
+        return made[n, wide]
+
+    return get
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Set the CPUs the writer sees in the affinity mask; counts the forks it makes."""
+    forks = []
+    real_fork = os.fork
+
+    def counting_fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+
+    def set_cpus(count):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+        return forks
+
+    return set_cpus
+
+
+def _timeout(signum, frame):
+    raise TimeoutError("the forked text writer hung")
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the writer forks only where os.fork exists")
+class TestForkedTextWriter:
+    """The text writer split over forked children: the reference bytes, nothing left behind."""
+
+    @pytest.fixture(autouse=True)
+    def leaves_nothing(self, capfd):
+        pid = os.getpid()
+        # a hang (a child never reaped, a pipe never closed) fails instead of blocking
+        previous = signal.signal(signal.SIGALRM, _timeout)
+        signal.alarm(120)
+        try:
+            # "always" records the fork-with-threads DeprecationWarning of
+            # Python 3.12+, which -W error cannot raise once the fork is done
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                yield
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert [str(w.message) for w in caught if issubclass(w.category, DeprecationWarning)] == []
+        assert os.getpid() == pid
+        assert capfd.readouterr().out == ""
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    @pytest.mark.parametrize("n", [
+        0, EVENT_TEXT_PART - 1, EVENT_TEXT_PART, EVENT_TEXT_PART + 1,
+        2 * EVENT_TEXT_PART - 1, 2 * EVENT_TEXT_PART, 3 * EVENT_TEXT_PART,
+    ])
+    def test_bytes_equal_oracle(self, tmp_path, oracle_text, cpus, n, count):
+        stream, expected = oracle_text(n)
+        forks = cpus(count)
+        write_events(tmp_path / "events.txt", stream)
+        assert (tmp_path / "events.txt").read_bytes() == expected
+        # one part per CPU, none shorter than EVENT_TEXT_PART; the first is the caller's
+        assert len(forks) == max(1, min(count, n // EVENT_TEXT_PART)) - 1
+
+    def test_wide_coordinates_bytes_equal_oracle(self, tmp_path, oracle_text, cpus):
+        stream, expected = oracle_text(3 * EVENT_TEXT_PART, wide=True)
+        assert stream.x.max() >= ecir.io._COORD_NAMES
+        forks = cpus(3)
+        write_events(tmp_path / "events.txt", stream)
+        assert (tmp_path / "events.txt").read_bytes() == expected
+        assert len(forks) == 2
+
+    def test_without_fork_one_part(self, tmp_path, oracle_text, cpus, monkeypatch):
+        stream, expected = oracle_text(3 * EVENT_TEXT_PART)
+        cpus(3)
+        monkeypatch.delattr(os, "fork")
+        write_events(tmp_path / "events.txt", stream)
+        assert (tmp_path / "events.txt").read_bytes() == expected
+
+    def failing_part(self, monkeypatch, in_child):
+        """Make the formatting of a part raise, in the children or in the caller."""
+        parent, real_chunks = os.getpid(), ecir.io._text_chunks
+
+        def chunks(*args):
+            if (os.getpid() != parent) == in_child:
+                raise RuntimeError("formatting failed")
+            yield from real_chunks(*args)
+
+        monkeypatch.setattr(ecir.io, "_text_chunks", chunks)
+
+    def test_failing_child_is_os_error_naming_the_file(self, tmp_path, oracle_text, cpus, monkeypatch):
+        stream, _ = oracle_text(3 * EVENT_TEXT_PART)
+        forks = cpus(3)
+        self.failing_part(monkeypatch, in_child=True)
+        path = tmp_path / "events.txt"
+        with pytest.raises(OSError, match="exited with status 1") as info:
+            write_events(path, stream)
+        assert str(path) in str(info.value)
+        assert len(forks) == 2
+
+    def test_failing_caller_part_kills_and_reaps_children(self, tmp_path, oracle_text, cpus, monkeypatch):
+        stream, _ = oracle_text(3 * EVENT_TEXT_PART)
+        forks = cpus(3)
+        self.failing_part(monkeypatch, in_child=False)
+        # each child's part is more text than a pipe holds, so a child that
+        # was not killed would block on its write and the writer would hang
+        with pytest.raises(RuntimeError, match="formatting failed"):
+            write_events(tmp_path / "events.txt", stream)
+        assert len(forks) == 2
+        for pid in forks:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
 
 
 def container_bytes(t, x, y, p, count=None):

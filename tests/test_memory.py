@@ -4,7 +4,8 @@ Each test runs one function on a fixed seeded scene and reads, with
 ``tracemalloc`` (numpy reports its array buffers to it), the peak of traced
 memory above the heap at the call. Per-event paths are held to bytes per
 event, per-frame paths to frame stacks, where a stack is the scene's
-float64 frames. A budget is the value measured when it was set plus 25%
+float64 frames, and per-pixel polynomial paths to planes, where a plane is
+one (h, w, n) float64 array. A budget is the value measured when it was set plus 25%
 for numpy-version drift, below every value measured before, so a change
 that brings back a wide per-event temporary or a second stack fails here.
 """
@@ -20,24 +21,29 @@ from ecir import (
     SharpVideo,
     ThresholdConfig,
     edi_video,
+    fit_polys,
     keypoint_grid,
     refine,
     simulate_events,
     synthesize_blur,
 )
 from ecir.io import read_video_dir, write_video_dir
+from ecir.representation import antiderivative_coeffs
 
 from scenes import random_monomial_scene, render_scene
 
 IV = ExposureInterval(0.0, 0.12)
 H, W, FRAMES = 48, 64, 32
 C = 0.1
+N = 10  # keypoints a pixel
 STACK = FRAMES * H * W * 8  # bytes of the scene's float64 frame stack
+PLANE = H * W * N * 8  # bytes of one (h, w, n) float64 array
 MARGIN = 1.25
 
 # Peaks measured on this scene when the budgets were set (numpy 2.4, Python
 # 3.11), and before, when per-event temporaries were wide and frames were
-# re-stacked. Bytes an event for the per-event paths, stacks for the rest.
+# re-stacked. Bytes an event for the per-event paths, planes for fit_polys,
+# stacks for the rest.
 MEASURED = {
     "simulate_events": 34.1,  # before: 125.7
     "keypoint_grid": 27.3,  # before: 62.4
@@ -45,6 +51,10 @@ MEASURED = {
     "read_video_dir": 1.14,  # before: 2.03
     "refine_tridiag": 2.01,  # before: 4.04
     "refine_gd": 2.13,  # before: 3.10
+    # before: 6.62, when antiderivative_coeffs made two planes of temporaries.
+    # The peak is now newton_to_monomial's, so this budget does not separate
+    # the two; test_antiderivative_coeffs_in_place does.
+    "fit_polys": 6.32,
 }
 
 
@@ -94,6 +104,26 @@ def test_edi_video_per_event(scene):
     times = IV.uniform_times(14)
     _, peak = traced_peak(edi_video, blurry, events, C, times)
     assert peak / len(events) <= MARGIN * MEASURED["edi_video"]
+
+
+def test_fit_polys_per_plane(scene):
+    video, events = scene
+    keypoints = keypoint_grid(events, IV, N, video.shape)
+    blurry = synthesize_blur(video)
+    # the first call imports numpy.polynomial, a cost no later call pays
+    fit_polys(video, keypoints, blurry)
+    _, peak = traced_peak(fit_polys, video, keypoints, blurry)
+    assert peak / PLANE <= MARGIN * MEASURED["fit_polys"]
+
+
+def test_antiderivative_coeffs_in_place():
+    # the dense bench's grid: numpy's fixed iterator buffers (about 200 KB)
+    # are small against its 3.8 MB output
+    deriv_mono = np.random.default_rng(5).standard_normal((180, 240, N))
+    out, peak = traced_peak(antiderivative_coeffs, deriv_mono, 0.06)
+    # the output plus those buffers (measured: 1.05 outputs; before, with
+    # two (h, w, n) temporaries: 2.84)
+    assert peak <= MARGIN * out.nbytes
 
 
 def test_read_video_dir_per_frame(scene, tmp_path):

@@ -16,7 +16,7 @@ from ecir import (
     solve_constant,
     to_monomial,
 )
-from ecir.representation import horner
+from ecir.representation import antiderivative_coeffs, horner
 
 UNIT = ExposureInterval(-1.0, 1.0)
 EXPOSURE_120MS = ExposureInterval(-0.06, 0.06)
@@ -212,6 +212,17 @@ class TestToMonomial:
         for t in rng.uniform(-0.06, 0.06, 100):
             tau = poly.interval.normalize(float(t))
             assert mono(tau) == pytest.approx(gauss_primitive(poly, float(t)), abs=1e-8)
+
+
+class TestAntiderivativeCoeffs:
+    @pytest.mark.parametrize("shape", [(1,), (7,), (3, 4, 10), (0, 5)])
+    def test_bitwise_equal_to_reference_expression(self, shape):
+        rng = np.random.default_rng(977)
+        deriv_mono = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
+        n = shape[-1]
+        expected = np.zeros(shape[:-1] + (n + 1,))
+        expected[..., 1:] = 0.06 * deriv_mono / np.arange(1, n + 1, dtype=np.float64)
+        assert antiderivative_coeffs(deriv_mono, 0.06).tobytes() == expected.tobytes()
 
 
 class TestRenderFrame:
