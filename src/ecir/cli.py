@@ -4,23 +4,28 @@ Settings resolve as flag > manifest override > built-in default. Every
 subcommand validates its inputs and exits nonzero with a one-line diagnostic
 on bad input. A command that needs events reads them once, from the path it
 resolved (``--events``, else the manifest's), checked against its own
-exposure interval. Every command runs in one thread; ``--threads`` is
-accepted for compatibility and ignored.
+exposure interval. ``eval`` scores its frame pairs, and ``simulate``
+formats its text events, in contiguous parts on every CPU of the
+affinity mask: forked children take every part but the first
+(:mod:`ecir._parts`), and the outputs do not depend on the number of parts.
+Each process runs one thread; ``--threads`` is accepted for compatibility
+and ignored.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import struct
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import io
+from . import _parts, io
 from .fitting import edi_video, fit_polys
 from .keypoints import keypoint_grid
-from .metrics import mse, psnr, ssim
+from .metrics import _psnr_of_mse, mse, ssim
 from .refinement import DEFAULT_ITERATIONS, DEFAULT_LAMBDA, DivergenceError, refine
 from .simulation import (
     DEFAULT_BINS,
@@ -35,6 +40,16 @@ from .types import BlurryFrame, ExposureInterval
 DEFAULT_EXPOSURE_MS = 120.0
 DEFAULT_KEYPOINTS = 10
 DEFAULT_FRAME_COUNT = 14
+# fewest frame pairs in a part of eval (see _parts). Median ms of in-process
+# evals of the first n frame_heavy pairs (180x240 .f32, 2 vCPU, 41 alternating
+# calls a side, one part -> two parts): n=2: 16.7 -> 16.2; 3: 24.4 -> 24.3;
+# 4: 30.7 -> 24.3; 8: 56.2 -> 40.1; 16: 107.1 -> 65.4. In some rounds a split
+# of 2 to 6 pairs lost up to 8 ms (4: 28.3 -> 34.1) but one of 8 never did, so
+# a part holds at least 4 pairs. The fork's fixed cost, mostly copy-on-write
+# faults, does not shrink with the frames: 8 pairs of 90x120 took 16.1 -> 24.8.
+EVAL_PART = 4
+# one frame's (mse, psnr, ssim) as a forked part sends it: exact float64s
+_EVAL_RECORD = struct.Struct("<3d")
 
 _COERCE = {
     "n": int,
@@ -229,6 +244,16 @@ def cmd_refine(args) -> int:
     return 0
 
 
+def _scores(pred_paths: list[Path], gt_paths: list[Path], lo: int, hi: int) -> list[tuple]:
+    """(mse, psnr, ssim) of frame pairs ``lo`` to ``hi``, each pair read as it is scored."""
+    rows = []
+    for pred_path, gt_path in zip(pred_paths[lo:hi], gt_paths[lo:hi]):
+        pred, gt = io.read_frame(pred_path), io.read_frame(gt_path)
+        err = mse(pred, gt)
+        rows.append((err, _psnr_of_mse(err), ssim(pred, gt)))
+    return rows
+
+
 def cmd_eval(args) -> int:
     pred_paths = io.list_frames(args.pred)
     gt_paths = io.list_frames(args.gt)
@@ -236,10 +261,21 @@ def cmd_eval(args) -> int:
         raise ValueError(
             f"frame count mismatch: {len(pred_paths)} predicted vs {len(gt_paths)} reference"
         )
-    pred = [io.read_frame(p) for p in pred_paths]
-    gt = [io.read_frame(p) for p in gt_paths]
 
-    rows = [(mse(p, g), psnr(p, g), ssim(p, g)) for p, g in zip(pred, gt)]
+    def packed(lo, hi):
+        return [_EVAL_RECORD.pack(*row) for row in _scores(pred_paths, gt_paths, lo, hi)]
+
+    edges = _parts.edges(len(pred_paths), EVAL_PART)
+    with _parts.forked(edges, packed) as drain:
+        rows = _scores(pred_paths, gt_paths, 0, edges[1])
+        records = bytearray()
+        for lo, hi, status in drain(records.extend):
+            if status:
+                # scored again here, so a bad pair raises the serial path's error
+                rows += _scores(pred_paths, gt_paths, lo, hi)
+            else:
+                rows += _EVAL_RECORD.iter_unpack(records)
+            records.clear()
 
     report = Path(args.report)
     report.parent.mkdir(parents=True, exist_ok=True)

@@ -4,18 +4,18 @@ Events travel in one of two formats, chosen by extension as frames are.
 Text, one ``t x y p`` record per line sorted by t, is the interchange
 format: diffable and trivially greppable. :func:`read_events` parses it with
 one vectorized ``np.loadtxt`` call and checks order, finiteness and polarity
-on whole columns. Any file that fails there is read again by the
-line-by-line parser, which is the reference for what a valid text file is
-and raises the line-numbered :class:`ParseError`; errors are therefore the
-same whichever path saw the file first. :func:`write_events` formats text a
-chunk of lines at a time, byte for byte as one ``repr``-based line per
-event would. It splits a stream into contiguous parts, one per CPU of the
-process's affinity mask but none shorter than ``EVENT_TEXT_PART`` events
-(one part where ``os.fork`` is missing). Forked children format every part
-but the first, each into a buffer of its own that lives in the child
-(about 30 bytes an event: 9 MB for half of a 600k-event stream), and send
-it through a pipe. The caller streams the first part to the file chunk by
-chunk, then appends the children's text in order, so the bytes do not
+on whole columns; the stream narrows x, y and p straight from the table's
+columns, so a parse peaks at about 51 bytes an event. Any file that fails
+there is read again by the line-by-line parser, which is the reference for
+what a valid text file is and raises the line-numbered :class:`ParseError`;
+errors are therefore the same whichever path saw the file first.
+:func:`write_events` formats text a chunk of lines at a time, byte for
+byte as one ``repr``-based line per event would. It formats a stream in
+contiguous parts of at least ``EVENT_TEXT_PART`` events on every CPU
+(:mod:`ecir._parts`). Forked children format every part but the first,
+each buffering its text (about 30 bytes an event: 9 MB for half of a
+600k-event stream). The caller streams the first part to the file chunk
+by chunk, then appends the children's text in order, so the bytes do not
 depend on the number of parts. A ``.evt`` file is the binary event
 container: magic ``ECIREVT``, a little-endian uint64 count, then the t,
 x, y and p columns as float64, int32, int32 and int8 (17 bytes an event).
@@ -48,6 +48,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _parts
 from .representation import PolyGrid
 from .simulation import EventHistogram
 from .types import EventStream, ExposureInterval, SharpVideo
@@ -91,8 +92,6 @@ EVENT_TEXT_CHUNK = 8192
 # 2 ms; on 2 CPUs, splitting 2 x 32768 events at worst broke even, so parts
 # of at least 65536 leave a margin for a slower fork.
 EVENT_TEXT_PART = 8 * EVENT_TEXT_CHUNK
-# bytes a read of a text-part child's pipe asks for
-_PIPE_READ = 1 << 16
 # when every coordinate is below this, the text writer looks coordinates up in
 # a table of their strings instead of calling str on each
 _COORD_NAMES = 65536
@@ -150,14 +149,9 @@ def read_events(path, interval: ExposureInterval) -> EventStream:
         np.all(np.isfinite(t)) and np.all(t[1:] >= t[:-1]) and np.all((p == 1) | (p == -1))
     ):
         return _read_events_lines(path, interval)
-    return _text_stream(
-        path,
-        np.ascontiguousarray(table["x"]),
-        np.ascontiguousarray(table["y"]),
-        np.ascontiguousarray(t),
-        np.ascontiguousarray(p),
-        interval,
-    )
+    # the constructor narrows x, y and p straight from the table's strided
+    # columns; only t, kept as float64, is copied out whole
+    return _text_stream(path, table["x"], table["y"], np.ascontiguousarray(t), p, interval)
 
 
 def _text_stream(path, x, y, t, p, interval: ExposureInterval) -> EventStream:
@@ -255,46 +249,23 @@ def write_events(path, events: EventStream) -> None:
     n = len(events)
     top = int(max(events.x.max(), events.y.max())) + 1 if n else 0
     coord = [str(i) for i in range(top)].__getitem__ if top <= _COORD_NAMES else str
-    edges = _text_part_edges(n)
-    forked = []  # (pid, pipe read end, first event, end event) of each forked part
-    reaped = 0  # forked[:reaped] have exited and been collected
-    try:
-        # fork before the file is opened, so no child inherits its buffer
-        for lo, hi in zip(edges[1:-1], edges[2:]):
-            forked.append((*_fork_text_part(events, lo, hi, coord), lo, hi))
+
+    def encoded(lo, hi):
+        return [text.encode("ascii") for text in _text_chunks(events, lo, hi, coord)]
+
+    edges = _parts.edges(n, EVENT_TEXT_PART)
+    # fork before the file is opened, so no child inherits its buffer
+    with _parts.forked(edges, encoded) as drain:
         with open(path, "w", encoding="ascii") as fh:
             # writelines drops each chunk before the next is formatted
             fh.writelines(_text_chunks(events, 0, edges[1], coord))
             fh.flush()
-            for pid, read_end, lo, hi in forked:
-                while block := os.read(read_end, _PIPE_READ):
-                    fh.buffer.write(block)
-                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                reaped += 1
+            for lo, hi, status in drain(fh.buffer.write):
                 if status:
                     raise OSError(
                         f"{path}: the process formatting events {lo} to {hi} "
                         f"exited with status {status}"
                     )
-    finally:
-        for pid, _, _, _ in forked[reaped:]:
-            _kill_and_reap(pid)
-        for _, read_end, _, _ in forked:
-            os.close(read_end)
-
-
-def _text_part_edges(n: int) -> list[int]:
-    """Bounds of the contiguous parts the text writer splits ``n`` events into.
-
-    One part per CPU this process may run on, but none shorter than
-    ``EVENT_TEXT_PART``; one part where ``os.fork`` is missing.
-    """
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    parts = max(1, min(cpus if hasattr(os, "fork") else 1, n // EVENT_TEXT_PART))
-    return [n * i // parts for i in range(parts + 1)]
 
 
 def _text_chunks(events: EventStream, lo: int, hi: int, coord):
@@ -308,44 +279,6 @@ def _text_chunks(events: EventStream, lo: int, hi: int, coord):
         ys = map(coord, events.y[start:end].tolist())
         ps = map(polarity, events.p[start:end].tolist())
         yield "".join([f"{t} {x} {y} {p}\n" for t, x, y, p in zip(ts, xs, ys, ps)])
-
-
-def _fork_text_part(events: EventStream, lo: int, hi: int, coord) -> tuple[int, int]:
-    """Fork a child that writes the text of ``events[lo:hi]`` to a pipe; (pid, read end).
-
-    The child formats its whole part before its first write, because the
-    parent reads the pipe only after its own part and a pipe holds little.
-    It runs no BLAS call and touches no Python stream, and it always leaves
-    through ``os._exit``, so nothing of the parent's runs or flushes twice.
-    """
-    read_end, write_end = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_end)
-        os.close(write_end)
-        raise
-    if pid == 0:
-        code = 1
-        try:
-            os.close(read_end)
-            chunks = [text.encode("ascii") for text in _text_chunks(events, lo, hi, coord)]
-            with open(write_end, "wb") as pipe:
-                pipe.writelines(chunks)
-            code = 0
-        finally:
-            os._exit(code)
-    # closed before the next fork, so the pipe ends when this child exits
-    os.close(write_end)
-    return pid, read_end
-
-
-def _kill_and_reap(pid: int) -> None:
-    """End a text-part child the writer no longer waits for, and collect its status."""
-    import signal  # only a failed write gets here; kept out of the import of ecir.io
-
-    os.kill(pid, signal.SIGKILL)  # a child that has exited is a zombie until reaped
-    os.waitpid(pid, 0)
 
 
 def _write_event_container(path, events: EventStream) -> None:

@@ -72,7 +72,11 @@ def mse(a: np.ndarray, b: np.ndarray) -> float:
 
 def psnr(a: np.ndarray, b: np.ndarray) -> float:
     """Peak signal-to-noise ratio in dB with peak 1; identical inputs cap at 100."""
-    err = mse(a, b)
+    return _psnr_of_mse(mse(a, b))
+
+
+def _psnr_of_mse(err: float) -> float:
+    """The PSNR of a mean squared error, for callers that already hold it."""
     if err == 0.0:
         return PSNR_CAP_DB
     return min(PSNR_CAP_DB, float(10.0 * np.log10(1.0 / err)))

@@ -152,7 +152,8 @@ def _coordinates(values) -> np.ndarray:
         return a
     a = np.asarray(a, dtype=np.int64)
     if a.size and (a.min() < _INT32.min or a.max() > _INT32.max):
-        return a
+        # a strided column of a parsed table would keep the whole table alive
+        return np.ascontiguousarray(a)
     return a.astype(np.int32)
 
 

@@ -27,7 +27,7 @@ from ecir import (
     simulate_events,
     synthesize_blur,
 )
-from ecir.io import read_video_dir, write_video_dir
+from ecir.io import read_events, read_video_dir, write_events, write_video_dir
 from ecir.representation import antiderivative_coeffs
 
 from scenes import random_monomial_scene, render_scene
@@ -47,6 +47,9 @@ MARGIN = 1.25
 MEASURED = {
     "simulate_events": 34.1,  # before: 125.7
     "keypoint_grid": 27.3,  # before: 62.4
+    # before: 75.0, when x, y and p were copied out of loadtxt's table as
+    # int64 before the stream narrowed them
+    "read_events_text": 51.0,
     "edi_video": 38.9,  # before: 85.8
     "read_video_dir": 1.14,  # before: 2.03
     "refine_tridiag": 2.01,  # before: 4.04
@@ -96,6 +99,14 @@ def test_keypoint_grid_per_event(scene):
     video, events = scene
     _, peak = traced_peak(keypoint_grid, events, IV, 10, video.shape)
     assert peak / len(events) <= MARGIN * MEASURED["keypoint_grid"]
+
+
+def test_read_events_text_per_event(scene, tmp_path):
+    _, events = scene
+    write_events(tmp_path / "events.txt", events)
+    back, peak = traced_peak(read_events, tmp_path / "events.txt", IV)
+    assert back.t.tobytes() == events.t.tobytes()
+    assert peak / len(events) <= MARGIN * MEASURED["read_events_text"]
 
 
 def test_edi_video_per_event(scene):
