@@ -40,14 +40,16 @@ from .types import BlurryFrame, ExposureInterval
 DEFAULT_EXPOSURE_MS = 120.0
 DEFAULT_KEYPOINTS = 10
 DEFAULT_FRAME_COUNT = 14
-# fewest frame pairs in a part of eval (see _parts). Median ms of in-process
-# evals of the first n frame_heavy pairs (180x240 .f32, 2 vCPU, 41 alternating
-# calls a side, one part -> two parts): n=2: 16.7 -> 16.2; 3: 24.4 -> 24.3;
-# 4: 30.7 -> 24.3; 8: 56.2 -> 40.1; 16: 107.1 -> 65.4. In some rounds a split
-# of 2 to 6 pairs lost up to 8 ms (4: 28.3 -> 34.1) but one of 8 never did, so
-# a part holds at least 4 pairs. The fork's fixed cost, mostly copy-on-write
-# faults, does not shrink with the frames: 8 pairs of 90x120 took 16.1 -> 24.8.
-EVAL_PART = 4
+# fewest pixels a part of eval scores (see _parts), counted in its predicted
+# frames: 4 pairs of 180x240. Median ms of in-process evals of the first n
+# frame_heavy pairs (180x240 .f32, 2 vCPU, 41 alternating calls a side, one
+# part -> two parts): n=2: 16.7 -> 16.2; 3: 24.4 -> 24.3; 4: 30.7 -> 24.3;
+# 8: 56.2 -> 40.1; 16: 107.1 -> 65.4. In some rounds a split of 2 to 6 pairs
+# lost up to 8 ms (4: 28.3 -> 34.1) but one of 8 never did. The fork's fixed
+# cost, mostly copy-on-write faults, does not shrink with the frames, so the
+# floor is in pixels: 8 pairs took 8.9 -> 15.7 ms at 16x20 and 16.1 -> 24.8
+# at 90x120.
+EVAL_PART_PIXELS = 4 * 180 * 240
 # one frame's (mse, psnr, ssim) as a forked part sends it: exact float64s
 _EVAL_RECORD = struct.Struct("<3d")
 
@@ -265,7 +267,8 @@ def cmd_eval(args) -> int:
     def packed(lo, hi):
         return [_EVAL_RECORD.pack(*row) for row in _scores(pred_paths, gt_paths, lo, hi)]
 
-    edges = _parts.edges(len(pred_paths), EVAL_PART)
+    h, w = io.frame_shape(pred_paths[0])
+    edges = _parts.edges(len(pred_paths), -(-EVAL_PART_PIXELS // max(h * w, 1)))
     with _parts.forked(edges, packed) as drain:
         rows = _scores(pred_paths, gt_paths, 0, edges[1])
         records = bytearray()

@@ -49,7 +49,7 @@ def fit_polys(video: SharpVideo, keypoints: np.ndarray, blurry: BlurryFrame) -> 
     h, w = video.shape
     keypoints = np.asarray(keypoints, dtype=np.float64)
     if keypoints.ndim == 1:
-        keypoints = np.broadcast_to(keypoints, (h, w, keypoints.shape[0])).copy()
+        keypoints = np.broadcast_to(keypoints, (h, w, keypoints.shape[0]))
     if keypoints.shape[:2] != (h, w):
         raise ValueError("keypoint grid does not match the video resolution")
     n = keypoints.shape[2]
@@ -96,12 +96,21 @@ def fit_polys(video: SharpVideo, keypoints: np.ndarray, blurry: BlurryFrame) -> 
     theta = np.linalg.solve(gram, rhs)  # (n+1, pixels)
     del rhs
     theta /= col_norms[:, None]
-    deriv_mono = ((theta[:n].T / half) @ leg_to_mono).reshape(h, w, n)
+    # the product in the layout it always had (a GEMM rounds by layout), then
+    # its transpose: the planes (n, h, w) of each derivative's coefficients
+    deriv_mono = np.ascontiguousarray(((theta[:n].T / half) @ leg_to_mono).T).reshape(n, h, w)
     del theta
-    derivs = horner(deriv_mono[:, :, None, :], interval.normalize(keypoints))
+    # each derivative at its own keypoints: Horner over an (h, w, n) view of
+    # (n, 1, h, w) coefficient planes against the (n, h, w) keypoint planes
+    keypoints = np.ascontiguousarray(np.moveaxis(keypoints, -1, 0))
+    derivs = horner(np.moveaxis(deriv_mono[:, None], 0, -1), interval.normalize(keypoints))
     del deriv_mono
 
-    grid = PolyGrid(keypoints, derivs, np.zeros((h, w)), interval, fit_warning=warn)
+    # views of planes, which the grid holds without a copy
+    grid = PolyGrid(
+        np.moveaxis(keypoints, 0, -1), np.moveaxis(derivs, 0, -1), np.zeros((h, w)), interval,
+        fit_warning=warn,
+    )
     return grid.with_constants_from_blur(blurry.values)
 
 

@@ -64,6 +64,7 @@ __all__ = [
     "write_f32",
     "read_frame",
     "write_frame",
+    "frame_shape",
     "read_histogram",
     "write_histogram",
     "list_frames",
@@ -401,6 +402,18 @@ def read_frame(path) -> np.ndarray:
     raise ValueError(f"unsupported frame extension {suffix!r} (use .pgm or .f32)")
 
 
+def frame_shape(path) -> tuple[int, int]:
+    """(h, w) of a frame file; an .f32 is read only as far as its header."""
+    if Path(path).suffix.lower() != ".f32":
+        return read_frame(path).shape
+    with open(path, "rb") as fh:
+        head = fh.read(16)
+    if len(head) < 16 or head[:8] != F32_MAGIC:
+        raise FormatError(f"{path}: bad ECIRF32 magic")
+    w, h = struct.unpack("<II", head[8:])
+    return h, w
+
+
 FRAME_EXTENSIONS = (".f32", ".pgm")
 
 
@@ -498,10 +511,11 @@ def write_video_dir(path, times: np.ndarray, frames: np.ndarray, fmt: str = "f32
 # ---------------------------------------------------------------------------
 
 def save_polys(path, grid: PolyGrid) -> None:
+    """The grid's arrays as (h, w, n) float64 members in C order, as they always were."""
     np.savez(
         path,
-        keypoints=grid.keypoints,
-        derivatives=grid.derivatives,
+        keypoints=np.ascontiguousarray(grid.keypoints),
+        derivatives=np.ascontiguousarray(grid.derivatives),
         constants=grid.constants,
         t_start=grid.interval.t_start,
         t_end=grid.interval.t_end,

@@ -13,27 +13,25 @@ variable, so basis values agree with the raw-time definition exactly.
 Integration is exact: derivative values are converted to monomial
 coefficients through Newton divided differences and integrated analytically,
 never by quadrature.
+
+The kernels run plane-major: a polynomial's n nodes or coefficients lead,
+(n, ...), so every Newton, monomial, integration and Horner step reads whole
+contiguous planes; one pixel is the (n,) case. ``PolyGrid`` holds (n, h, w)
+planes and shows (h, w, n) views of them. ``horner`` and
+``antiderivative_coeffs`` keep the last-axis signature, over views.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .types import ExposureInterval
 
 __all__ = [
-    "SingularBasisError",
-    "KeypointSet",
-    "IntensityPoly",
-    "MonomialPoly",
-    "PolyGrid",
-    "lagrange_basis",
-    "eval_derivative",
-    "eval_primitive",
-    "solve_constant",
-    "to_monomial",
+    "SingularBasisError", "KeypointSet", "IntensityPoly", "MonomialPoly", "PolyGrid",
+    "lagrange_basis", "eval_derivative", "eval_primitive", "solve_constant", "to_monomial",
     "render_frame",
 ]
 
@@ -43,80 +41,92 @@ class SingularBasisError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# low-level polynomial kernels (batched over arbitrary leading axes)
+# polynomial kernels on (n, ...) planes
 # ---------------------------------------------------------------------------
 
 def _check_nodes(nodes: np.ndarray) -> None:
-    if nodes.shape[-1] >= 2 and np.any(np.diff(nodes, axis=-1) == 0.0):
+    if nodes.shape[0] >= 2 and np.any(np.diff(nodes, axis=0) == 0.0):
         raise SingularBasisError("duplicate keypoint timestamps")
 
 
 def newton_coefficients(nodes: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Divided-difference coefficients of the interpolant through (nodes, values).
 
-    ``nodes`` and ``values`` are (..., n); returns (..., n) Newton
-    coefficients ordered by increasing depth.
+    ``nodes`` and ``values`` are (n, ...) planes of one shape; returns (n, ...)
+    coefficients by increasing depth. Each depth is formed in place from the
+    top plane down, so a plane still holds the last depth when the one above reads it.
     """
     _check_nodes(nodes)
-    n = nodes.shape[-1]
-    coef = np.array(values, dtype=np.float64, copy=True)
+    shape, n = np.shape(values), nodes.shape[0]
+    coef = np.array(values, dtype=np.float64, order="C").reshape(n, -1)
+    nodes = np.reshape(nodes, coef.shape)
+    gap = np.empty(coef.shape[1:])
     for j in range(1, n):
-        coef[..., j:] = (coef[..., j:] - coef[..., j - 1 : n - 1]) / (
-            nodes[..., j:] - nodes[..., : n - j]
-        )
-    return coef
+        for i in range(n - 1, j - 1, -1):
+            np.subtract(nodes[i], nodes[i - j], out=gap)
+            coef[i] -= coef[i - 1]
+            coef[i] /= gap
+    return coef.reshape(shape)
 
 
 def newton_to_monomial(nodes: np.ndarray, newton: np.ndarray) -> np.ndarray:
-    """Expand a Newton-form polynomial into monomial coefficients (low order first)."""
-    n = nodes.shape[-1]
-    mono = np.zeros_like(newton)
-    mono[..., 0] = newton[..., n - 1]
-    deg = 0
-    for j in range(n - 2, -1, -1):
-        node = nodes[..., j]
-        # multiply by (x - node), then add the next Newton coefficient
-        mono[..., 1 : deg + 2] = mono[..., 0 : deg + 1] - node[..., None] * mono[..., 1 : deg + 2]
-        mono[..., 0] = newton[..., j] - node * mono[..., 0]
-        deg += 1
-    return mono
+    """Expand Newton-form planes (n, ...) into monomial planes, low order first."""
+    shape, n = np.shape(newton), nodes.shape[0]
+    newton, nodes = np.reshape(newton, (n, -1)), np.reshape(nodes, (n, -1))
+    mono = np.zeros(newton.shape)
+    mono[0] = newton[n - 1]
+    for deg, j in enumerate(range(n - 2, -1, -1)):
+        # times (x - node), top plane down, plus newton[j] in the constant
+        for i in range(deg + 1, -1, -1):
+            mono[i] *= nodes[j]
+            np.subtract(mono[i - 1] if i else newton[j], mono[i], out=mono[i])
+    return mono.reshape(shape)
+
+
+def _horner_planes(planes: np.ndarray, x) -> np.ndarray:
+    """Evaluate monomial planes (k, ...) at ``x`` in place: out *= x; out += plane."""
+    x = np.asarray(x, dtype=np.float64)
+    shape = np.broadcast_shapes(planes.shape[1:], x.shape)
+    out = np.empty(shape, dtype=np.result_type(planes.dtype, x.dtype))
+    out[...] = planes[-1]
+    for plane in planes[-2::-1]:
+        out *= x
+        out += plane
+    return out if out.ndim else out[()]
 
 
 def horner(coeffs: np.ndarray, x) -> np.ndarray:
     """Evaluate monomial polynomials (..., k) at ``x`` (scalar or matching batch)."""
-    x = np.asarray(x, dtype=np.float64)
-    k = coeffs.shape[-1]
-    out = np.broadcast_to(coeffs[..., k - 1], np.broadcast_shapes(coeffs.shape[:-1], x.shape)).copy()
-    for j in range(k - 2, -1, -1):
-        out = out * x + coeffs[..., j]
+    return _horner_planes(np.moveaxis(np.asarray(coeffs), -1, 0), x)
+
+
+def _antiderivative_planes(mono: np.ndarray, half_length: float) -> np.ndarray:
+    """Monomial planes (n+1, ...) of the zero-constant antiderivative in tau.
+
+    dL/dt is per second while tau spans [-1, 1], so it is scaled by T/2.
+    """
+    n = mono.shape[0]
+    out = np.zeros((n + 1,) + mono.shape[1:])
+    # in place, in the order of half_length * mono / arange: no (n, ...) temporaries
+    np.multiply(half_length, mono, out=out[1:])
+    out[1:] /= np.arange(1, n + 1, dtype=np.float64).reshape((n,) + (1,) * (mono.ndim - 1))
     return out
 
 
 def antiderivative_coeffs(deriv_mono: np.ndarray, half_length: float) -> np.ndarray:
-    """Monomial coefficients of the zero-constant antiderivative in tau.
-
-    The interpolant approximates dL/dt in per-second units while tau runs over
-    [-1, 1], so the tau-domain antiderivative is scaled by T/2.
-    """
-    n = deriv_mono.shape[-1]
-    out = np.zeros(deriv_mono.shape[:-1] + (n + 1,), dtype=np.float64)
-    # in place, in the order of half_length * deriv_mono / arange: no (..., n) temporaries
-    np.multiply(half_length, deriv_mono, out=out[..., 1:])
-    out[..., 1:] /= np.arange(1, n + 1, dtype=np.float64)
-    return out
+    """Coefficients (..., n+1) of the zero-constant antiderivative of (..., n)."""
+    planes = _antiderivative_planes(np.moveaxis(np.asarray(deriv_mono), -1, 0), half_length)
+    return np.moveaxis(planes, 0, -1)
 
 
-def _primitive_coefficients(interval, keypoints, derivatives, constants) -> np.ndarray:
-    """Monomial coefficients (..., n+1) over tau of intensity curves.
-
-    ``keypoints`` and ``derivatives`` are (..., n), ``constants`` broadcasts
-    to (...). Newton divided differences, expanded to monomials, integrated
-    exactly, plus the constant.
-    """
+def _primitive_planes(interval, keypoints, derivatives, constants) -> np.ndarray:
+    """Monomial planes (n+1, ...) over tau of intensity curves: Newton divided
+    differences of (n, ...) planes, expanded to monomials, integrated exactly,
+    plus ``constants`` (broadcast to (...))."""
     nodes = interval.normalize(keypoints)
     mono = newton_to_monomial(nodes, newton_coefficients(nodes, derivatives))
-    coeffs = antiderivative_coeffs(mono, interval.length / 2.0)
-    coeffs[..., 0] += constants
+    coeffs = _antiderivative_planes(mono, interval.length / 2.0)
+    coeffs[0] += constants
     return coeffs
 
 
@@ -142,8 +152,7 @@ def lagrange_basis_values(nodes: np.ndarray, tau) -> np.ndarray:
     diff = tau[:, None] - nodes[None, :]  # (m, n)
     out = np.empty((tau.shape[0], n))
     for i in range(n):
-        mask = np.ones(n, dtype=bool)
-        mask[i] = False
+        mask = np.arange(n) != i
         numer = np.prod(diff[:, mask], axis=1)
         denom = np.prod(nodes[i] - nodes[mask])
         out[:, i] = numer / denom
@@ -219,12 +228,8 @@ class IntensityPoly:
 
     def primitive_coefficients(self) -> np.ndarray:
         """Monomial coefficients of L over tau, including the constant term."""
-        return _primitive_coefficients(
-            self.interval,
-            self.keypoints.timestamps,
-            self.derivative_values,
-            self.integration_constant,
-        )
+        return _primitive_planes(self.interval, self.keypoints.timestamps,
+                                 self.derivative_values, self.integration_constant)
 
     def blur_value(self) -> float:
         """Temporal average of L over the exposure interval (exact)."""
@@ -270,58 +275,63 @@ def to_monomial(poly: IntensityPoly) -> MonomialPoly:
 # per-pixel grids
 # ---------------------------------------------------------------------------
 
-@dataclass
 class PolyGrid:
     """An h x w field of intensity polynomials sharing one exposure interval.
 
-    ``keypoints`` and ``derivatives`` are (h, w, n); ``constants`` is (h, w).
-    The primitive's monomial coefficients are cached after first use, both
-    as (h, w, k) and as a plane-major (k, h, w) copy that rendering reads
-    one contiguous plane per Horner step.
+    Built from (h, w, n) ``keypoints`` and ``derivatives`` and (h, w)
+    ``constants``, it holds the first two as contiguous (n, h, w) planes;
+    ``keypoints``, ``derivatives`` and :meth:`primitive_coefficients` are
+    (h, w, ...) views. Its one cache is the primitive's (n+1, h, w) planes,
+    built on first use, which rendering evaluates in place.
     """
 
-    keypoints: np.ndarray
-    derivatives: np.ndarray
-    constants: np.ndarray
-    interval: ExposureInterval
-    fit_warning: bool = False
-    _primitive: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _planes: np.ndarray | None = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        self.keypoints = np.asarray(self.keypoints, dtype=np.float64)
-        self.derivatives = np.asarray(self.derivatives, dtype=np.float64)
-        self.constants = np.asarray(self.constants, dtype=np.float64)
-        if self.keypoints.ndim != 3 or self.keypoints.shape != self.derivatives.shape:
+    def __init__(self, keypoints, derivatives, constants, interval, fit_warning=False):
+        keypoints = np.asarray(keypoints, dtype=np.float64)
+        derivatives = np.asarray(derivatives, dtype=np.float64)
+        self.constants = np.asarray(constants, dtype=np.float64)
+        if keypoints.ndim != 3 or keypoints.shape != derivatives.shape:
             raise ValueError("keypoints and derivatives must both be (h, w, n)")
-        if self.constants.shape != self.keypoints.shape[:2]:
+        if self.constants.shape != keypoints.shape[:2]:
             raise ValueError("constants must be (h, w)")
+        # the planes of an (h, w, n) view of planes, like the grid's own, are not copied
+        self._keypoints = np.ascontiguousarray(np.moveaxis(keypoints, -1, 0))
+        self._derivatives = np.ascontiguousarray(np.moveaxis(derivatives, -1, 0))
+        self.interval = interval
+        self.fit_warning = fit_warning
+        self._primitive = None
+
+    @property
+    def keypoints(self) -> np.ndarray:
+        return np.moveaxis(self._keypoints, 0, -1)
+
+    @property
+    def derivatives(self) -> np.ndarray:
+        return np.moveaxis(self._derivatives, 0, -1)
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self.keypoints.shape[:2]
+        return self._keypoints.shape[1:]
 
     @property
     def n(self) -> int:
-        return int(self.keypoints.shape[2])
+        return int(self._keypoints.shape[0])
 
     def primitive_coefficients(self) -> np.ndarray:
+        """(h, w, n+1) view of the cached primitive planes."""
         if self._primitive is None:
-            self._primitive = _primitive_coefficients(
-                self.interval, self.keypoints, self.derivatives, self.constants
+            self._primitive = _primitive_planes(
+                self.interval, self._keypoints, self._derivatives, self.constants
             )
-        return self._primitive
+        return np.moveaxis(self._primitive, 0, -1)
 
     def intensity_at(self, t: float) -> np.ndarray:
-        """Latent frame at ``t``, unclamped."""
-        if self._planes is None:
-            self._planes = np.ascontiguousarray(np.moveaxis(self.primitive_coefficients(), -1, 0))
-        # an (h, w, k) view of the planes: horner's arithmetic, contiguous reads
-        return horner(np.moveaxis(self._planes, 0, -1), self.interval.normalize(t))
+        """Latent frame at ``t``, unclamped: Horner in place on the cached planes."""
+        return horner(self.primitive_coefficients(), self.interval.normalize(t))
 
     def blur(self) -> np.ndarray:
         """Exact per-pixel temporal average over the exposure interval."""
-        return mean_over_unit_interval(self.primitive_coefficients())
+        # a BLAS product rounds by layout: the (h, w, k) copy keeps its bytes
+        return mean_over_unit_interval(np.ascontiguousarray(self.primitive_coefficients()))
 
     def with_constants_from_blur(self, blurry_values: np.ndarray) -> "PolyGrid":
         """Re-solve every constant so the per-pixel blur matches ``blurry_values``."""
@@ -329,27 +339,17 @@ class PolyGrid:
         if blurry_values.shape != self.shape:
             raise ValueError("blur target shape mismatch")
         base = PolyGrid(self.keypoints, self.derivatives, np.zeros(self.shape), self.interval)
-        return PolyGrid(
-            self.keypoints,
-            self.derivatives,
-            blurry_values - base.blur(),
-            self.interval,
-            fit_warning=self.fit_warning,
-        )
+        return PolyGrid(self.keypoints, self.derivatives, blurry_values - base.blur(),
+                        self.interval, fit_warning=self.fit_warning)
 
     def pixel(self, y: int, x: int) -> IntensityPoly:
-        return IntensityPoly(
-            KeypointSet(self.keypoints[y, x], self.interval),
-            self.derivatives[y, x],
-            float(self.constants[y, x]),
-        )
+        ks = KeypointSet(self._keypoints[:, y, x], self.interval)
+        return IntensityPoly(ks, self._derivatives[:, y, x], float(self.constants[y, x]))
 
 
 def render_frame(polys: PolyGrid, t: float) -> np.ndarray:
     """Latent frame at ``t``. Raises if ``t`` is outside the exposure interval."""
     if not polys.interval.contains(t):
-        raise ValueError(
-            f"render time {t} outside exposure interval "
-            f"[{polys.interval.t_start}, {polys.interval.t_end}]"
-        )
+        iv = polys.interval
+        raise ValueError(f"render time {t} outside exposure interval [{iv.t_start}, {iv.t_end}]")
     return polys.intensity_at(t)

@@ -1,8 +1,11 @@
-"""Scatter-add references for the per-event kernels, and streams to check them on.
+"""Reference forms of kernels the library computes another way, and inputs to check them on.
 
-Each oracle is the straightforward ``np.add.at`` form of a kernel the library
-computes another way (one ``np.bincount`` over a flat index, a narrow-key
-radix sort). The tests hold the library to these bit for bit.
+The per-event oracles are the straightforward ``np.add.at`` forms of kernels
+the library computes with one ``np.bincount`` over a flat index or a
+narrow-key radix sort. The polynomial oracles are the last-axis (..., n)
+forms of the kernels the library runs on (n, ...) planes: each step slices
+the last axis, with a stride of n elements. The tests hold the library to
+these bit for bit.
 """
 
 import numpy as np
@@ -82,3 +85,56 @@ def oracle_edi_factors(blurry, events, c):
     np.add.at(integral, gid, (next_t - gt) * levels)
     integral[gid[starts]] += (gt[starts] - iv.t_start) - iv.length
     return integral
+
+
+def oracle_newton_coefficients(nodes, values):
+    """Divided differences over the last axis, one depth per whole-slice step."""
+    n = nodes.shape[-1]
+    coef = np.array(values, dtype=np.float64, copy=True)
+    for j in range(1, n):
+        coef[..., j:] = (coef[..., j:] - coef[..., j - 1 : n - 1]) / (
+            nodes[..., j:] - nodes[..., : n - j]
+        )
+    return coef
+
+
+def oracle_newton_to_monomial(nodes, newton):
+    """Newton form to monomials (low order first) over the last axis."""
+    n = nodes.shape[-1]
+    mono = np.zeros_like(newton)
+    mono[..., 0] = newton[..., n - 1]
+    deg = 0
+    for j in range(n - 2, -1, -1):
+        node = nodes[..., j]
+        mono[..., 1 : deg + 2] = mono[..., 0 : deg + 1] - node[..., None] * mono[..., 1 : deg + 2]
+        mono[..., 0] = newton[..., j] - node * mono[..., 0]
+        deg += 1
+    return mono
+
+
+def oracle_horner(coeffs, x):
+    """Monomials (..., k) at ``x``, one new array a step."""
+    x = np.asarray(x, dtype=np.float64)
+    k = coeffs.shape[-1]
+    out = np.broadcast_to(coeffs[..., k - 1], np.broadcast_shapes(coeffs.shape[:-1], x.shape)).copy()
+    for j in range(k - 2, -1, -1):
+        out = out * x + coeffs[..., j]
+    return out
+
+
+def oracle_antiderivative_coeffs(deriv_mono, half_length):
+    """Zero-constant antiderivative (..., n+1) of monomials (..., n) in tau."""
+    n = deriv_mono.shape[-1]
+    out = np.zeros(deriv_mono.shape[:-1] + (n + 1,), dtype=np.float64)
+    np.multiply(half_length, deriv_mono, out=out[..., 1:])
+    out[..., 1:] /= np.arange(1, n + 1, dtype=np.float64)
+    return out
+
+
+def oracle_primitive(interval, keypoints, derivatives, constants):
+    """Primitive coefficients (..., n+1) of (..., n) keypoints and derivatives."""
+    nodes = interval.normalize(keypoints)
+    mono = oracle_newton_to_monomial(nodes, oracle_newton_coefficients(nodes, derivatives))
+    coeffs = oracle_antiderivative_coeffs(mono, interval.length / 2.0)
+    coeffs[..., 0] += constants
+    return coeffs

@@ -1,4 +1,9 @@
-"""``eval`` scored in forked parts: the serial bytes and errors, nothing left behind."""
+"""``eval`` scored in forked parts: the serial bytes and errors, nothing left behind.
+
+The part floor is in pixels (``EVAL_PART_PIXELS``), far more than these small
+frames hold in a few pairs, so the ``floor`` fixture lowers it to ``PART``
+pairs of them, as the ``cpus`` fixture sets the CPUs eval sees.
+"""
 
 import contextlib
 import csv
@@ -11,13 +16,14 @@ import numpy as np
 import pytest
 
 import ecir.cli
-from ecir.cli import EVAL_PART, main
+from ecir.cli import EVAL_PART_PIXELS, main
 from ecir.io import list_frames, read_frame, write_f32, write_video_dir
 from ecir.metrics import mse, psnr, ssim
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="eval forks only where os.fork exists")
 
 H, W = 16, 20
+PART = 4  # pairs of H x W frames in a part, under the ``floor`` fixture
 
 
 def oracle_eval(pred_dir, gt_dir):
@@ -82,6 +88,17 @@ def cpus(monkeypatch):
 
 
 @pytest.fixture
+def floor(monkeypatch):
+    """Set eval's part floor, in pixels; PART pairs of H x W frames unless given."""
+
+    def set_floor(pixels=PART * H * W):
+        monkeypatch.setattr(ecir.cli, "EVAL_PART_PIXELS", pixels)
+
+    set_floor()
+    return set_floor
+
+
+@pytest.fixture
 def exits(monkeypatch):
     """Exit codes of the children eval reaps, in order."""
     codes = []
@@ -124,31 +141,31 @@ def leaves_nothing(capfd):
 
 @pytest.mark.parametrize("count", [1, 2, 3])
 @pytest.mark.parametrize("n", [
-    1, EVAL_PART - 1, EVAL_PART, EVAL_PART + 1, 2 * EVAL_PART - 1, 2 * EVAL_PART, 3 * EVAL_PART,
+    1, PART - 1, PART, PART + 1, 2 * PART - 1, 2 * PART, 3 * PART,
 ])
-def test_report_equals_serial_oracle(tmp_path, cpus, exits, n, count):
+def test_report_equals_serial_oracle(tmp_path, cpus, floor, exits, n, count):
     pred, gt = write_pair(tmp_path, n)
     forks = cpus(count)
     assert run_eval(pred, gt, tmp_path / "report.txt") == (0, [])
     report, table = oracle_eval(pred, gt)
     assert (tmp_path / "report.txt").read_bytes() == report
     assert (tmp_path / "report.csv").read_bytes() == table
-    # one part per CPU, none shorter than EVAL_PART; the first is the caller's
-    assert len(forks) == max(1, min(count, n // EVAL_PART)) - 1
+    # one part per CPU, none shorter than PART pairs; the first is the caller's
+    assert len(forks) == max(1, min(count, n // PART)) - 1
     # every child sent its rows: none was scored again in the caller
     assert exits == [0] * len(forks)
 
 
-def test_without_fork_one_part(tmp_path, cpus, monkeypatch):
-    pred, gt = write_pair(tmp_path, 3 * EVAL_PART)
+def test_without_fork_one_part(tmp_path, cpus, floor, monkeypatch):
+    pred, gt = write_pair(tmp_path, 3 * PART)
     cpus(3)
     monkeypatch.delattr(os, "fork")
     assert run_eval(pred, gt, tmp_path / "report.txt") == (0, [])
     assert (tmp_path / "report.txt").read_bytes() == oracle_eval(pred, gt)[0]
 
 
-def test_failed_child_part_is_scored_in_the_caller(tmp_path, cpus, monkeypatch):
-    pred, gt = write_pair(tmp_path, 3 * EVAL_PART)
+def test_failed_child_part_is_scored_in_the_caller(tmp_path, cpus, floor, monkeypatch):
+    pred, gt = write_pair(tmp_path, 3 * PART)
     forks = cpus(3)
     parent, real_scores = os.getpid(), ecir.cli._scores
 
@@ -181,9 +198,9 @@ def damage(pred, gt, index, kind):
     ("corrupt", "expected"), ("nan", "NaN"), ("shape", "shape mismatch"),
 ])
 @pytest.mark.parametrize("part", ["caller", "child"])
-def test_bad_pair_is_the_serial_one_line_error(tmp_path, cpus, kind, word, part):
-    n = 3 * EVAL_PART
-    # the caller scores pairs [0, EVAL_PART); the last pair is in the last child's part
+def test_bad_pair_is_the_serial_one_line_error(tmp_path, cpus, floor, kind, word, part):
+    n = 3 * PART
+    # the caller scores pairs [0, PART); the last pair is in the last child's part
     index = 1 if part == "caller" else n - 2
     pred, gt = write_pair(tmp_path, n)
     damage(pred, gt, index, kind)
@@ -198,3 +215,45 @@ def test_bad_pair_is_the_serial_one_line_error(tmp_path, cpus, kind, word, part)
     assert f"frame_{index:05d}" in lines[0] or kind == "shape"
     assert len(forks) == 2
     assert not (tmp_path / "report.txt").exists()
+
+
+@pytest.mark.parametrize("pixels, n, count, forks", [
+    # a floor of 2.5 frames is 3 pairs a part
+    (5 * H * W // 2, 9, 3, 2), (5 * H * W // 2, 8, 3, 1), (5 * H * W // 2, 2, 3, 0),
+    # the floor eval ships with: 540 pairs of these frames a part
+    (EVAL_PART_PIXELS, 3 * PART, 3, 0),
+])
+def test_parts_are_sized_by_the_first_frame_pixels(tmp_path, cpus, floor, exits, pixels, n,
+                                                    count, forks):
+    pred, gt = write_pair(tmp_path, n)
+    floor(pixels)
+    made = cpus(count)
+    assert run_eval(pred, gt, tmp_path / "report.txt") == (0, [])
+    assert (tmp_path / "report.txt").read_bytes() == oracle_eval(pred, gt)[0]
+    assert len(made) == forks
+    assert exits == [0] * forks
+
+
+@pytest.mark.parametrize("fmt", ["f32", "pgm"])
+def test_first_frame_header_sets_the_floor(tmp_path, cpus, floor, fmt):
+    rng = np.random.default_rng(3)
+    times = np.linspace(0.0, 0.12, 3 * PART)
+    frames = rng.uniform(0.0, 1.0, (3 * PART, H, W))
+    write_video_dir(tmp_path / "pred", times, frames, fmt=fmt)
+    write_video_dir(tmp_path / "gt", times, frames, fmt=fmt)
+    forks = cpus(3)
+    assert run_eval(tmp_path / "pred", tmp_path / "gt", tmp_path / "report.txt") == (0, [])
+    assert len(forks) == 2
+    assert (tmp_path / "report.txt").read_bytes() == oracle_eval(tmp_path / "pred", tmp_path / "gt")[0]
+
+
+def test_bad_first_frame_magic_is_the_serial_error(tmp_path, cpus, floor):
+    pred, gt = write_pair(tmp_path, 3 * PART)
+    (pred / "frame_00000.f32").write_bytes(b"NOTAFRAME" * 4)
+    cpus(1)
+    serial = run_eval(pred, gt, tmp_path / "serial.txt")
+    cpus(3)
+    code, lines = run_eval(pred, gt, tmp_path / "report.txt")
+    assert code == 2 and len(lines) == 1
+    assert (code, lines) == serial
+    assert "bad ECIRF32 magic" in lines[0]

@@ -4,10 +4,11 @@ Each test runs one function on a fixed seeded scene and reads, with
 ``tracemalloc`` (numpy reports its array buffers to it), the peak of traced
 memory above the heap at the call. Per-event paths are held to bytes per
 event, per-frame paths to frame stacks, where a stack is the scene's
-float64 frames, and per-pixel polynomial paths to planes, where a plane is
-one (h, w, n) float64 array. A budget is the value measured when it was set plus 25%
-for numpy-version drift, below every value measured before, so a change
-that brings back a wide per-event temporary or a second stack fails here.
+float64 frames, and per-pixel polynomial paths to "planes" of one (h, w, n)
+float64 array each (n of the (h, w) planes a grid holds). A budget is the
+value measured when it was set plus 25% for numpy-version drift, below
+every value measured before, so a change that brings back a wide
+per-event temporary or a second stack fails here.
 """
 
 import gc
@@ -18,6 +19,7 @@ import pytest
 
 from ecir import (
     ExposureInterval,
+    PolyGrid,
     SharpVideo,
     ThresholdConfig,
     edi_video,
@@ -39,6 +41,7 @@ N = 10  # keypoints a pixel
 STACK = FRAMES * H * W * 8  # bytes of the scene's float64 frame stack
 PLANE = H * W * N * 8  # bytes of one (h, w, n) float64 array
 MARGIN = 1.25
+RENDERED = 8  # frames rendered after the first intensity_at builds the cache
 
 # Peaks measured on this scene when the budgets were set (numpy 2.4, Python
 # 3.11), and before, when per-event temporaries were wide and frames were
@@ -55,9 +58,15 @@ MEASURED = {
     "refine_tridiag": 2.01,  # before: 4.04
     "refine_gd": 2.13,  # before: 3.10
     # before: 6.62, when antiderivative_coeffs made two planes of temporaries.
-    # The peak is now newton_to_monomial's, so this budget does not separate
-    # the two; test_antiderivative_coeffs_in_place does.
+    # Since the kernels run in place on (n, h, w) planes it measures 5.56,
+    # the grid's keypoints and derivatives plus the primitive's nodes,
+    # monomials and output; the budget stays where it was set.
     "fit_polys": 6.32,
+    # the first intensity_at, which builds the primitive's planes, and
+    # RENDERED more frames. Before: 5.08, when the grid cached the primitive
+    # twice, as (h, w, k) and as (k, h, w), and its kernels sliced the last
+    # axis into temporaries.
+    "render": 3.31,
 }
 
 
@@ -125,6 +134,36 @@ def test_fit_polys_per_plane(scene):
     fit_polys(video, keypoints, blurry)
     _, peak = traced_peak(fit_polys, video, keypoints, blurry)
     assert peak / PLANE <= MARGIN * MEASURED["fit_polys"]
+
+
+def fresh_grid(scene):
+    """The fitted scene as a grid that has built nothing yet."""
+    video, events = scene
+    keypoints = keypoint_grid(events, IV, N, video.shape)
+    fitted = fit_polys(video, keypoints, synthesize_blur(video))
+    return PolyGrid(fitted.keypoints, fitted.derivatives, fitted.constants, IV)
+
+
+def render(grid, times):
+    for t in times:
+        grid.intensity_at(t)
+
+
+def test_first_render_per_plane(scene):
+    grid = fresh_grid(scene)
+    _, peak = traced_peak(render, grid, np.linspace(IV.t_start, IV.t_end, RENDERED))
+    assert peak / PLANE <= MARGIN * MEASURED["render"]
+
+
+def test_grid_holds_one_coefficient_cache(scene):
+    grid = fresh_grid(scene)
+    render(grid, np.linspace(IV.t_start, IV.t_end, RENDERED))
+    grid.blur()
+    held = [v for v in vars(grid).values() if isinstance(v, np.ndarray)]
+    # keypoints and derivatives (n planes each), constants (one), and the
+    # primitive's n+1 planes, once
+    assert sum(a.nbytes for a in held) == (2 * N + 1 + (N + 1)) * H * W * 8
+    assert np.shares_memory(grid.primitive_coefficients(), grid.primitive_coefficients())
 
 
 def test_antiderivative_coeffs_in_place():
