@@ -40,8 +40,8 @@ from .types import BlurryFrame, ExposureInterval
 DEFAULT_EXPOSURE_MS = 120.0
 DEFAULT_KEYPOINTS = 10
 DEFAULT_FRAME_COUNT = 14
-# fewest pixels a part of eval scores (see _parts), counted in its predicted
-# frames: 4 pairs of 180x240. Median ms of in-process evals of the first n
+# fewest pixels a part of eval scores (see _parts), counted as frame pairs
+# times the pixels of the first predicted frame: 4 pairs of 180x240. Median ms of in-process evals of the first n
 # frame_heavy pairs (180x240 .f32, 2 vCPU, 41 alternating calls a side, one
 # part -> two parts): n=2: 16.7 -> 16.2; 3: 24.4 -> 24.3; 4: 30.7 -> 24.3;
 # 8: 56.2 -> 40.1; 16: 107.1 -> 65.4. In some rounds a split of 2 to 6 pairs

@@ -371,11 +371,16 @@ def _finite(path, payload: np.ndarray) -> np.ndarray:
     return payload.astype(np.float64)
 
 
-def read_f32(path) -> np.ndarray:
-    data = Path(path).read_bytes()
+def _f32_size(path, data: bytes) -> tuple[int, int]:
+    """(w, h) from the first 16 bytes of an .f32 file."""
     if len(data) < 16 or data[:8] != F32_MAGIC:
         raise FormatError(f"{path}: bad ECIRF32 magic")
-    w, h = struct.unpack("<II", data[8:16])
+    return struct.unpack("<II", data[8:16])
+
+
+def read_f32(path) -> np.ndarray:
+    data = Path(path).read_bytes()
+    w, h = _f32_size(path, data)
     expected = 16 + 4 * w * h
     if len(data) != expected:
         raise FormatError(f"{path}: expected {expected} bytes, got {len(data)}")
@@ -407,10 +412,7 @@ def frame_shape(path) -> tuple[int, int]:
     if Path(path).suffix.lower() != ".f32":
         return read_frame(path).shape
     with open(path, "rb") as fh:
-        head = fh.read(16)
-    if len(head) < 16 or head[:8] != F32_MAGIC:
-        raise FormatError(f"{path}: bad ECIRF32 magic")
-    w, h = struct.unpack("<II", head[8:])
+        w, h = _f32_size(path, fh.read(16))
     return h, w
 
 
@@ -511,7 +513,7 @@ def write_video_dir(path, times: np.ndarray, frames: np.ndarray, fmt: str = "f32
 # ---------------------------------------------------------------------------
 
 def save_polys(path, grid: PolyGrid) -> None:
-    """The grid's arrays as (h, w, n) float64 members in C order, as they always were."""
+    """The grid's (h, w, n) arrays as C-order float64 members, transposed from its planes."""
     np.savez(
         path,
         keypoints=np.ascontiguousarray(grid.keypoints),

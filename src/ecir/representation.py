@@ -15,10 +15,9 @@ coefficients through Newton divided differences and integrated analytically,
 never by quadrature.
 
 The kernels run plane-major: a polynomial's n nodes or coefficients lead,
-(n, ...), so every Newton, monomial, integration and Horner step reads whole
-contiguous planes; one pixel is the (n,) case. ``PolyGrid`` holds (n, h, w)
-planes and shows (h, w, n) views of them. ``horner`` and
-``antiderivative_coeffs`` keep the last-axis signature, over views.
+(n, ...), so every step reads whole contiguous planes; one pixel is the (n,)
+case. ``PolyGrid`` holds (n, h, w) planes and shows (h, w, n) views of them,
+the layout ``horner`` and ``antiderivative_coeffs`` take.
 """
 
 from __future__ import annotations
@@ -83,21 +82,19 @@ def newton_to_monomial(nodes: np.ndarray, newton: np.ndarray) -> np.ndarray:
     return mono.reshape(shape)
 
 
-def _horner_planes(planes: np.ndarray, x) -> np.ndarray:
-    """Evaluate monomial planes (k, ...) at ``x`` in place: out *= x; out += plane."""
-    x = np.asarray(x, dtype=np.float64)
-    shape = np.broadcast_shapes(planes.shape[1:], x.shape)
-    out = np.empty(shape, dtype=np.result_type(planes.dtype, x.dtype))
+def horner(coeffs: np.ndarray, x) -> np.ndarray:
+    """Evaluate monomial polynomials (..., k) at ``x`` (scalar or matching batch).
+
+    In place over the (k, ...) planes of ``coeffs``: out *= x; out += plane.
+    """
+    planes, x = np.moveaxis(np.asarray(coeffs), -1, 0), np.asarray(x, dtype=np.float64)
+    out = np.empty(np.broadcast_shapes(planes.shape[1:], x.shape),
+                   dtype=np.result_type(planes.dtype, x.dtype))
     out[...] = planes[-1]
     for plane in planes[-2::-1]:
         out *= x
         out += plane
     return out if out.ndim else out[()]
-
-
-def horner(coeffs: np.ndarray, x) -> np.ndarray:
-    """Evaluate monomial polynomials (..., k) at ``x`` (scalar or matching batch)."""
-    return _horner_planes(np.moveaxis(np.asarray(coeffs), -1, 0), x)
 
 
 def _antiderivative_planes(mono: np.ndarray, half_length: float) -> np.ndarray:
@@ -152,7 +149,8 @@ def lagrange_basis_values(nodes: np.ndarray, tau) -> np.ndarray:
     diff = tau[:, None] - nodes[None, :]  # (m, n)
     out = np.empty((tau.shape[0], n))
     for i in range(n):
-        mask = np.arange(n) != i
+        mask = np.ones(n, dtype=bool)
+        mask[i] = False
         numer = np.prod(diff[:, mask], axis=1)
         denom = np.prod(nodes[i] - nodes[mask])
         out[:, i] = numer / denom
@@ -350,6 +348,8 @@ class PolyGrid:
 def render_frame(polys: PolyGrid, t: float) -> np.ndarray:
     """Latent frame at ``t``. Raises if ``t`` is outside the exposure interval."""
     if not polys.interval.contains(t):
-        iv = polys.interval
-        raise ValueError(f"render time {t} outside exposure interval [{iv.t_start}, {iv.t_end}]")
+        raise ValueError(
+            f"render time {t} outside exposure interval "
+            f"[{polys.interval.t_start}, {polys.interval.t_end}]"
+        )
     return polys.intensity_at(t)
