@@ -41,7 +41,7 @@ N = 10  # keypoints a pixel
 STACK = FRAMES * H * W * 8  # bytes of the scene's float64 frame stack
 PLANE = H * W * N * 8  # bytes of one (h, w, n) float64 array
 MARGIN = 1.25
-RENDERED = 8  # frames rendered after the first intensity_at builds the cache
+RENDERED = 8  # frames a render test draws; the first builds the primitive's planes
 
 # Peaks measured on this scene when the budgets were set (numpy 2.4, Python
 # 3.11), and before, when per-event temporaries were wide and frames were
@@ -62,8 +62,8 @@ MEASURED = {
     # the grid's keypoints and derivatives plus the primitive's nodes,
     # monomials and output; the budget stays where it was set.
     "fit_polys": 6.32,
-    # the first intensity_at, which builds the primitive's planes, and
-    # RENDERED more frames. Before: 5.08, when the grid cached the primitive
+    # RENDERED frames of a fresh grid, the first of which builds the
+    # primitive's planes. Before: 5.08, when the grid cached the primitive
     # twice, as (h, w, k) and as (k, h, w), and its kernels sliced the last
     # axis into temporaries.
     "render": 3.31,
