@@ -5,9 +5,10 @@ Residual-flow refinement
 Given an initial frame stack, the events between consecutive timestamps
 predict how each frame should flow into the next. Refinement minimizes a
 convex quadratic: follow that residual flow, but stay near the
-initialization. The per-pixel tridiagonal solve is exact; plain gradient
-descent with a Hessian-safe step converges to the same answer and mirrors
-the iterative update structure.
+initialization. Every pixel shares one Hessian, so both solvers are one
+closed-form operator on the residual flow with a different filter on its
+eigenvalues: the exact minimizer, and ``i_max`` gradient steps at a step
+below the exact stability limit, which converge to the same answer.
 """
 
 import numpy as np

@@ -427,7 +427,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, DivergenceError) as exc:
+    except (ValueError, OSError, MemoryError, DivergenceError) as exc:
         print(f"ecir {args.command}: error: {exc}", file=sys.stderr)
         return 2
 

@@ -6,22 +6,22 @@ initialization. Residual prediction is analytic here: the event model says
 intensity scales by exp(c * signed count) between two timestamps, which
 linearizes to an additive residual R_i = L_i * (exp(c * S_i) - 1).
 
-Two solvers are provided. Plain gradient descent mirrors the iterative
-update structure with a step size guaranteed by the Hessian bound; the
-per-pixel tridiagonal solve gives the exact minimizer in closed form and
-serves as both the fast path and the oracle for the iterative one.
-
 Every pixel shares the objective's d x d Hessian, 2(lambda I + D^T D) with
-D the forward difference, so ``i_max`` fixed-step iterations are one affine
-map of the inputs. ``descend`` builds that map once per call by stepping
-``gradient`` on unit inputs and applies it to all pixels as one matrix
-product; it equals the plain ``gradient`` loop to within rounding, not
-bitwise. ``surrogate_residuals`` rejects a threshold ``c`` whose
-exp(c * signed count) overflows.
+D the forward difference, whose eigenvectors are the DCT-II basis. So both
+solvers are one closed-form d x (d-1) operator on the initial residual flow
+of all pixels, with one filter on the eigenvalues each: the exact minimizer
+(``tridiagonal_solve``, solver ``tridiag``) and ``i_max`` fixed gradient
+steps at a cost independent of ``i_max`` (``descend``, solver ``gd``).
+``RefineProblem`` rejects a step at or past the exact stability limit, and
+``surrogate_residuals`` a threshold ``c`` whose exp(c * signed count)
+overflows.
 """
 
 from __future__ import annotations
 
+import math
+import operator
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,11 +46,10 @@ DEFAULT_ITERATIONS = 50
 
 
 class DivergenceError(RuntimeError):
-    """Descent would return non-finite frames.
+    """A solve would return non-finite frames.
 
-    Raised when the step is past the stability limit, 2 / lambda_max of the
-    Hessian, for long enough that ``descend``'s step response overflows, or
-    when the data times that response overflows.
+    Steps are stable and inputs finite, so this happens only when the
+    initial residual flow, or that flow times the solve operator, overflows.
     """
 
 
@@ -87,12 +86,20 @@ class RefineProblem:
             raise ValueError("residuals must be finite")
         if not (np.isfinite(self.lam) and self.lam >= 0):
             raise ValueError(f"lambda must be finite and non-negative, got {self.lam}")
+        try:
+            self.i_max = operator.index(self.i_max)
+        except TypeError:
+            raise ValueError(f"i_max must be an integer, got {self.i_max!r}") from None
         if self.i_max < 0:
             raise ValueError(f"i_max must be non-negative, got {self.i_max}")
         if self.step is None:
             self.step = default_step(self.lam)
         if not (np.isfinite(self.step) and self.step > 0):
             raise ValueError(f"step must be finite and positive, got {self.step}")
+        # 2 / lambda_max, with lambda_max = 2(lambda + 2 + 2 cos(pi / d))
+        limit = 1.0 / (self.lam + 2.0 + 2.0 * math.cos(math.pi / d))
+        if self.step >= limit:
+            raise ValueError(f"step {self.step} is not below the stability limit {limit}")
 
     @property
     def frame_count(self) -> int:
@@ -164,90 +171,82 @@ def descend(problem: RefineProblem) -> np.ndarray:
     updates it by the same linear map plus a fixed linear function of the
     initial flow ``initial[:-1] + residuals - initial[1:]``. So on the
     (d, pixels) stack the iterations are ``initial + Q @ flow`` for one
-    d x (d-1) matrix Q.
-    Column j of Q is the response to unit flow j: ``gradient`` stepped
-    ``i_max`` times on one problem whose initial frames are zero and whose
-    residuals are the identity. Applying Q to the flow, rather than an
-    operator to the raw frames, keeps the frames' common level out of the
-    product, where it would cancel. The result equals stepping
-    ``frames -= step * gradient(problem, frames)`` over the stack to within
-    rounding, not bitwise.
+    d x (d-1) matrix Q, built in closed form by ``_operator``. Applying Q to
+    the flow, rather than an operator to the raw frames, keeps the frames'
+    common level out of the product, where it would cancel. The result
+    equals stepping ``frames -= step * gradient(problem, frames)`` over the
+    stack to within rounding, not bitwise.
 
-    ``DivergenceError`` is raised iff the returned stack would hold a
-    non-finite value. That happens when the step is past the stability limit
-    2 / lambda_max of the Hessian and |1 - step * lambda_max| ** i_max
-    overflows Q, or when the flow times Q overflows.
+    ``DivergenceError`` is raised iff a returned frame would be non-finite.
     """
-    return _descend(problem, problem.residuals.copy())
+    return _apply(problem, _operator(problem, "gd"), problem.residuals.copy())
 
 
-def _descend(problem: RefineProblem, flow: np.ndarray) -> np.ndarray:
-    """``descend``, forming the flow in ``flow``: residuals it may overwrite."""
+def tridiagonal_solve(problem: RefineProblem) -> np.ndarray:
+    """Exact minimizer, for lambda > 0: ``descend``'s operator with ``i_max`` at infinity.
+
+    Stationarity is a symmetric tridiagonal system per pixel, the Hessian's,
+    inverted in closed form. ``DivergenceError`` is raised iff a returned
+    frame would be non-finite.
+    """
+    return _apply(problem, _operator(problem, "tridiag"), problem.residuals.copy())
+
+
+def _operator(problem: RefineProblem, solver: str) -> np.ndarray:
+    """The d x (d-1) matrix Q of ``solver``: its frames are ``initial + Q @ flow``.
+
+    From a zero displacement, i steps reach H^-1 (I - (I - step H)^i) 2 D^T
+    flow, and the exact solve H^-1 2 D^T flow, for H = 2(lambda I + D^T D).
+    H = V diag(w) V^T with V the DCT-II basis and w_k = 2 lambda +
+    8 sin^2(pi k / 2d), so Q = V diag(g) (D V)^T 2 with the filter g = 1 / w,
+    or (1 - (1 - step w)^i) / w. Column 0 of D V, the difference of the
+    constant vector, is zero, so the sums start at k = 1.
+    """
     d = problem.frame_count
-    basis = RefineProblem(
-        np.zeros((d, d - 1)),
-        np.eye(d - 1),
-        lam=problem.lam,
-        i_max=problem.i_max,
-        step=problem.step,
-    )
-    response = np.zeros((d, d - 1))
+    half = np.pi / (2 * d) * np.arange(1, d)
+    scale = math.sqrt(2.0 / d)
+    basis = scale * np.cos(np.outer(np.arange(1, 2 * d, 2), half))
+    sine = np.sin(half)
+    # v_k[j + 1] - v_k[j] = -2 sqrt(2 / d) sin(pi k / 2d) sin(pi k (j + 1) / d)
+    differences = (-2.0 * scale) * sine * np.sin(np.outer(np.arange(2, 2 * d, 2), half))
+    half_w = problem.lam + 4.0 * sine * sine
+    if solver == "tridiag":
+        if problem.lam <= 0:
+            raise ValueError("the exact solve needs lambda > 0 for strict convexity")
+        gain = 1.0 / half_w
+    elif solver == "gd":
+        rate = 2.0 * problem.step * half_w  # step w, below 2 for a stable step
+        # an i_max past the float range has converged like any huge one
+        steps = float(min(problem.i_max, sys.float_info.max))
+        # 1 - (1 - rate)^i; where 1 - rate > 0.5 the power would lose the
+        # digits that matter, and log1p with expm1 keeps them
+        done = 1.0 - (1.0 - rate) ** steps
+        slow = rate < 0.5
+        done[slow] = -np.expm1(steps * np.log1p(-rate[slow]))
+        gain = done / half_w
+    else:
+        raise ValueError(f"unknown solver {solver!r} (expected 'tridiag' or 'gd')")
+    return (basis * gain) @ differences.T
+
+
+def _apply(problem: RefineProblem, q: np.ndarray, flow: np.ndarray) -> np.ndarray:
+    """``initial + q @ flow``, forming the flow in ``flow``: residuals it may overwrite."""
+    d = problem.frame_count
     initial = problem.initial.reshape(d, -1)
     # overflow is reported through DivergenceError, not numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(problem.i_max):
-            response -= problem.step * gradient(basis, response)
         frames = np.empty_like(initial)
         flow = flow.reshape(d - 1, -1)
         flow += initial[:-1]
         flow -= initial[1:]
-        np.matmul(response, flow, out=frames)
+        np.matmul(q, flow, out=frames)
         frames += initial
     if not np.all(np.isfinite(frames)):
         raise DivergenceError(
-            f"descent diverged to non-finite frames at step {problem.step}"
+            "refined frames are not finite: the residual flow, or its product "
+            "with the solve operator, overflows"
         )
     return frames.reshape(problem.initial.shape)
-
-
-def tridiagonal_solve(problem: RefineProblem) -> np.ndarray:
-    """Exact minimizer via the per-pixel symmetric tridiagonal normal equations.
-
-    Stationarity couples each frame to its neighbors with unit off-diagonals
-    and diagonal 1 + lambda at the ends, 2 + lambda inside; the system is
-    strictly diagonally dominant for lambda > 0. Solved by forward
-    elimination and back substitution along the frame axis, vectorized over
-    pixels.
-    """
-    if problem.lam <= 0:
-        raise ValueError("tridiagonal solve needs lambda > 0 for strict convexity")
-    d = problem.frame_count
-    lam = problem.lam
-    r = problem.residuals
-    init = problem.initial
-
-    diag = np.full(d, 2.0 + lam)
-    diag[0] = diag[-1] = 1.0 + lam
-
-    rhs = lam * init
-    rhs[0] -= r[0]
-    rhs[-1] += r[-1]
-    for i in range(1, d - 1):
-        rhs[i] += r[i - 1] - r[i]
-
-    # Thomas algorithm with constant off-diagonal -1; both sweeps overwrite
-    # rhs, which holds the forward sweep's values and then the solution
-    gamma = np.empty(d)
-    beta = diag[0]
-    rhs[0] /= beta
-    for i in range(1, d):
-        gamma[i - 1] = -1.0 / beta
-        beta = diag[i] + gamma[i - 1]
-        rhs[i] += rhs[i - 1]
-        rhs[i] /= beta
-    for i in range(d - 2, -1, -1):
-        rhs[i] -= gamma[i] * rhs[i + 1]
-    return rhs
 
 
 def refine(
@@ -262,15 +261,11 @@ def refine(
 ) -> np.ndarray:
     """Full refinement pass: surrogate residuals, solve, clamp to [0, 1].
 
-    The residuals are this call's own, so descent forms its flow in them,
-    and the solution is clamped in place.
+    ``solver`` is ``"tridiag"``, the exact minimizer, or ``"gd"``, ``i_max``
+    gradient steps. The residuals are this call's own, so the solve forms
+    its flow in them, and the solution is clamped in place.
     """
     residuals = surrogate_residuals(initial, events, c, schedule)
     problem = RefineProblem(initial, residuals, lam=lam, i_max=i_max, step=step)
-    if solver == "tridiag":
-        frames = tridiagonal_solve(problem)
-    elif solver == "gd":
-        frames = _descend(problem, residuals)
-    else:
-        raise ValueError(f"unknown solver {solver!r} (expected 'tridiag' or 'gd')")
+    frames = _apply(problem, _operator(problem, solver), residuals)
     return np.clip(frames, 0.0, 1.0, out=frames)

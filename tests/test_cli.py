@@ -194,6 +194,17 @@ class TestEdiAndRefine:
         mse_b = report_value(tmp_path / "rep_gd.txt", "mse_mean")
         assert abs(mse_a - mse_b) < 1e-6
 
+    def test_refine_gd_cost_independent_of_imax(self, pipeline):
+        # three million steps converge to the exact solve's frames
+        tmp_path = pipeline
+        manifest = tmp_path / "sim" / "manifest.json"
+        for solver, extra in (("tridiag", ()), ("gd", ("--imax", "3000000"))):
+            run_cli("refine", "--frames", tmp_path / "initial", "--manifest", manifest,
+                    "--solver", solver, *extra, "--out", tmp_path / f"ref_{solver}")
+        a = read_video_dir(tmp_path / "ref_tridiag").frames
+        b = read_video_dir(tmp_path / "ref_gd").frames
+        assert float(np.max(np.abs(a - b))) <= np.finfo(np.float32).eps
+
 
 class TestVoxelize:
     def test_conserves_signed_counts(self, tmp_path):
@@ -437,6 +448,22 @@ class TestErrorHandling:
         lines = stderr_lines(proc)
         assert len(lines) == 1
         assert "polys.npz" in lines[0] and "derivatives" in lines[0]
+        assert not (tmp_path / "frames").exists()
+
+    def test_unsatisfiable_allocation_one_line_diagnostic(self, tmp_path):
+        from scenes import random_poly_grid
+
+        from ecir.io import save_polys
+
+        save_polys(tmp_path / "polys.npz", random_poly_grid(np.random.default_rng(509), 3, 4, 4, IV))
+        # 1e15 timestamps are 7.1 PiB, past what a process can map, so the
+        # allocation fails at once without touching memory
+        proc = run_cli("render", "--polys", tmp_path / "polys.npz", "--count", "1000000000000000",
+                       "--out", tmp_path / "frames", check=False)
+        assert proc.returncode == 2
+        lines = stderr_lines(proc)
+        assert len(lines) == 1
+        assert lines[0].startswith("ecir render: error:") and "allocate" in lines[0]
         assert not (tmp_path / "frames").exists()
 
     def test_npy_polys_one_line_diagnostic(self, tmp_path):

@@ -1,4 +1,4 @@
-"""Residual-flow refinement: objective, gradient, descent, closed-form solve."""
+"""Residual-flow refinement: objective, gradient, descent, exact solve, step limit."""
 
 import dataclasses
 import math
@@ -239,23 +239,34 @@ class TestDescend:
         rng = np.random.default_rng(257)
         for _ in range(10):
             problem = random_problem(rng, 14)
+            exact = tridiagonal_solve(problem)
             long_run = RefineProblem(
                 problem.initial, problem.residuals, lam=problem.lam, i_max=500
             )
-            assert np.max(np.abs(descend(long_run) - tridiagonal_solve(problem))) < 1e-6
+            assert np.max(np.abs(descend(long_run) - exact)) < 1e-6
+            # any number of steps costs one closed-form operator
+            for i_max in (3_000_000, 10**400):
+                converged = dataclasses.replace(long_run, i_max=i_max)
+                assert np.max(np.abs(descend(converged) - exact)) < 1e-13
 
     def test_divergence_detected(self):
+        """A step past the stability limit is refused up front, not left to diverge."""
         rng = np.random.default_rng(263)
-        problem = RefineProblem(
-            rng.uniform(0, 1, (6, 2, 2)),
-            rng.uniform(-0.5, 0.5, (5, 2, 2)),
-            lam=1.0,
-            i_max=4000,
-            step=0.75,  # above 2 / L for lambda = 1
-        )
-        with pytest.raises(Exception) as err:
-            descend(problem)
-        assert "diverged" in str(err.value)
+        with pytest.raises(ValueError, match="stability limit"):
+            RefineProblem(
+                rng.uniform(0, 1, (6, 2, 2)),
+                rng.uniform(-0.5, 0.5, (5, 2, 2)),
+                lam=1.0,
+                i_max=4000,
+                step=0.75,  # above 2 / lambda_max for lambda = 1
+            )
+
+    @pytest.mark.parametrize("i_max", [2.5, 50.0, "50", None])
+    def test_non_integral_iteration_count_rejected(self, i_max):
+        with pytest.raises(ValueError, match="i_max"):
+            RefineProblem(np.zeros((3, 1, 1)), np.zeros((2, 1, 1)), i_max=i_max)
+        problem = RefineProblem(np.zeros((3, 1, 1)), np.zeros((2, 1, 1)), i_max=np.int64(7))
+        assert problem.i_max == 7 and type(problem.i_max) is int
 
 
 def hessian(d, lam):
@@ -288,16 +299,39 @@ class TestDefaultStep:
         assert objective(problem, frames) <= objective(problem, problem.initial)
 
 
+def stability_limit(d, lam):
+    """2 / lambda_max of the Hessian, from the eigensolver."""
+    return 2.0 / np.linalg.eigvalsh(hessian(d, lam))[-1]
+
+
+class TestStabilityLimit:
+    """RefineProblem's step limit is the eigensolver's 2 / lambda_max.
+
+    The eigensolver's own limit is within 8 ulps of the true one, so the
+    boundary is pinned to within 1e-14 (about 45 ulps) of it on both sides.
+    """
+
+    @pytest.mark.parametrize("d", range(2, 65))
+    def test_limit_matches_eigensolver(self, d):
+        initial, residuals = np.zeros((d, 1)), np.zeros((d - 1, 1))
+        for lam in (0.0, 1e-6, 0.3, 1.0, 1.7, 5.0, 1e3):
+            limit = stability_limit(d, lam)
+            RefineProblem(initial, residuals, lam=lam)  # default_step
+            RefineProblem(initial, residuals, lam=lam, step=limit * (1 - 1e-14))
+            with pytest.raises(ValueError, match="stability limit"):
+                RefineProblem(initial, residuals, lam=lam, step=limit * (1 + 1e-14))
+
+
 @st.composite
 def descent_problems(draw):
-    """Small stacks with random lambda and steps, some far past the stable range."""
+    """Small stacks with random lambda, steps up to 0.999 of the stability limit."""
     d = draw(st.integers(2, 8))
     h, w = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    # large magnitudes make a divergent step overflow within i_max iterations
     scale = draw(st.sampled_from([1.0, 1e100, 1e150]))
     lam = draw(st.one_of(st.just(0.0), st.floats(0.0, 5.0)))
-    step = draw(st.one_of(st.none(), st.floats(1e-3, 60.0)))
+    fraction = draw(st.one_of(st.none(), st.floats(1e-3, 0.999)))
+    step = None if fraction is None else fraction * stability_limit(d, lam)
     return RefineProblem(
         scale * rng.uniform(-1, 1, (d, h, w)),
         scale * rng.uniform(-0.5, 0.5, (d - 1, h, w)),
@@ -308,20 +342,34 @@ def descent_problems(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(descent_problems())
-def test_descend_matches_oracle_loop(problem):
-    # the divergence contract: finite frames, or DivergenceError
-    try:
-        assert np.all(np.isfinite(descend(problem)))
-    except DivergenceError:
-        pass
-    try:
-        expected = oracle_descend(problem)
-    except OracleDivergence as div:
-        # compare over the iterations whose objective the oracle could sum
-        problem = dataclasses.replace(problem, i_max=div.iteration)
-        expected = oracle_descend(problem)
-    assert_matches_oracle(descend(problem), expected)
+@given(descent_problems(), st.floats(1.0 + 1e-12, 60.0))
+def test_descend_matches_oracle_loop(problem, unstable):
+    assert_matches_oracle(descend(problem), oracle_descend(problem))
+    # a step past the limit is refused before any solve
+    d = problem.frame_count
+    with pytest.raises(ValueError, match="stability limit"):
+        dataclasses.replace(problem, step=unstable * stability_limit(d, problem.lam))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 64), st.floats(1e-3, 5.0), st.integers(0, 2**32 - 1),
+       st.sampled_from([1.0, 1e100]))
+def test_exact_solve_matches_dense_solver(d, lam, seed, scale):
+    """The exact path against LU on the normal equations (lambda I + D^T D) x = b.
+
+    LU loses about cond = 4 / lambda ulps, 6e-11 at lambda = 1e-6 against a
+    40-digit solve that the operator meets to 1e-14, so lambda starts at 1e-3.
+    """
+    rng = np.random.default_rng(seed)
+    problem = RefineProblem(
+        scale * rng.uniform(0, 1, (d, 3)), scale * rng.uniform(-0.3, 0.3, (d - 1, 3)), lam=lam
+    )
+    diff = np.diff(np.eye(d), axis=0)
+    rhs = lam * problem.initial + diff.T @ problem.residuals
+    expected = np.linalg.solve(hessian(d, lam) / 2.0, rhs)
+    got = tridiagonal_solve(problem)
+    frames_scale = max(1.0, float(np.max(np.abs(expected))))
+    assert float(np.max(np.abs(got - expected))) <= 1e-12 * frames_scale
 
 
 def stack_problem(rng, d, shape, lam=1.0, step=None, i_max=50):
@@ -351,11 +399,11 @@ class TestDescendTiles:
 
     def test_one_huge_pixel_diverges(self):
         rng = np.random.default_rng(317)
-        # a step past 2 / L grows every pixel by about 6x per iteration:
-        # 250 of them stay finite on unit data but overflow a 1e150 pixel
-        problem = stack_problem(rng, 6, (2, 5), step=0.75, i_max=250)
-        problem.initial[:, 1, 2] *= 1e150
-        with pytest.raises(DivergenceError, match="diverged"):
+        # consecutive frames at +-1e308 make the flow, and so that pixel's
+        # frames, overflow; the other pixels stay finite
+        problem = stack_problem(rng, 6, (2, 5), i_max=250)
+        problem.initial[:, 1, 2] = 1e308 * (-1.0) ** np.arange(6)
+        with pytest.raises(DivergenceError, match="not finite"):
             descend(problem)
         tame = dataclasses.replace(problem, initial=np.delete(problem.initial, 1, axis=1),
                                    residuals=np.delete(problem.residuals, 1, axis=1))
@@ -408,6 +456,12 @@ class TestTridiagonalSolve:
         problem = random_problem(rng, 8, lam=1e4)
         solution = tridiagonal_solve(problem)
         assert np.max(np.abs(solution - problem.initial)) < 1e-3
+
+    def test_flow_overflow_diverges(self):
+        # finite frames whose flow 1e308 - (-1e308) overflows
+        problem = scalar_problem([1e308, -1e308, 1e308], [0.0, 0.0], lam=1.0)
+        with pytest.raises(DivergenceError, match="not finite"):
+            tridiagonal_solve(problem)
 
     def test_lambda_validation(self):
         initial = np.zeros((3, 1, 1))
