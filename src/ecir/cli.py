@@ -291,10 +291,11 @@ def cmd_eval(args) -> int:
     lines.append(f"mse_mean={agg[0]:.9f}")
     lines.append(f"psnr_mean={agg[1]:.9f}")
     lines.append(f"ssim_mean={agg[2]:.9f}")
-    report.write_text("\n".join(lines) + "\n", encoding="ascii")
+    with io._overwrite(report, "w", encoding="ascii") as fh:
+        fh.write("\n".join(lines) + "\n")
 
     csv_path = report.with_suffix(".csv") if report.suffix else Path(str(report) + ".csv")
-    with open(csv_path, "w", newline="", encoding="ascii") as fh:
+    with io._overwrite(csv_path, "w", newline="", encoding="ascii") as fh:
         writer = csv.writer(fh)
         writer.writerow(["frame", "mse", "psnr", "ssim"])
         for i, (m, p, s) in enumerate(rows):

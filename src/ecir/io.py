@@ -33,6 +33,21 @@ width, height) for lossless intermediates. Voxel histograms use the sibling
 or inf is a :class:`FormatError` on read, so bad values stop at the file
 boundary; a finite frame value too large for float32, or a pixel
 coordinate too large for int32, is refused on write.
+
+Every output is written through one opener, :func:`_overwrite`, which
+rewrites an existing file in place and cuts it to the length written when
+the write ends. It opens without ``O_TRUNC``: on ext4, truncating a file
+that holds data to zero length makes ``close()`` start writeback at once
+(the ``auto_da_alloc`` heuristic). Rewriting 64 existing frames of
+180x240 ``.f32`` took 8.1 ms that way against 3.2 ms in place, and 64
+fresh files 9.4 against 9.7 ms (ext4, 2 vCPU, medians of 12). An
+exception mid-write leaves exactly the bytes written so far, as a
+truncating open would. A process killed mid-write (SIGKILL, power loss)
+can leave the new bytes followed by the old file's tail, at the old
+length, where a truncating open would leave a short file; the binary
+readers' size checks catch only the latter. :func:`write_video_dir` also
+deletes the frame files of the directory that it does not write, so a
+shorter video or another format leaves no stale frame behind.
 """
 
 from __future__ import annotations
@@ -40,9 +55,11 @@ from __future__ import annotations
 import json
 import math
 import os
+import stat
 import struct
 import warnings
 import zipfile
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -113,6 +130,33 @@ class ParseError(ValueError):
 
 class FormatError(ValueError):
     """Bad magic, header, payload size or non-finite payload in a binary file."""
+
+
+@contextmanager
+def _overwrite(path, mode: str = "wb", **kwargs):
+    """Open ``path`` for writing from its start, without truncating it first.
+
+    ``mode`` and ``kwargs`` go to :func:`open` on the descriptor. On leaving
+    the block, normally or by an exception, a regular file longer than the
+    position the writes reached is cut there, so it holds exactly the bytes
+    written; a device such as ``os.devnull`` is left as it is. A new file
+    gets the permission bits ``open(path, "wb")`` would give it.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    try:
+        fh = open(fd, mode, **kwargs)
+    except BaseException:
+        os.close(fd)
+        raise
+    with fh:
+        try:
+            yield fh
+        finally:
+            fh.flush()
+            end, st = os.lseek(fd, 0, os.SEEK_CUR), os.fstat(fd)
+            # a truncate to the current size still costs a metadata update
+            if stat.S_ISREG(st.st_mode) and st.st_size != end:
+                os.ftruncate(fd, end)
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +301,7 @@ def write_events(path, events: EventStream) -> None:
     edges = _parts.edges(n, EVENT_TEXT_PART)
     # fork before the file is opened, so no child inherits its buffer
     with _parts.forked(edges, encoded) as drain:
-        with open(path, "w", encoding="ascii") as fh:
+        with _overwrite(path, "w", encoding="ascii") as fh:
             # writelines drops each chunk before the next is formatted
             fh.writelines(_text_chunks(events, 0, edges[1], coord))
             fh.flush()
@@ -287,7 +331,7 @@ def _write_event_container(path, events: EventStream) -> None:
     limit = np.iinfo(np.int32).max
     if n and max(int(events.x.max()), int(events.y.max())) > limit:
         raise ValueError(f"{path}: pixel coordinates exceed the int32 range of the container")
-    with open(path, "wb") as fh:
+    with _overwrite(path) as fh:
         fh.write(EVT_MAGIC + struct.pack("<Q", n))
         fh.write(events.t.astype("<f8").tobytes())
         fh.write(events.x.astype("<i4").tobytes())
@@ -306,7 +350,7 @@ def write_pgm(path, frame: np.ndarray) -> None:
         raise ValueError("frame must be 2-d")
     h, w = frame.shape
     quantized = np.rint(np.clip(frame, 0.0, 1.0) * 255.0).astype(np.uint8)
-    with open(path, "wb") as fh:
+    with _overwrite(path) as fh:
         fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
         fh.write(quantized.tobytes())
 
@@ -330,17 +374,19 @@ def read_pgm(path) -> np.ndarray:
         if start == pos:
             raise FormatError(f"{path}: truncated PGM header")
         tokens.append(data[start:pos])
-    pos += 1  # single whitespace after maxval
+    # single whitespace after maxval, which a header ending the file lacks
+    pos = min(pos + 1, len(data))
     try:
         w, h, maxval = (int(tok) for tok in tokens)
     except ValueError:
         raise FormatError(f"{path}: non-numeric PGM header") from None
     if maxval != 255:
         raise FormatError(f"{path}: only maxval 255 supported, got {maxval}")
-    payload = data[pos : pos + w * h]
-    if len(payload) != w * h:
-        raise FormatError(f"{path}: expected {w * h} pixels, got {len(payload)}")
-    return np.frombuffer(payload, dtype=np.uint8).reshape(h, w) / 255.0
+    if min(w, h) < 0:
+        raise FormatError(f"{path}: negative PGM size {w}x{h}")
+    if len(data) - pos < w * h:
+        raise FormatError(f"{path}: expected {w * h} pixels, got {len(data) - pos}")
+    return np.frombuffer(data, dtype=np.uint8, count=w * h, offset=pos).reshape(h, w) / 255.0
 
 
 def write_f32(path, frame: np.ndarray) -> None:
@@ -359,7 +405,7 @@ def write_f32(path, frame: np.ndarray) -> None:
             payload = frame.astype("<f4")
     except FloatingPointError:
         raise ValueError(f"{path}: frame values exceed the float32 range") from None
-    with open(path, "wb") as fh:
+    with _overwrite(path) as fh:
         fh.write(F32_MAGIC + struct.pack("<II", w, h))
         fh.write(payload.tobytes())
 
@@ -384,7 +430,7 @@ def read_f32(path) -> np.ndarray:
     expected = 16 + 4 * w * h
     if len(data) != expected:
         raise FormatError(f"{path}: expected {expected} bytes, got {len(data)}")
-    return _finite(path, np.frombuffer(data[16:], dtype="<f4").reshape(h, w))
+    return _finite(path, np.frombuffer(data, dtype="<f4", count=w * h, offset=16).reshape(h, w))
 
 
 def write_frame(path, frame: np.ndarray) -> None:
@@ -425,7 +471,7 @@ FRAME_EXTENSIONS = (".f32", ".pgm")
 
 def write_histogram(path, hist: EventHistogram) -> None:
     m, h, w = hist.bins.shape
-    with open(path, "wb") as fh:
+    with _overwrite(path) as fh:
         fh.write(H32_MAGIC + struct.pack("<III", m, h, w))
         fh.write(hist.bins.astype("<f4").tobytes())
 
@@ -438,7 +484,8 @@ def read_histogram(path, interval: ExposureInterval) -> EventHistogram:
     expected = 20 + 4 * m * h * w
     if len(data) != expected:
         raise FormatError(f"{path}: expected {expected} bytes, got {len(data)}")
-    bins = _finite(path, np.frombuffer(data[20:], dtype="<f4").reshape(m, h, w))
+    payload = np.frombuffer(data, dtype="<f4", count=m * h * w, offset=20)
+    bins = _finite(path, payload.reshape(m, h, w))
     return EventHistogram(bins, interval)
 
 
@@ -446,12 +493,14 @@ def read_histogram(path, interval: ExposureInterval) -> EventHistogram:
 # video directories
 # ---------------------------------------------------------------------------
 
+def _frame_paths(directory: Path) -> list[Path]:
+    return sorted(p for p in directory.iterdir() if p.suffix.lower() in FRAME_EXTENSIONS)
+
+
 def list_frames(directory) -> list[Path]:
     """Frame files in a directory, sorted by name."""
     directory = Path(directory)
-    paths = sorted(
-        p for p in directory.iterdir() if p.suffix.lower() in FRAME_EXTENSIONS
-    )
+    paths = _frame_paths(directory)
     if not paths:
         raise FileNotFoundError(f"{directory}: no .f32 or .pgm frames")
     return paths
@@ -497,13 +546,24 @@ def read_video_dir(path, interval: ExposureInterval | None = None) -> SharpVideo
 
 
 def write_video_dir(path, times: np.ndarray, frames: np.ndarray, fmt: str = "f32") -> None:
+    """Write ``frame_NNNNN.<fmt>`` files and ``timestamps.txt`` into ``path``.
+
+    Any other frame file there, one :func:`list_frames` would read, is then
+    deleted, so the directory reads back as exactly this video.
+    """
     directory = Path(path)
     directory.mkdir(parents=True, exist_ok=True)
     if fmt not in ("f32", "pgm"):
         raise ValueError("fmt must be 'f32' or 'pgm'")
+    written = set()
     for i, frame in enumerate(frames):
-        write_frame(directory / f"frame_{i:05d}.{fmt}", frame)
-    with open(directory / TIMESTAMPS_FILE, "w", encoding="ascii") as fh:
+        name = f"frame_{i:05d}.{fmt}"
+        write_frame(directory / name, frame)
+        written.add(name)
+    for stale in _frame_paths(directory):
+        if stale.name not in written:
+            stale.unlink()
+    with _overwrite(directory / TIMESTAMPS_FILE, "w", encoding="ascii") as fh:
         for t in times:
             fh.write(f"{float(t)!r}\n")
 
@@ -513,15 +573,22 @@ def write_video_dir(path, times: np.ndarray, frames: np.ndarray, fmt: str = "f32
 # ---------------------------------------------------------------------------
 
 def save_polys(path, grid: PolyGrid) -> None:
-    """The grid's (h, w, n) arrays as C-order float64 members, transposed from its planes."""
-    np.savez(
-        path,
-        keypoints=np.ascontiguousarray(grid.keypoints),
-        derivatives=np.ascontiguousarray(grid.derivatives),
-        constants=grid.constants,
-        t_start=grid.interval.t_start,
-        t_end=grid.interval.t_end,
-    )
+    """The grid's (h, w, n) arrays as C-order float64 members, transposed from its planes.
+
+    As with ``np.savez``, a name not ending in ``.npz`` gets that suffix.
+    """
+    path = os.fspath(path)
+    if not path.endswith(".npz"):
+        path += ".npz"
+    with _overwrite(path) as fh:
+        np.savez(
+            fh,
+            keypoints=np.ascontiguousarray(grid.keypoints),
+            derivatives=np.ascontiguousarray(grid.derivatives),
+            constants=grid.constants,
+            t_start=grid.interval.t_start,
+            t_end=grid.interval.t_end,
+        )
 
 
 def load_polys(path) -> PolyGrid:
@@ -599,7 +666,7 @@ class Manifest:
             "gt_video": self.gt_video,
             "overrides": self.overrides,
         }
-        with open(path, "w", encoding="ascii") as fh:
+        with _overwrite(path, "w", encoding="ascii") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
 

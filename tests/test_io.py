@@ -2,9 +2,14 @@
 
 import os
 import signal
+import stat
 import struct
+import sys
+import time
 import warnings
 import zipfile
+from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import ecir.cli
 import ecir.io
 from ecir import EventStream, ExposureInterval, PolyGrid, SharpVideo
 from ecir.io import (
@@ -379,6 +385,18 @@ class TestForkedTextWriter:
         assert str(path) in str(info.value)
         assert len(forks) == 2
 
+    def test_failing_child_leaves_no_byte_of_the_old_file(self, tmp_path, oracle_text, cpus, monkeypatch):
+        stream, expected = oracle_text(3 * EVENT_TEXT_PART)
+        cpus(3)
+        self.failing_part(monkeypatch, in_child=True)
+        path = tmp_path / "events.txt"
+        path.write_bytes(b"#" * (2 * len(expected)))
+        with pytest.raises(OSError, match="exited with status 1"):
+            write_events(path, stream)
+        # the caller's part was written, and the file ends where its text does
+        caller_part = expected.splitlines(keepends=True)[:EVENT_TEXT_PART]
+        assert path.read_bytes() == b"".join(caller_part)
+
     def test_failing_caller_part_kills_and_reaps_children(self, tmp_path, oracle_text, cpus, monkeypatch):
         stream, _ = oracle_text(3 * EVENT_TEXT_PART)
         forks = cpus(3)
@@ -636,6 +654,13 @@ class TestFrameFiles:
         with pytest.raises(FormatError):
             read_pgm(path)
 
+    @pytest.mark.parametrize("size", [b"-1 1", b"-2 -1"])
+    def test_pgm_negative_size(self, tmp_path, size):
+        path = tmp_path / "gray.pgm"
+        path.write_bytes(b"P5\n" + size + b"\n255\n" + bytes(4))
+        with pytest.raises(FormatError, match="negative PGM size"):
+            read_pgm(path)
+
     def test_f32_roundtrip_bitwise(self, tmp_path):
         rng = np.random.default_rng(367)
         frame = rng.uniform(-0.2, 1.3, (7, 5)).astype(np.float32).astype(np.float64)
@@ -753,6 +778,29 @@ class TestVideoDirs:
         (d / "frame_00002.f32").write_bytes((d / "frame_00000.f32").read_bytes())
         with pytest.raises(ValueError):
             read_video_dir(d)
+
+    def test_shorter_rewrite_leaves_no_stale_frames(self, tmp_path):
+        d = tmp_path / "vid"
+        write_video_dir(d, np.linspace(0.0, 0.1, 6), np.full((6, 2, 3), 0.25))
+        times = np.linspace(0.0, 0.1, 3)
+        frames = np.random.default_rng(383).uniform(0, 1, (3, 2, 3)).astype(np.float32)
+        write_video_dir(d, times, frames)
+        video = read_video_dir(d)
+        assert [p.name for p in list_frames(d)] == [f"frame_{i:05d}.f32" for i in range(3)]
+        assert np.array_equal(video.times, times)
+        assert np.array_equal(video.frames, frames)
+
+    def test_other_format_rewrite_leaves_no_stale_frames(self, tmp_path):
+        d = tmp_path / "vid"
+        (d / "notes").mkdir(parents=True)
+        (d / "notes.txt").write_text("kept\n")
+        write_video_dir(d, np.linspace(0.0, 0.1, 4), np.full((4, 2, 3), 0.25), fmt="f32")
+        write_video_dir(d, np.linspace(0.0, 0.1, 4), np.full((4, 2, 3), 0.5), fmt="pgm")
+        assert [p.name for p in list_frames(d)] == [f"frame_{i:05d}.pgm" for i in range(4)]
+        assert np.array_equal(read_video_dir(d).frames, np.full((4, 2, 3), 128 / 255))
+        # files that are not frames stay
+        assert (d / "notes.txt").read_text() == "kept\n"
+        assert (d / "notes").is_dir()
 
 
 class TestPolyFiles:
@@ -876,3 +924,153 @@ class TestManifests:
         (tmp_path / "m.json").write_text('{"t_start": 0.0,\n  "t_end": \n}')
         with pytest.raises(ParseError):
             load_manifest(tmp_path / "m.json")
+
+
+def _write_case(name: str, d: Path, k: int) -> None:
+    """Write output ``name`` into directory ``d``; a larger ``k`` writes more bytes."""
+    rng = np.random.default_rng(k)
+    if name == "events_text":
+        write_events(d / "events.txt", random_stream(rng, 40 * k))
+    elif name == "events_container":
+        write_events(d / "events.evt", random_stream(rng, 40 * k))
+    elif name == "f32":
+        write_f32(d / "frame.f32", rng.uniform(0, 1, (k, k + 1)))
+    elif name == "pgm":
+        write_pgm(d / "frame.pgm", rng.uniform(0, 1, (k, k + 1)))
+    elif name == "histogram":
+        write_histogram(d / "events.h32", EventHistogram(rng.integers(-3, 4, (k, 2, 3)), IV))
+    elif name == "video":
+        write_video_dir(d / "vid", np.linspace(0.0, 0.1, k), rng.uniform(0, 1, (k, 2, 3)))
+    elif name == "polys":
+        from scenes import random_poly_grid
+
+        save_polys(d / "polys.npz", random_poly_grid(rng, 2, k, 3, IV))
+    elif name == "manifest":
+        Manifest(t_start=0.0, t_end=0.1, blurry="b" * k, overrides={"n": k}).save(d / "m.json")
+    elif name == "eval_report":
+        inputs = d.parent / f"inputs_{k}"
+        for video in ("pred", "gt"):
+            frames = rng.uniform(0, 1, (k, 11, 12))
+            write_video_dir(inputs / video, np.linspace(0.0, 0.1, k), frames)
+        argv = ["eval", "--pred", inputs / "pred", "--gt", inputs / "gt", "--report", d / "report.txt"]
+        assert ecir.cli.main([str(a) for a in argv]) == 0
+    else:
+        raise AssertionError(name)
+
+
+WRITE_CASES = [
+    "events_text", "events_container", "f32", "pgm", "histogram", "video", "polys",
+    "manifest", "eval_report",
+]
+
+
+def _tree(d: Path) -> dict:
+    return {str(p.relative_to(d)): p.read_bytes() for p in sorted(d.rglob("*")) if p.is_file()}
+
+
+@pytest.fixture
+def still_clock(monkeypatch):
+    """Stop the clock zipfile stamps an .npz's members with, so two saves match byte for byte."""
+    now = time.time()
+    monkeypatch.setattr(time, "time", lambda: now)
+
+
+# the lists that get the (path, mode, flags) of every "open" audit event
+_RECORDING = []
+
+
+def _record_opens(event, args):
+    if event == "open":
+        for opens in _RECORDING:
+            opens.append(args)
+
+
+sys.addaudithook(_record_opens)  # an audit hook cannot be removed; it records nothing when idle
+
+
+@contextmanager
+def recording_opens():
+    """The (path, mode, flags) of each file this process opens inside the block."""
+    opens = []
+    _RECORDING.append(opens)
+    try:
+        yield opens
+    finally:
+        _RECORDING.remove(opens)
+
+
+class TestOverwrite:
+    """Outputs are rewritten in place through one opener and cut to the length written."""
+
+    @pytest.mark.parametrize("name", WRITE_CASES)
+    def test_shorter_rewrite_equals_fresh_write(self, tmp_path, still_clock, name):
+        rewritten, fresh = tmp_path / "rewritten" / "out", tmp_path / "fresh" / "out"
+        rewritten.mkdir(parents=True)
+        fresh.mkdir(parents=True)
+        _write_case(name, rewritten, 7)
+        longer = _tree(rewritten)
+        _write_case(name, rewritten, 3)
+        _write_case(name, fresh, 3)
+        assert _tree(rewritten) == _tree(fresh)
+        assert sum(map(len, _tree(fresh).values())) < sum(map(len, longer.values()))
+
+    @pytest.mark.parametrize("name", WRITE_CASES)
+    def test_no_output_opened_truncating(self, tmp_path, name):
+        out = tmp_path / "out"
+        out.mkdir()
+        _write_case(name, out, 7)
+        with recording_opens() as opens:
+            _write_case(name, out, 3)
+        # a descriptor (an int) is opened by number, which truncates nothing
+        by_path = [(os.fspath(path), mode, flags) for path, mode, flags in opens
+                   if not isinstance(path, int)]
+        truncating = [
+            (path, mode) for path, mode, flags in by_path
+            if flags & os.O_TRUNC or (mode is not None and "w" in mode)
+        ]
+        assert truncating == []
+        written = [path for path, mode, flags in by_path if flags & os.O_WRONLY]
+        assert written and all(Path(path).is_relative_to(tmp_path) for path in written)
+
+    def test_new_file_has_the_permission_bits_of_open(self, tmp_path):
+        with open(tmp_path / "reference", "wb"):
+            pass
+        expected = stat.S_IMODE(os.stat(tmp_path / "reference").st_mode)
+        for name in WRITE_CASES:
+            d = tmp_path / name / "out"
+            d.mkdir(parents=True)
+            _write_case(name, d, 3)
+            for path in d.rglob("*"):
+                if path.is_file():
+                    assert stat.S_IMODE(path.stat().st_mode) == expected, path
+
+    def test_devnull(self):
+        write_f32(os.devnull, np.zeros((3, 4)))
+        write_events(os.devnull, random_stream(np.random.default_rng(389), 20))
+        Manifest(t_start=0.0, t_end=0.1).save(os.devnull)
+
+    def test_symlink_updates_its_target(self, tmp_path):
+        target, link = tmp_path / "target.f32", tmp_path / "link.f32"
+        target.write_bytes(b"#" * 1000)
+        link.symlink_to(target)
+        write_f32(link, np.full((2, 3), 0.5))
+        write_f32(tmp_path / "fresh.f32", np.full((2, 3), 0.5))
+        assert link.is_symlink()
+        assert target.read_bytes() == (tmp_path / "fresh.f32").read_bytes()
+
+    def test_exception_keeps_the_bytes_written(self, tmp_path):
+        path = tmp_path / "out.bin"
+        path.write_bytes(b"#" * 100)
+        with pytest.raises(RuntimeError, match="stop"):
+            with ecir.io._overwrite(path) as fh:
+                fh.write(b"new bytes")
+                raise RuntimeError("stop")
+        assert path.read_bytes() == b"new bytes"
+
+    def test_save_polys_adds_the_npz_suffix(self, tmp_path):
+        from scenes import random_poly_grid
+
+        grid = random_poly_grid(np.random.default_rng(397), 2, 3, 3, IV)
+        save_polys(tmp_path / "model", grid)
+        assert [p.name for p in tmp_path.iterdir()] == ["model.npz"]
+        assert np.array_equal(load_polys(tmp_path / "model.npz").keypoints, grid.keypoints)
