@@ -21,7 +21,11 @@ The EDI kernels use no scatter-add: the window counts come from
 :func:`ecir.simulation.window_counts`, and the normalizer groups events with
 :func:`ecir.types.key_groups` and sums them with one bincount whose per-pixel
 order is the scatter-add's, so both are bitwise equal to the scatter-add
-forms the tests keep as oracles.
+forms the tests keep as oracles. The frames are exponentiated only on the
+pixels that hold events, which the normalizer's groups already give: a
+pixel without events keeps a count of 0, and exp(c * 0) is 1, so its frame
+is ``scaled / integral`` at every time, computed once. With events on every
+pixel the index is a full slice, and each frame is computed in place.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ import numpy as np
 
 from .representation import PolyGrid, horner
 from .simulation import window_counts
-from .types import BlurryFrame, EventStream, SharpVideo, key_groups
+from .types import BlurryFrame, EventStream, SharpVideo, active_columns, key_groups
 
 __all__ = ["fit_polys", "edi_reconstruct", "edi_video"]
 
@@ -114,19 +118,23 @@ def fit_polys(video: SharpVideo, keypoints: np.ndarray, blurry: BlurryFrame) -> 
     return grid.with_constants_from_blur(blurry.values)
 
 
-def _edi_factors(blurry: BlurryFrame, events: EventStream, c: float) -> np.ndarray:
-    """Per-pixel integral of exp(c*S) over the interval, flattened to (h*w,).
+def _edi_factors(
+    blurry: BlurryFrame, events: EventStream, c: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-pixel integral of exp(c*S) over the interval, and the pixels with events.
 
-    This is the normalizer of the double-integral model. One ``np.bincount``
-    sums each pixel's segments, in time order, after a leading weight of T
-    per pixel, so every pixel accumulates ``((T + s1) + s2) + ...``, the sums
-    a scatter-add of the segments onto a T-filled array performs, and the
-    result is bitwise equal to it.
+    Both are flattened to (h*w,); the second is a mask, read off the groups
+    of ``key_groups``. The integral is the normalizer of the double-integral
+    model. One ``np.bincount`` sums each pixel's segments, in time order,
+    after a leading weight of T per pixel, so every pixel accumulates
+    ``((T + s1) + s2) + ...``, the sums a scatter-add of the segments onto a
+    T-filled array performs, and the result is bitwise equal to it. A pixel
+    without events keeps exactly T.
     """
     h, w = blurry.shape
     iv = events.interval
     if len(events) == 0:
-        return np.full(h * w, iv.length)
+        return np.full(h * w, iv.length), np.zeros(h * w, dtype=bool)
 
     hw = h * w
     ids = events.pixel_ids((h, w))
@@ -166,7 +174,7 @@ def _edi_factors(blurry: BlurryFrame, events: EventStream, c: float) -> np.ndarr
 
     integral = np.bincount(keys, weights=weights, minlength=hw)
     integral[has] += (first_t - iv.t_start) - iv.length
-    return integral
+    return integral, has
 
 
 def edi_reconstruct(
@@ -192,22 +200,36 @@ def edi_video(
         raise ValueError("timestamps outside the exposure interval")
     h, w = blurry.shape
     out = np.empty((times.shape[0], h, w))
-    count = np.zeros((h, w))
-    level = np.empty((h, w))
+    frames = out.reshape(times.shape[0], h * w)
     order = np.argsort(times, kind="stable")
     windows = window_counts(events, np.r_[iv.t_start, times[order]], (h, w))
     try:
         # with finite inputs these flags are set only when exp(c * count)
         # or the normalizer overflows, which leaves no meaningful frame
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            integral = _edi_factors(blurry, events, c).reshape(h, w)
-            scaled = blurry.values * iv.length
+            integral, touched = _edi_factors(blurry, events, c)
+            scaled = blurry.values.reshape(h * w) * iv.length
+            cols = active_columns(touched)
+            dense = isinstance(cols, slice)
+            if not dense:
+                if frames.size:
+                    # an event-free pixel's count stays 0 and exp(c * 0) is 1,
+                    # so its frame is scaled / integral at every time
+                    quiet = np.zeros(h * w)
+                    np.divide(scaled, integral, out=quiet, where=~touched)
+                    frames[:] = quiet
+                scaled, integral = scaled[cols], integral[cols]
+            count = np.zeros(integral.shape)
+            level = np.empty(integral.shape)
             for i, window in zip(order, windows):
-                count += window
+                count += window.reshape(h * w)[cols]
                 np.multiply(c, count, out=level)
                 np.exp(level, out=level)
-                np.multiply(scaled, level, out=out[i])
-                out[i] /= integral
+                frame = frames[i] if dense else level
+                np.multiply(scaled, level, out=frame)
+                frame /= integral
+                if not dense:
+                    frames[i, cols] = frame
     except FloatingPointError:
         raise ValueError(
             f"edi frames are not finite at c={c}: exp(c * signed count) overflows"

@@ -14,6 +14,16 @@ scatter-add form bit for bit in any order. :func:`simulate_events` orders
 its events with a stable sort on time alone and re-sorts only the runs of
 equal timestamps by (y, x, p), which is the permutation of a full
 (t, y, x, p) lexicographic sort.
+
+The event kernels run their per-gap or per-window arithmetic only on the
+pixels that can have events. A pixel's reference level is ``ln[0]`` until
+it fires, and rounded subtraction and division by a threshold are
+monotone, so the pixel ever fires iff ``(max_g ln - ln[0]) / c+ >= 1`` or
+``(min_g ln - ln[0]) / c- >= 1``, in the float operations of the gap loop
+(``floor(x) >= 1`` exactly when ``x >= 1``). :func:`simulate_events` takes
+the log of the frames and runs its gaps only on the columns of the pixels
+that fire, in pixel order, so its pieces are the full grid's. When every
+pixel fires the index is a full slice and nothing is gathered.
 """
 
 from __future__ import annotations
@@ -23,7 +33,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .types import EventStream, ExposureInterval, BlurryFrame, SharpVideo
+from .types import EventStream, ExposureInterval, BlurryFrame, SharpVideo, active_columns
 
 __all__ = [
     "ThresholdConfig",
@@ -139,22 +149,26 @@ def simulate_events(video: SharpVideo, cfg: ThresholdConfig) -> EventStream:
 
 
 def _crossings(video: SharpVideo, cfg: ThresholdConfig) -> tuple[list, list, list, list]:
-    """Per-gap x, y, t and p pieces of every event, in gap order."""
-    ln = np.maximum(video.frames, INTENSITY_FLOOR)
-    np.log(ln, out=ln)
+    """Per-gap x, y, t and p pieces of every event, in gap order.
+
+    The gaps run on the columns of the pixels that fire (see
+    :func:`_firing`), in pixel order, so every piece is the full grid's.
+    """
     h, w = video.shape
     cp, cm = cfg.per_pixel((h, w))
-    cp_f, cm_f = cp.ravel(), cm.ravel()
+    cols, ln, cp_f, cm_f = _firing(video.frames.reshape(video.frame_count, h * w),
+                                   cp.ravel(), cm.ravel())
 
     # each pixel's reference log level, reset to the crossed level on each event
-    ref = ln[0].ravel().copy()
+    ref = ln[0].copy()
 
     # pixel coordinates in the stream's int32 columns when the frame allows
-    ys, xs = np.divmod(np.arange(h * w, dtype=np.int32 if h * w < 2**31 else np.int64), w)
+    pixels = np.arange(h * w, dtype=np.int32 if h * w < 2**31 else np.int64)[cols]
+    ys, xs = np.divmod(pixels, w)
     all_x, all_y, all_t, all_p = [], [], [], []
 
     for g in range(video.frame_count - 1):
-        l0, l1 = ln[g].ravel(), ln[g + 1].ravel()
+        l0, l1 = ln[g], ln[g + 1]
         t0, t1 = float(video.times[g]), float(video.times[g + 1])
         rise = l1 - ref
         n_pos = np.where(rise > 0, np.floor(rise / cp_f), 0.0).astype(np.int64)
@@ -171,6 +185,56 @@ def _crossings(video: SharpVideo, cfg: ThresholdConfig) -> tuple[list, list, lis
             # the last crossing per pixel becomes the new reference
             ref[idx] += reps * threshold[idx]
     return all_x, all_y, all_t, all_p
+
+
+# the candidates' margin in log units: far above any error of np.log, so
+# the three-log test below misses no pixel that fires
+_LOG_SLACK = 1e-9
+
+
+def _firing(frames: np.ndarray, cp: np.ndarray, cm: np.ndarray):
+    """The columns of a (k, pixels) intensity stack whose pixels ever fire.
+
+    Returns the columns (indices, or a full slice), their (k, columns) log
+    stack and their thresholds.
+
+    Until its first event a pixel's reference is ``ln[0]``, and a gap ending
+    at frame g fires it up iff floor((ln[g] - ln[0]) / cp) >= 1, that is iff
+    (ln[g] - ln[0]) / cp >= 1. Rounded subtraction and division by cp > 0
+    are monotone, so the largest such quotient is at the highest level: the
+    pixel fires up iff (max_g ln - ln[0]) / cp >= 1, in the gap loop's own
+    float operations. Division by cm < 0 reverses the order: it fires down
+    iff (min_g ln - ln[0]) / cm >= 1.
+
+    That exact test needs the log stack, so it runs on candidates only. The
+    floor commutes with max and min, so three logs a pixel give its first,
+    highest and lowest log level to within the error of np.log, which is far
+    below ``_LOG_SLACK``: a pixel that fires comes within the slack of a
+    threshold, and every such pixel is a candidate.
+    """
+    first = np.log(np.maximum(frames[0], INTENSITY_FLOOR))
+    top = np.log(np.maximum(frames.max(axis=0), INTENSITY_FLOOR))
+    bottom = np.log(np.maximum(frames.min(axis=0), INTENSITY_FLOOR))
+    top -= first
+    bottom -= first
+    near = top >= cp - _LOG_SLACK * (1.0 + cp)
+    near |= bottom <= cm + _LOG_SLACK * (1.0 - cm)
+    cols = active_columns(near)
+    ln = np.maximum(frames[:, cols], INTENSITY_FLOOR)
+    np.log(ln, out=ln)
+    cp, cm = cp[cols], cm[cols]
+    up = ln.max(axis=0)
+    up -= ln[0]
+    up /= cp
+    down = ln.min(axis=0)
+    down -= ln[0]
+    down /= cm
+    fires = (up >= 1.0) | (down >= 1.0)
+    if not fires.all():
+        keep = np.flatnonzero(fires)
+        ln, cp, cm = ln[:, keep], cp[keep], cm[keep]
+        cols = keep if isinstance(cols, slice) else cols[keep]
+    return cols, ln, cp, cm
 
 
 def _join(pieces: list) -> np.ndarray:

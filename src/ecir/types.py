@@ -20,6 +20,7 @@ __all__ = [
     "BlurryFrame",
     "SharpVideo",
     "key_groups",
+    "active_columns",
 ]
 
 _INT32 = np.iinfo(np.int32)
@@ -169,6 +170,16 @@ def key_groups(keys: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray, np.nda
     counts = np.bincount(keys, minlength=m)
     end = np.cumsum(counts)
     return order, end - counts, end
+
+
+def active_columns(mask: np.ndarray) -> np.ndarray | slice:
+    """Indices of ``mask``'s true entries, or ``slice(None)`` when all are true.
+
+    Indexing with the full slice is a view, so a kernel restricted to the
+    active columns gathers and copies nothing when every column is active.
+    """
+    cols = np.flatnonzero(mask)
+    return slice(None) if cols.size == mask.size else cols
 
 
 @dataclass

@@ -2,7 +2,9 @@
 
 The per-event oracles are the straightforward ``np.add.at`` forms of kernels
 the library computes with one ``np.bincount`` over a flat index or a
-narrow-key radix sort. The polynomial oracles are the last-axis (..., n)
+narrow-key radix sort. The full-grid oracles run the event kernels'
+arithmetic on every pixel, where the library runs it only on the pixels
+that fire or hold events. The polynomial oracles are the last-axis (..., n)
 forms of the kernels the library runs on (n, ...) planes: each step slices
 the last axis, with a stride of n elements. The tests hold the library to
 these bit for bit.
@@ -12,6 +14,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from ecir import EventStream, ExposureInterval
+from ecir.simulation import INTENSITY_FLOOR
 
 IV = ExposureInterval(-0.06, 0.06)
 
@@ -85,6 +88,81 @@ def oracle_edi_factors(blurry, events, c):
     np.add.at(integral, gid, (next_t - gt) * levels)
     integral[gid[starts]] += (gt[starts] - iv.t_start) - iv.length
     return integral
+
+
+def oracle_crossings(video, cfg):
+    """Per-gap x, y, t and p pieces of every event, each gap run on every pixel."""
+    ln = np.maximum(video.frames, INTENSITY_FLOOR)
+    np.log(ln, out=ln)
+    h, w = video.shape
+    cp, cm = cfg.per_pixel((h, w))
+    cp_f, cm_f = cp.ravel(), cm.ravel()
+    ref = ln[0].ravel().copy()
+    ys, xs = np.divmod(np.arange(h * w, dtype=np.int32 if h * w < 2**31 else np.int64), w)
+    all_x, all_y, all_t, all_p = [], [], [], []
+    for g in range(video.frame_count - 1):
+        l0, l1 = ln[g].ravel(), ln[g + 1].ravel()
+        t0, t1 = float(video.times[g]), float(video.times[g + 1])
+        rise = l1 - ref
+        n_pos = np.where(rise > 0, np.floor(rise / cp_f), 0.0).astype(np.int64)
+        n_neg = np.where(rise < 0, np.floor(rise / cm_f), 0.0).astype(np.int64)
+        for count, threshold, pol in ((n_pos, cp_f, 1), (n_neg, cm_f, -1)):
+            idx = np.flatnonzero(count > 0)
+            if idx.size == 0:
+                continue
+            reps = count[idx]
+            pix = np.repeat(idx, reps)
+            offs = np.concatenate(([0], np.cumsum(reps)))[:-1]
+            rank = np.arange(pix.shape[0]) - np.repeat(offs, reps) + 1.0
+            levels = ref[pix] + rank * threshold[pix]
+            frac = (levels - l0[pix]) / (l1[pix] - l0[pix])
+            all_x.append(xs[pix])
+            all_y.append(ys[pix])
+            all_t.append(np.clip(t0 + frac * (t1 - t0), t0, t1))
+            all_p.append(np.full(pix.shape[0], pol, dtype=np.int8))
+            ref[idx] += reps * threshold[idx]
+    return all_x, all_y, all_t, all_p
+
+
+def oracle_edi_video(blurry, events, c, times):
+    """EDI frames at ``times``, every pixel's level exponentiated at every frame."""
+    iv = events.interval
+    times = np.asarray(times, dtype=np.float64)
+    h, w = blurry.shape
+    out = np.empty((times.shape[0], h, w))
+    count = np.zeros((h, w))
+    level = np.empty((h, w))
+    order = np.argsort(times, kind="stable")
+    edges = np.r_[iv.t_start, times[order]]
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            integral = oracle_edi_factors(blurry, events, c).reshape(h, w)
+            scaled = blurry.values * iv.length
+            for i, t_a, t_b in zip(order, edges[:-1], edges[1:]):
+                count += oracle_signed_count(events, t_a, t_b, (h, w))
+                np.multiply(c, count, out=level)
+                np.exp(level, out=level)
+                np.multiply(scaled, level, out=out[i])
+                out[i] /= integral
+    except FloatingPointError:
+        raise ValueError("edi frames are not finite") from None
+    return out
+
+
+def oracle_surrogate_residuals(initial, events, c, schedule):
+    """Residuals ``initial[i] * expm1(c * count)`` on every pixel of every window."""
+    initial = np.asarray(initial, dtype=np.float64)
+    d = initial.shape[0]
+    shape = initial.shape[1:]
+    out = np.empty((d - 1,) + shape)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for i in range(d - 1):
+                counts = oracle_signed_count(events, schedule[i], schedule[i + 1], shape)
+                out[i] = initial[i] * np.expm1(c * counts)
+    except FloatingPointError:
+        raise ValueError("residuals are not finite") from None
+    return out
 
 
 def oracle_newton_coefficients(nodes, values):

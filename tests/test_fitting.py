@@ -251,8 +251,10 @@ class TestEdi:
         """Each pixel sums ((T + s1) + s2) + ... as the scatter-add does."""
         stream, shape, _ = case
         blurry = BlurryFrame(np.full(shape, 0.5), IV)
-        got = _edi_factors(blurry, stream, c)
+        got, touched = _edi_factors(blurry, stream, c)
         assert got.tobytes() == oracle_edi_factors(blurry, stream, c).tobytes()
+        ids = stream.y.astype(np.int64) * shape[1] + stream.x
+        assert np.array_equal(touched, np.bincount(ids, minlength=got.size) > 0)
 
     # 256 pixels key on uint8, 257 and 65,536 on uint16, 70,000 on uint32
     @pytest.mark.parametrize("shape", [(16, 16), (1, 257), (256, 256), (1, 70000)],
@@ -267,8 +269,9 @@ class TestEdi:
         stream = EventStream(ids % w, ids // w, np.sort(rng.uniform(IV.t_start, IV.t_end, k)),
                              rng.choice([-1, 1], k), IV)
         blurry = BlurryFrame(np.full(shape, 0.5), IV)
-        got = _edi_factors(blurry, stream, 0.3)
+        got, touched = _edi_factors(blurry, stream, 0.3)
         assert got.tobytes() == oracle_edi_factors(blurry, stream, 0.3).tobytes()
+        assert np.array_equal(touched, np.bincount(ids, minlength=h * w) > 0)
 
     def test_invalid_inputs(self):
         blurry = BlurryFrame(np.full((2, 2), 0.5), IV)
