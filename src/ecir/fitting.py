@@ -25,7 +25,7 @@ forms the tests keep as oracles. The frames are exponentiated only on the
 pixels that hold events, which the normalizer's groups already give: a
 pixel without events keeps a count of 0, and exp(c * 0) is 1, so its frame
 is ``scaled / integral`` at every time, computed once. With events on every
-pixel the index is a full slice, and each frame is computed in place.
+pixel the index is a full slice, a view, so nothing is gathered.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import numpy as np
 
 from .representation import PolyGrid, horner
 from .simulation import window_counts
-from .types import BlurryFrame, EventStream, SharpVideo, active_columns, key_groups
+from .types import BlurryFrame, EventStream, SharpVideo, _active_columns, key_groups
 
 __all__ = ["fit_polys", "edi_reconstruct", "edi_video"]
 
@@ -209,27 +209,23 @@ def edi_video(
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             integral, touched = _edi_factors(blurry, events, c)
             scaled = blurry.values.reshape(h * w) * iv.length
-            cols = active_columns(touched)
-            dense = isinstance(cols, slice)
-            if not dense:
-                if frames.size:
-                    # an event-free pixel's count stays 0 and exp(c * 0) is 1,
-                    # so its frame is scaled / integral at every time
-                    quiet = np.zeros(h * w)
-                    np.divide(scaled, integral, out=quiet, where=~touched)
-                    frames[:] = quiet
-                scaled, integral = scaled[cols], integral[cols]
+            if frames.size:
+                # an event-free pixel's count stays 0 and exp(c * 0) is 1,
+                # so its frame is scaled / integral at every time
+                quiet = np.zeros(h * w)
+                np.divide(scaled, integral, out=quiet, where=~touched)
+                frames[:] = quiet
+            cols = _active_columns(touched)
+            scaled, integral = scaled[cols], integral[cols]
             count = np.zeros(integral.shape)
             level = np.empty(integral.shape)
             for i, window in zip(order, windows):
                 count += window.reshape(h * w)[cols]
                 np.multiply(c, count, out=level)
                 np.exp(level, out=level)
-                frame = frames[i] if dense else level
-                np.multiply(scaled, level, out=frame)
-                frame /= integral
-                if not dense:
-                    frames[i, cols] = frame
+                np.multiply(scaled, level, out=level)
+                level /= integral
+                frames[i, cols] = level
     except FloatingPointError:
         raise ValueError(
             f"edi frames are not finite at c={c}: exp(c * signed count) overflows"

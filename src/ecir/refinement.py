@@ -20,8 +20,8 @@ overflows.
 first, and exponentiates only the pixels whose count is nonzero in some
 window. Every other pixel has expm1(c * 0) = 0.0 in every window, so its
 residual is ``initial[i] * 0.0``: the product, not a literal 0, keeps the
-sign of zero. With such a count on every pixel the index is a full slice
-and each window is computed in place.
+sign of zero. With such a count on every pixel the index is a full slice,
+a view, so nothing is gathered.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .simulation import window_counts
-from .types import EventStream, active_columns
+from .types import EventStream, _active_columns
 
 __all__ = [
     "DivergenceError",
@@ -138,24 +138,20 @@ def surrogate_residuals(
     out = np.empty((d - 1,) + shape)
     # every window's counts first, in the output's rows, and the pixels
     # whose count is nonzero in some window
-    rows = out.reshape(d - 1, -1)
+    rows = out.reshape(d - 1, math.prod(shape))
     moved = np.zeros(rows.shape[1], dtype=bool)
     for row, counts in zip(rows, window_counts(events, schedule, shape)):
         row[:] = counts.reshape(-1)
         np.logical_or(moved, row, out=moved)
-    cols = active_columns(moved)
-    dense = isinstance(cols, slice)
+    cols = _active_columns(moved)
     # off the active columns every count is 0, and expm1(c * 0) is 0.0
-    level = None if dense else np.zeros(rows.shape[1])
+    level = np.zeros(rows.shape[1])
     try:
         # with a finite c and finite frames, these flags are set only when
         # exp(c * signed count) overflows
         with np.errstate(over="raise", invalid="raise"):
             for i, row in enumerate(rows):
-                if dense:
-                    level = np.expm1(np.multiply(c, row, out=row), out=row)
-                else:
-                    level[cols] = np.expm1(c * row[cols])
+                level[cols] = np.expm1(c * row[cols])
                 np.multiply(initial[i].reshape(-1), level, out=row)
     except FloatingPointError:
         raise ValueError(

@@ -20,10 +20,13 @@ pixels that can have events. A pixel's reference level is ``ln[0]`` until
 it fires, and rounded subtraction and division by a threshold are
 monotone, so the pixel ever fires iff ``(max_g ln - ln[0]) / c+ >= 1`` or
 ``(min_g ln - ln[0]) / c- >= 1``, in the float operations of the gap loop
-(``floor(x) >= 1`` exactly when ``x >= 1``). :func:`simulate_events` takes
-the log of the frames and runs its gaps only on the columns of the pixels
-that fire, in pixel order, so its pieces are the full grid's. When every
-pixel fires the index is a full slice and nothing is gathered.
+(``floor(x) >= 1`` exactly when ``x >= 1``). :func:`simulate_events`
+applies that test, with a margin far above the error of ``np.log``, to
+three logs a pixel, and runs its gaps only on the columns that pass, in
+pixel order. Every pixel that fires passes; one that passes but never fires
+counts 0 in every gap, emits nothing and keeps its reference, so the pieces
+are the full grid's. When every pixel passes the index is a full slice and
+nothing is gathered.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .types import EventStream, ExposureInterval, BlurryFrame, SharpVideo, active_columns
+from .types import EventStream, ExposureInterval, BlurryFrame, SharpVideo, _active_columns
 
 __all__ = [
     "ThresholdConfig",
@@ -151,13 +154,13 @@ def simulate_events(video: SharpVideo, cfg: ThresholdConfig) -> EventStream:
 def _crossings(video: SharpVideo, cfg: ThresholdConfig) -> tuple[list, list, list, list]:
     """Per-gap x, y, t and p pieces of every event, in gap order.
 
-    The gaps run on the columns of the pixels that fire (see
-    :func:`_firing`), in pixel order, so every piece is the full grid's.
+    The gaps run on the columns of the pixels that may fire (see
+    :func:`_may_fire`), in pixel order, so every piece is the full grid's.
     """
     h, w = video.shape
     cp, cm = cfg.per_pixel((h, w))
-    cols, ln, cp_f, cm_f = _firing(video.frames.reshape(video.frame_count, h * w),
-                                   cp.ravel(), cm.ravel())
+    cols, ln, cp_f, cm_f = _may_fire(video.frames.reshape(video.frame_count, h * w),
+                                     cp.ravel(), cm.ravel())
 
     # each pixel's reference log level, reset to the crossed level on each event
     ref = ln[0].copy()
@@ -192,8 +195,8 @@ def _crossings(video: SharpVideo, cfg: ThresholdConfig) -> tuple[list, list, lis
 _LOG_SLACK = 1e-9
 
 
-def _firing(frames: np.ndarray, cp: np.ndarray, cm: np.ndarray):
-    """The columns of a (k, pixels) intensity stack whose pixels ever fire.
+def _may_fire(frames: np.ndarray, cp: np.ndarray, cm: np.ndarray):
+    """The columns of a (k, pixels) intensity stack whose pixels may fire.
 
     Returns the columns (indices, or a full slice), their (k, columns) log
     stack and their thresholds.
@@ -202,15 +205,14 @@ def _firing(frames: np.ndarray, cp: np.ndarray, cm: np.ndarray):
     at frame g fires it up iff floor((ln[g] - ln[0]) / cp) >= 1, that is iff
     (ln[g] - ln[0]) / cp >= 1. Rounded subtraction and division by cp > 0
     are monotone, so the largest such quotient is at the highest level: the
-    pixel fires up iff (max_g ln - ln[0]) / cp >= 1, in the gap loop's own
-    float operations. Division by cm < 0 reverses the order: it fires down
-    iff (min_g ln - ln[0]) / cm >= 1.
+    pixel fires up iff (max_g ln - ln[0]) / cp >= 1. Division by cm < 0
+    reverses the order: it fires down iff (min_g ln - ln[0]) / cm >= 1.
 
-    That exact test needs the log stack, so it runs on candidates only. The
-    floor commutes with max and min, so three logs a pixel give its first,
-    highest and lowest log level to within the error of np.log, which is far
-    below ``_LOG_SLACK``: a pixel that fires comes within the slack of a
-    threshold, and every such pixel is a candidate.
+    Three logs a pixel give its first, highest and lowest log level to
+    within the error of np.log, far below ``_LOG_SLACK``, so every pixel
+    that fires comes within the slack of a threshold and is kept. A kept
+    pixel that never fires counts 0 in every gap, emits nothing and keeps
+    its reference, so the gap loop is itself the exact test.
     """
     first = np.log(np.maximum(frames[0], INTENSITY_FLOOR))
     top = np.log(np.maximum(frames.max(axis=0), INTENSITY_FLOOR))
@@ -219,22 +221,10 @@ def _firing(frames: np.ndarray, cp: np.ndarray, cm: np.ndarray):
     bottom -= first
     near = top >= cp - _LOG_SLACK * (1.0 + cp)
     near |= bottom <= cm + _LOG_SLACK * (1.0 - cm)
-    cols = active_columns(near)
+    cols = _active_columns(near)
     ln = np.maximum(frames[:, cols], INTENSITY_FLOOR)
     np.log(ln, out=ln)
-    cp, cm = cp[cols], cm[cols]
-    up = ln.max(axis=0)
-    up -= ln[0]
-    up /= cp
-    down = ln.min(axis=0)
-    down -= ln[0]
-    down /= cm
-    fires = (up >= 1.0) | (down >= 1.0)
-    if not fires.all():
-        keep = np.flatnonzero(fires)
-        ln, cp, cm = ln[:, keep], cp[keep], cm[keep]
-        cols = keep if isinstance(cols, slice) else cols[keep]
-    return cols, ln, cp, cm
+    return cols, ln, cp[cols], cm[cols]
 
 
 def _join(pieces: list) -> np.ndarray:

@@ -20,7 +20,6 @@ __all__ = [
     "BlurryFrame",
     "SharpVideo",
     "key_groups",
-    "active_columns",
 ]
 
 _INT32 = np.iinfo(np.int32)
@@ -172,7 +171,7 @@ def key_groups(keys: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray, np.nda
     return order, end - counts, end
 
 
-def active_columns(mask: np.ndarray) -> np.ndarray | slice:
+def _active_columns(mask: np.ndarray) -> np.ndarray | slice:
     """Indices of ``mask``'s true entries, or ``slice(None)`` when all are true.
 
     Indexing with the full slice is a view, so a kernel restricted to the

@@ -20,12 +20,13 @@ from ecir import (
     SharpVideo,
     ThresholdConfig,
     edi_video,
+    refine,
     simulate_events,
     surrogate_residuals,
 )
 from ecir import simulation
 from ecir.simulation import INTENSITY_FLOOR, _crossings, _event_order
-from ecir.types import active_columns
+from ecir.types import _active_columns
 
 from oracles import IV, oracle_crossings, oracle_edi_video, oracle_surrogate_residuals
 
@@ -151,7 +152,11 @@ def log_step_video(second):
 
 @pytest.mark.parametrize("ulps_short, events", [(0, 1), (1, 0)], ids=["exactly_c_plus", "ulp_short"])
 def test_rise_on_the_threshold(monkeypatch, ulps_short, events):
-    """A log rise of exactly c_plus (ratio 1.0) fires once; one a ulp short never does."""
+    """A log rise of exactly c_plus (ratio 1.0) fires once; one a ulp short never does.
+
+    Both rises come within the candidates' margin, so the gap kernel sees the
+    stepping pixel either way and its own counts decide.
+    """
     video = log_step_video(1.5)
     ln = np.log(np.maximum(video.frames, INTENSITY_FLOOR))
     c_plus = float(ln[1, 0, 0] - ln[0, 0, 0])  # the rise, as the simulator forms it
@@ -163,7 +168,7 @@ def test_rise_on_the_threshold(monkeypatch, ulps_short, events):
     for a, b in zip(got, oracle_crossings(video, cfg)):
         same_pieces(a, b)
     assert sum(piece.shape[0] for piece in got[0]) == events
-    assert shapes == [{(events,)}, {(events,)}]
+    assert shapes == [{(1,)}, {(1,)}]
 
 
 def test_pixel_crossing_only_downward(monkeypatch):
@@ -218,11 +223,12 @@ def test_edi_video_matches_full_grid_oracle(case, c, data):
 @settings(max_examples=300, deadline=None)
 @given(case=sparse_streams(), c=st.floats(0.01, 2.0), data=st.data())
 def test_surrogate_residuals_match_full_grid_oracle(case, c, data):
-    """Frames hold negative values, 0.0 and -0.0; an event-free pixel keeps its zero's sign."""
+    """Frames hold negative values, 0.0 and -0.0; an event-free pixel keeps its zero's sign.
+
+    A one-entry schedule gives an empty (0, h, w) stack.
+    """
     stream, shape, pool = case
-    schedule = np.unique(data.draw(st.lists(st.sampled_from(list(pool)), min_size=2, max_size=6)))
-    if schedule.shape[0] < 2:
-        schedule = np.array([IV.t_start, IV.t_end])
+    schedule = np.unique(data.draw(st.lists(st.sampled_from(list(pool)), min_size=1, max_size=6)))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     initial = rng.uniform(-1.0, 1.0, (schedule.shape[0],) + shape)
     initial[rng.random(initial.shape) < 0.2] = -0.0
@@ -256,6 +262,12 @@ def one_busy_pixel(h=3, w=4, y=1, x=2, k=3):
     return EventStream(np.full(k, x), np.full(k, y), t, np.ones(k, dtype=int), IV), (h, w)
 
 
+def test_refine_on_one_frame_stops_at_the_frame_count():
+    stream, shape = one_busy_pixel()
+    with pytest.raises(ValueError, match="need at least 2 frames"):
+        refine(np.full((1,) + shape, 0.5), stream, 0.2, np.array([0.0]))
+
+
 class TestOverflowOnATouchedPixel:
     C = 400.0  # exp(400 * 3) overflows; exp(400 * 0) on the quiet pixels does not
 
@@ -279,14 +291,14 @@ class TestOverflowOnATouchedPixel:
 class TestActiveColumns:
     def test_every_column_is_the_full_slice(self):
         mask = np.ones(6, dtype=bool)
-        cols = active_columns(mask)
+        cols = _active_columns(mask)
         assert cols == slice(None)
         data = np.arange(6.0)
         assert np.shares_memory(data[cols], data)
 
     def test_some_columns_are_their_indices(self):
-        cols = active_columns(np.array([False, True, False, True]))
+        cols = _active_columns(np.array([False, True, False, True]))
         assert np.array_equal(cols, [1, 3])
 
     def test_no_column(self):
-        assert active_columns(np.zeros(3, dtype=bool)).size == 0
+        assert _active_columns(np.zeros(3, dtype=bool)).size == 0
