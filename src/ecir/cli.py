@@ -41,7 +41,9 @@ DEFAULT_EXPOSURE_MS = 120.0
 DEFAULT_KEYPOINTS = 10
 DEFAULT_FRAME_COUNT = 14
 # fewest pixels a part of eval scores (see _parts), counted as frame pairs
-# times the pixels of the first predicted frame: 4 pairs of 180x240. Median ms of in-process evals of the first n
+# times the pixels of the first predicted frame: 4 pairs of 180x240. The
+# timings below were measured with a five-filter SSIM, before a pair's SSIM
+# fell from about 5 to 4 ms. Median ms of in-process evals of the first n
 # frame_heavy pairs (180x240 .f32, 2 vCPU, 41 alternating calls a side, one
 # part -> two parts): n=2: 16.7 -> 16.2; 3: 24.4 -> 24.3; 4: 30.7 -> 24.3;
 # 8: 56.2 -> 40.1; 16: 107.1 -> 65.4. In some rounds a split of 2 to 6 pairs
@@ -50,6 +52,12 @@ DEFAULT_FRAME_COUNT = 14
 # floor is in pixels: 8 pairs took 8.9 -> 15.7 ms at 16x20 and 16.1 -> 24.8
 # at 90x120.
 EVAL_PART_PIXELS = 4 * 180 * 240
+# bytes of the float64 block of frames render runs one Horner pass over: 4
+# frames of 180x240. Median ms of 64 frames of a 180x240 n=10 grid, each cast
+# to float32 as the writer does (2 vCPU, 15 alternating rounds): a (64, h, w)
+# stack, one frame at a time, 26.8; blocks of 1: 24.9, 2: 20.5, 4: 18.7,
+# 8: 27.2, 16: 28.5. A block past the cache loses more than the pass saves.
+RENDER_BLOCK_BYTES = 4 * 180 * 240 * 8
 # one frame's (mse, psnr, ssim) as a forked part sends it: exact float64s
 _EVAL_RECORD = struct.Struct("<3d")
 
@@ -190,6 +198,19 @@ def cmd_fit(args) -> int:
     return 0
 
 
+def _rendered(grid, times: np.ndarray):
+    """The frames at ``times``, one at a time, each block of frames one Horner pass.
+
+    A (G, 1, 1) block of times broadcasts against the grid's planes, and every
+    element gets the multiply-adds a one-frame call gives it, so the frames
+    are bitwise the per-frame ones.
+    """
+    h, w = grid.shape
+    block = max(1, RENDER_BLOCK_BYTES // max(8 * h * w, 1))
+    for lo in range(0, times.shape[0], block):
+        yield from grid.intensity_at(times[lo : lo + block, None, None])
+
+
 def cmd_render(args) -> int:
     manifest = _manifest_of(args)
     grid = io.load_polys(args.polys)
@@ -200,10 +221,7 @@ def cmd_render(args) -> int:
         times = grid.interval.uniform_times(count)
     if not grid.interval.contains(times):
         raise ValueError("render timestamps fall outside the fitted exposure interval")
-    frames = np.empty((times.shape[0], *grid.shape))
-    for i, t in enumerate(times):
-        frames[i] = grid.intensity_at(t)
-    io.write_video_dir(args.out, times, frames, fmt=args.format)
+    io.write_video_dir(args.out, times, _rendered(grid, times), fmt=args.format)
     print(f"render: {times.shape[0]} frames -> {args.out}")
     return 0
 

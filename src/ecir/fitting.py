@@ -4,11 +4,12 @@
 blurry frame, it recovers each pixel's intensity polynomial. The solve runs
 once for the whole image because the sample timestamps are shared: the
 intensity curve is linear in the derivative's monomial coefficients plus a
-constant, so a single ridge-regularized normal-equation system with one
-right-hand side per pixel covers the grid. Derivative values at each pixel's
-keypoints are then read off the fitted derivative, which reproduces the same
-polynomial exactly, and the constant is re-solved so the blur constraint
-holds to machine accuracy rather than in the least-squares sense.
+constant, so one ridge operator, the (n+1) x k solution of the regularized
+normal equations against the design's transpose, maps the k frames to every
+pixel's coefficients in a single matrix product. Derivative values at each
+pixel's keypoints are then read off the fitted derivative, which reproduces
+the same polynomial exactly, and the constant is re-solved so the blur
+constraint holds to machine accuracy rather than in the least-squares sense.
 
 ``edi_video`` is the event-only analytic baseline: intensity follows
 exp(c * signed event count) from an unknown starting level, and the blurry
@@ -96,9 +97,10 @@ def fit_polys(video: SharpVideo, keypoints: np.ndarray, blurry: BlurryFrame) -> 
             stacklevel=2,
         )
 
-    rhs = design.T @ video.frames.reshape(video.frame_count, -1)
-    theta = np.linalg.solve(gram, rhs)  # (n+1, pixels)
-    del rhs
+    # the ridge operator (n+1, k), formed once: a triangular solve against
+    # one right-hand side per pixel is slow on that many columns, one GEMM is not
+    operator = np.linalg.solve(gram, design.T)
+    theta = operator @ video.frames.reshape(video.frame_count, -1)  # (n+1, pixels)
     theta /= col_norms[:, None]
     # the product in the layout it always had (a GEMM rounds by layout), then
     # its transpose: the planes (n, h, w) of each derivative's coefficients

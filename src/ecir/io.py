@@ -545,21 +545,30 @@ def read_video_dir(path, interval: ExposureInterval | None = None) -> SharpVideo
     return SharpVideo(np.array(times), frames, interval)
 
 
-def write_video_dir(path, times: np.ndarray, frames: np.ndarray, fmt: str = "f32") -> None:
+def write_video_dir(path, times: np.ndarray, frames, fmt: str = "f32") -> None:
     """Write ``frame_NNNNN.<fmt>`` files and ``timestamps.txt`` into ``path``.
 
-    Any other frame file there, one :func:`list_frames` would read, is then
-    deleted, so the directory reads back as exactly this video.
+    ``frames`` is a stack or any iterable of 2-d frames, such as a generator,
+    one per entry of ``times``. ``timestamps.txt`` is removed before the
+    first frame is written and written after the last, so a write that
+    fails part way leaves a directory :func:`read_video_dir` refuses, not a
+    mix of new and old frames. Any other frame file there, one
+    :func:`list_frames` would read, is deleted once every frame is written,
+    so the directory reads back as exactly this video.
     """
     directory = Path(path)
     directory.mkdir(parents=True, exist_ok=True)
     if fmt not in ("f32", "pgm"):
         raise ValueError("fmt must be 'f32' or 'pgm'")
+    (directory / TIMESTAMPS_FILE).unlink(missing_ok=True)
     written = set()
-    for i, frame in enumerate(frames):
-        name = f"frame_{i:05d}.{fmt}"
+    for frame in frames:
+        name = f"frame_{len(written):05d}.{fmt}"
         write_frame(directory / name, frame)
         written.add(name)
+        # a generator may build its next frames while the loop would still
+        # hold this one, and with it the block it is a view of
+        del frame
     for stale in _frame_paths(directory):
         if stale.name not in written:
             stale.unlink()

@@ -5,13 +5,18 @@ inputs is bitwise reproducible.
 
 SSIM follows Wang et al. (IEEE TIP 2004) with the 11x11 Gaussian window.
 That window is the outer product of one normalized 1-d Gaussian, so each
-local mean is filtered along rows and then along columns, one shifted
-multiply-add per tap, without materializing the 11x11 patches. Local
-moments are taken of each frame minus its mean, which leaves them
-unchanged in exact arithmetic. The sums run in a different order than a
-direct 2-d window product; ``ssim`` agrees with the direct form to within
-1e-12 on non-constant frames and with the closed form to within 1e-12 on
-constant ones, the tolerances its tests pin.
+local mean is filtered along columns and then along rows, one shifted
+multiply-add per tap, without materializing the 11x11 patches. Both passes
+run over the flat, C-ordered frame: the column pass shifts by whole rows,
+the row pass by single pixels, and the sums that wrap into the next row are
+cut off. The index reads the two local variances only as their sum, so four
+filters cover it: the means of the two frames, of the sum of their squares
+and of their product. Local moments are taken of each frame minus its mean,
+which leaves them unchanged in exact arithmetic. The sums run in a
+different order than a direct 2-d window product; ``ssim`` agrees with the
+direct form to within 1e-12 on non-constant frames and with the closed form
+to within 1e-12 on constant ones, the tolerances its tests pin, and gives
+the same value for a frame in any memory layout.
 """
 
 from __future__ import annotations
@@ -91,17 +96,25 @@ def _gaussian_taps() -> np.ndarray:
 
 
 def _windowed_mean(img: np.ndarray, taps: np.ndarray) -> np.ndarray:
-    """Gaussian-weighted mean of every full window: rows first, then columns."""
+    """Gaussian-weighted mean of every full window of a C-ordered frame.
+
+    The column pass shifts the flat frame by whole rows; the row pass shifts
+    that flat result by single pixels, so the last k - 1 sums of each row
+    wrap into the next row, and they are cut off.
+    """
     k = taps.shape[0]
-    w = img.shape[1] - k + 1
-    rows = taps[0] * img[:, :w]
-    for j in range(1, k):
-        rows += taps[j] * img[:, j : j + w]
-    h = img.shape[0] - k + 1
-    out = taps[0] * rows[:h]
+    rows, cols = img.shape
+    flat = img.ravel()
+    span = (rows - k + 1) * cols  # the column pass's output, flat
+    vert = taps[0] * flat[:span]
     for i in range(1, k):
-        out += taps[i] * rows[i : i + h]
-    return out
+        vert += taps[i] * flat[i * cols : i * cols + span]
+    out = np.empty(span)
+    n = span - (k - 1)
+    np.multiply(taps[0], vert[:n], out=out[:n])
+    for j in range(1, k):
+        out[:n] += taps[j] * vert[j : j + n]
+    return out.reshape(rows - k + 1, cols)[:, : cols - k + 1]
 
 
 def ssim(a: np.ndarray, b: np.ndarray) -> float:
@@ -114,6 +127,8 @@ def ssim(a: np.ndarray, b: np.ndarray) -> float:
     a, b = _check_shapes(a, b)
     if a.ndim != 2 or min(a.shape) < SSIM_WINDOW:
         raise ValueError(f"frames must be 2-d with min dimension >= {SSIM_WINDOW}")
+    # every layout reduces and filters in the same order as a C-ordered frame
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
     taps = _gaussian_taps()
     # moments of frames centered on their means: E[x^2] - E[x]^2 then cancels
     # on the deviations, not on the intensities, which c2 would amplify ~1e3x
@@ -121,15 +136,17 @@ def ssim(a: np.ndarray, b: np.ndarray) -> float:
     da, db = a - shift_a, b - shift_b
     dmu_a = _windowed_mean(da, taps)
     dmu_b = _windowed_mean(db, taps)
-    var_a = _windowed_mean(da * da, taps) - dmu_a * dmu_a
-    var_b = _windowed_mean(db * db, taps) - dmu_b * dmu_b
+    squares = da * da
+    squares += db * db
+    # var_a + var_b, the only way the index reads the two variances
+    var_sum = _windowed_mean(squares, taps) - dmu_a * dmu_a - dmu_b * dmu_b
     cov = _windowed_mean(da * db, taps) - dmu_a * dmu_b
     mu_a = dmu_a + shift_a
     mu_b = dmu_b + shift_b
     c1 = SSIM_K1 * SSIM_K1
     c2 = SSIM_K2 * SSIM_K2
     s = ((2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)) / (
-        (mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2)
+        (mu_a * mu_a + mu_b * mu_b + c1) * (var_sum + c2)
     )
     return float(np.mean(s))
 

@@ -280,7 +280,7 @@ class PolyGrid:
     ``constants``, it holds the first two as contiguous (n, h, w) planes;
     ``keypoints``, ``derivatives`` and :meth:`primitive_coefficients` are
     (h, w, ...) views. Its one cache is the primitive's (n+1, h, w) planes,
-    built on first use, which rendering evaluates in place.
+    built on first use, which rendering evaluates in blocks of frames.
     """
 
     def __init__(self, keypoints, derivatives, constants, interval, fit_warning=False):
@@ -322,8 +322,12 @@ class PolyGrid:
             )
         return np.moveaxis(self._primitive, 0, -1)
 
-    def intensity_at(self, t: float) -> np.ndarray:
-        """Latent frame at ``t``, unclamped: Horner in place on the cached planes."""
+    def intensity_at(self, t) -> np.ndarray:
+        """Latent frame at ``t``, unclamped: Horner on the cached planes.
+
+        An array of times broadcasts against the (h, w) planes: a (G, 1, 1)
+        block gives G frames, each bitwise the frame of its one time.
+        """
         return horner(self.primitive_coefficients(), self.interval.normalize(t))
 
     def blur(self) -> np.ndarray:

@@ -237,18 +237,18 @@ def _join(pieces: list) -> np.ndarray:
 def _event_order(t, y, x, p) -> np.ndarray:
     """The stable permutation that sorts events by (t, y, x, p).
 
-    A stable sort on t alone leaves each run of equal timestamps in input
-    order; sorting those runs again by the full key gives the same
-    permutation as one lexicographic sort over every event, at the cost of
-    the (few) tied events only.
+    numpy's default sort on t alone is fast but not stable, so each run of
+    equal timestamps is sorted again by (t, y, x, p, original index). That
+    gives the same permutation as one stable lexicographic sort over every
+    event, at the cost of the (few) tied events only.
     """
-    order = np.argsort(t, kind="stable")
+    order = np.argsort(t)
     ts = t[order]
     tied = np.flatnonzero(ts[1:] == ts[:-1])
     if tied.size:
         at = np.union1d(tied, tied + 1)  # positions inside runs of equal t
-        run = order[at]  # ascending within each run, so ties stay stable
-        order[at] = run[np.lexsort((p[run], x[run], y[run], ts[at]))]
+        run = order[at]
+        order[at] = run[np.lexsort((run, p[run], x[run], y[run], ts[at]))]
     return order
 
 

@@ -7,13 +7,18 @@ arithmetic on every pixel, where the library runs it only on the pixels
 that fire or hold events. The polynomial oracles are the last-axis (..., n)
 forms of the kernels the library runs on (n, ...) planes: each step slices
 the last axis, with a stride of n elements. The tests hold the library to
-these bit for bit.
+these bit for bit. The frame-kernel oracles are forms the library computed
+before, and the tests hold it to them within named tolerances: SSIM's
+five windowed means of 2-d patches, and the ridge fit's solve against one
+right-hand side per pixel.
 """
 
 import numpy as np
 from hypothesis import strategies as st
 
-from ecir import EventStream, ExposureInterval
+from ecir import EventStream, ExposureInterval, PolyGrid
+from ecir.fitting import RIDGE
+from ecir.metrics import SSIM_K1, SSIM_K2, SSIM_SIGMA, SSIM_WINDOW
 from ecir.simulation import INTENSITY_FLOOR
 
 IV = ExposureInterval(-0.06, 0.06)
@@ -216,3 +221,65 @@ def oracle_primitive(interval, keypoints, derivatives, constants):
     coeffs = oracle_antiderivative_coeffs(mono, interval.length / 2.0)
     coeffs[..., 0] += constants
     return coeffs
+
+
+def oracle_fit_polys(video, keypoints, blurry):
+    """``fit_polys`` in its two-step form: the normal equations' right-hand
+    sides for every pixel, then one ``np.linalg.solve`` against all of them."""
+    h, w = video.shape
+    keypoints = np.asarray(keypoints, dtype=np.float64)
+    if keypoints.ndim == 1:
+        keypoints = np.broadcast_to(keypoints, (h, w, keypoints.shape[0]))
+    n = keypoints.shape[2]
+    interval = video.interval
+    tau = interval.normalize(video.times)
+    design = np.empty((tau.shape[0], n + 1))
+    leg_to_mono = np.zeros((n, n))
+    for j in range(n):
+        unit = np.zeros(j + 1)
+        unit[j] = 1.0
+        design[:, j] = np.polynomial.legendre.legval(tau, np.polynomial.legendre.legint(unit))
+        leg_to_mono[j, : j + 1] = np.polynomial.legendre.leg2poly(unit)
+    design[:, :n] -= design[:, :n].mean(axis=0)
+    design[:, n] = 1.0
+    col_norms = np.linalg.norm(design, axis=0)
+    degenerate = col_norms == 0.0
+    col_norms[degenerate] = 1.0
+    design = design / col_norms
+    gram = design.T @ design + RIDGE * np.eye(n + 1)
+    warn = np.linalg.matrix_rank(design) < n + 1 or bool(np.any(degenerate))
+
+    rhs = design.T @ video.frames.reshape(video.frame_count, -1)
+    theta = np.linalg.solve(gram, rhs) / col_norms[:, None]
+    deriv_mono = ((theta[:n].T / (interval.length / 2.0)) @ leg_to_mono).T.reshape(n, h, w)
+    nodes = interval.normalize(np.moveaxis(keypoints, -1, 0))
+    derivs = oracle_horner(np.moveaxis(deriv_mono[:, None], 0, -1), nodes)  # (n, h, w)
+    grid = PolyGrid(keypoints, np.moveaxis(derivs, 0, -1), np.zeros((h, w)), interval,
+                    fit_warning=warn)
+    return grid.with_constants_from_blur(blurry.values)
+
+
+def oracle_ssim_2d(a, b):
+    """SSIM in its 2-d window form: every 11x11 patch contracted with the outer-product
+    window, five windowed means."""
+    half = (SSIM_WINDOW - 1) / 2.0
+    x = np.arange(SSIM_WINDOW) - half
+    g = np.exp(-(x * x) / (2.0 * SSIM_SIGMA * SSIM_SIGMA))
+    win = np.outer(g, g)
+    win = win / win.sum()
+
+    def windowed_mean(img):
+        views = np.lib.stride_tricks.sliding_window_view(img, win.shape)
+        return np.tensordot(views, win, axes=([2, 3], [0, 1]))
+
+    mu_a = windowed_mean(a)
+    mu_b = windowed_mean(b)
+    var_a = windowed_mean(a * a) - mu_a * mu_a
+    var_b = windowed_mean(b * b) - mu_b * mu_b
+    cov = windowed_mean(a * b) - mu_a * mu_b
+    c1 = SSIM_K1 * SSIM_K1
+    c2 = SSIM_K2 * SSIM_K2
+    s = ((2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)) / (
+        (mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2)
+    )
+    return float(np.mean(s))

@@ -7,6 +7,7 @@ import struct
 import sys
 import time
 import warnings
+import weakref
 import zipfile
 from contextlib import contextmanager
 from pathlib import Path
@@ -801,6 +802,36 @@ class TestVideoDirs:
         # files that are not frames stay
         assert (d / "notes.txt").read_text() == "kept\n"
         assert (d / "notes").is_dir()
+
+    def test_rewrite_failing_part_way_does_not_read_back(self, tmp_path):
+        d = tmp_path / "vid"
+        write_video_dir(d, np.linspace(0.0, 0.1, 6), np.full((6, 2, 3), 0.25))
+
+        def frames():
+            yield from np.full((3, 2, 3), 0.5)
+            raise RuntimeError("frame 3 failed")
+
+        with pytest.raises(RuntimeError, match="frame 3 failed"):
+            write_video_dir(d, np.linspace(0.0, 0.1, 6), frames())
+        # three new frames and three old ones, but no video
+        assert len(list_frames(d)) == 6
+        with pytest.raises(FileNotFoundError, match="missing timestamps.txt"):
+            read_video_dir(d)
+
+    def test_no_frame_held_while_the_next_is_made(self, tmp_path):
+        refs = []
+
+        def frames():
+            for i in range(3):
+                # the writer has let go of every frame it was given
+                assert all(ref() is None for ref in refs)
+                frame = np.full((2, 3), i / 4)
+                refs.append(weakref.ref(frame))
+                yield frame
+                del frame
+
+        write_video_dir(tmp_path / "vid", np.arange(3.0), frames())
+        assert len(list_frames(tmp_path / "vid")) == 3
 
 
 class TestPolyFiles:

@@ -5,9 +5,10 @@ Each test runs one function on a fixed seeded scene and reads, with
 memory above the heap at the call. Per-event paths are held to bytes per
 event, per-frame paths to frame stacks, where a stack is the scene's
 float64 frames, and per-pixel polynomial paths to "planes" of one (h, w, n)
-float64 array each (n of the (h, w) planes a grid holds). A budget is the
-value measured when it was set plus 25% for numpy-version drift, below
-every value measured before, so a change that brings back a wide
+float64 array each (n of the (h, w) planes a grid holds); the render
+command is also held to the same peak whatever its frame count. A budget
+is the value measured when it was set plus 25% for numpy-version drift,
+below every value measured before, so a change that brings back a wide
 per-event temporary or a second stack fails here.
 """
 
@@ -29,10 +30,11 @@ from ecir import (
     simulate_events,
     synthesize_blur,
 )
-from ecir.io import read_events, read_video_dir, write_events, write_video_dir
+from ecir.cli import RENDER_BLOCK_BYTES, build_parser, cmd_render
+from ecir.io import read_events, read_video_dir, save_polys, write_events, write_video_dir
 from ecir.representation import antiderivative_coeffs
 
-from scenes import random_monomial_scene, render_scene
+from scenes import random_monomial_scene, random_poly_grid, render_scene
 
 IV = ExposureInterval(0.0, 0.12)
 H, W, FRAMES = 48, 64, 32
@@ -67,6 +69,10 @@ MEASURED = {
     # twice, as (h, w, k) and as (k, h, w), and its kernels sliced the last
     # axis into temporaries.
     "render": 3.31,
+    # the render command on a 180x240 grid (n = 10), in planes of that grid,
+    # at every --count from 1 to 64: loading the grid and building the
+    # primitive's planes. Before: 11.60 at --count 64, when it stacked the frames.
+    "render_command": 5.22,
 }
 
 
@@ -164,6 +170,22 @@ def test_grid_holds_one_coefficient_cache(scene):
     # primitive's n+1 planes, once
     assert sum(a.nbytes for a in held) == (2 * N + 1 + (N + 1)) * H * W * 8
     assert np.shares_memory(grid.primitive_coefficients(), grid.primitive_coefficients())
+
+
+def test_render_command_flat_in_frame_count(tmp_path, capsys):
+    # the bench's frame, on which a block of RENDER_BLOCK_BYTES is 4 frames
+    h, w = 180, 240
+    frame, plane = h * w * 8, h * w * N * 8
+    save_polys(tmp_path / "polys.npz", random_poly_grid(np.random.default_rng(2029), h, w, N, IV))
+    peaks = {}
+    for count in (1, 4, 14, 64):
+        args = build_parser().parse_args(["render", "--polys", str(tmp_path / "polys.npz"),
+                                          "--count", str(count), "--out", str(tmp_path / "pred")])
+        _, peaks[count] = traced_peak(cmd_render, args)
+    for count, peak in peaks.items():
+        assert peak / plane <= MARGIN * MEASURED["render_command"], count
+        # one block and the frame being written above a one-frame render
+        assert peak - peaks[1] <= RENDER_BLOCK_BYTES + frame, count
 
 
 def test_antiderivative_coeffs_in_place():
