@@ -97,7 +97,7 @@ def test_ssim_on_window_sized_and_bench_frames(shape):
     a = rng.uniform(0, 1, shape)
     b = np.clip(a + rng.normal(0, 0.05, shape), 0, 1)
     assert abs(ssim(a, b) - oracle_ssim_2d(a, b)) <= 1e-12
-    assert ssim(np.asfortranarray(a), b[::-1][::-1]) == ssim(a, b)
+    assert ssim(laid_out(a, "F"), laid_out(b, "strided")) == ssim(a, b)
 
 
 def test_ssim_of_one_window_is_its_only_index():
@@ -119,7 +119,7 @@ def grid_video(grid, count, noise_rng=None):
 
 
 def fit_both(video, keypoints, blurry):
-    """(library fit, oracle fit), with the rank warning of each recorded."""
+    """(library fit, oracle fit); the library warns exactly when the oracle flags the design."""
     with warnings.catch_warnings(record=True) as got_warned:
         warnings.simplefilter("always")
         got = fit_polys(video, keypoints, blurry)
