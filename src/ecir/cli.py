@@ -275,8 +275,9 @@ def _scores(pred_paths: list[Path], gt_paths: list[Path], lo: int, hi: int) -> l
 
 
 def cmd_eval(args) -> int:
-    pred_paths = io.list_frames(args.pred)
-    gt_paths = io.list_frames(args.gt)
+    # a directory whose rewrite failed part way has no timestamps.txt
+    _, pred_paths = io.video_frames(args.pred)
+    _, gt_paths = io.video_frames(args.gt)
     if len(pred_paths) != len(gt_paths):
         raise ValueError(
             f"frame count mismatch: {len(pred_paths)} predicted vs {len(gt_paths)} reference"

@@ -10,7 +10,12 @@ there is read again by the line-by-line parser, which is the reference for
 what a valid text file is and raises the line-numbered :class:`ParseError`;
 errors are therefore the same whichever path saw the file first.
 :func:`write_events` formats text a chunk of lines at a time, byte for
-byte as one ``repr``-based line per event would. It formats a stream in
+byte as one ``repr``-based line per event would. A chunk's timestamps are
+formatted by one ``orjson`` call, whose shortest round-trip digits (Ryu)
+are ``repr``'s; the values where ``repr`` switches to its exponent form
+(nonzero magnitudes below 1e-4, and 1e16 and above) are formatted by
+``repr`` itself. Each line is then joined from the timestamp, table-looked-up
+coordinate names and a polarity tail. It formats a stream in
 contiguous parts of at least ``EVENT_TEXT_PART`` events on every CPU
 (:mod:`ecir._parts`). Forked children format every part but the first,
 each buffering its text (about 30 bytes an event: 9 MB for half of a
@@ -103,12 +108,15 @@ EVT_RECORD_BYTES = 17
 # take about 170 bytes a line; at 8192 lines, writing 600k events raises the
 # peak RSS of simulate by under 2 MB (65536 lines: 11 MB, all at once: 78 MB)
 # and runs no slower. The caller streams its part a chunk at a time; a forked
-# child buffers its whole part's text (about 30 bytes a line), outside the
-# caller's RSS.
+# child buffers its whole part's text (29.4 bytes a line of the dense scene,
+# 35 at its peak while formatting), outside the caller's RSS.
 EVENT_TEXT_CHUNK = 8192
-# fewest events in a part of a text write. A fork and its wait cost about
-# 2 ms; on 2 CPUs, splitting 2 x 32768 events at worst broke even, so parts
-# of at least 65536 leave a margin for a slower fork.
+# fewest events in a part of a text write. A second part costs a fork, the
+# child's page faults and the copy of its text through a pipe. Writing the
+# dense scene's first n events on 2 CPUs (medians of 31 alternating writes),
+# one part against two: n = 49152 took 23.8 against 22.7 ms (break-even),
+# 65536 30.5 against 26.6 ms and 131072 60.1 against 46.3 ms. Parts of at
+# least 65536 leave a margin for a slower fork.
 EVENT_TEXT_PART = 8 * EVENT_TEXT_CHUNK
 # when every coordinate is below this, the text writer looks coordinates up in
 # a table of their strings instead of calling str on each
@@ -291,9 +299,15 @@ def write_events(path, events: EventStream) -> None:
     if Path(path).suffix.lower() == EVT_SUFFIX:
         _write_event_container(path, events)
         return
+    # imported here, not with ecir, and before the fork, so children inherit it
+    import orjson
+
     n = len(events)
     top = int(max(events.x.max(), events.y.max())) + 1 if n else 0
-    coord = [str(i) for i in range(top)].__getitem__ if top <= _COORD_NAMES else str
+    if top <= _COORD_NAMES:
+        coord = [" " + str(i) for i in range(top)].__getitem__
+    else:
+        coord = " {}".format
 
     def encoded(lo, hi):
         return [text.encode("ascii") for text in _text_chunks(events, lo, hi, coord)]
@@ -314,16 +328,36 @@ def write_events(path, events: EventStream) -> None:
 
 
 def _text_chunks(events: EventStream, lo: int, hi: int, coord):
-    """The text lines of ``events[lo:hi]``, ``EVENT_TEXT_CHUNK`` lines a string."""
-    polarity = {1: "1", -1: "-1"}.__getitem__
+    """The text lines of ``events[lo:hi]``, ``EVENT_TEXT_CHUNK`` lines a string.
+
+    ``coord`` maps a coordinate to its name with a leading space.
+    """
+    polarity = {1: " 1\n", -1: " -1\n"}.__getitem__
     for start in range(lo, hi, EVENT_TEXT_CHUNK):
         end = min(start + EVENT_TEXT_CHUNK, hi)
-        # repr of a float list is the repr of each float, joined by ", "
-        ts = repr(events.t[start:end].tolist())[1:-1].split(", ")
-        xs = map(coord, events.x[start:end].tolist())
-        ys = map(coord, events.y[start:end].tolist())
-        ps = map(polarity, events.p[start:end].tolist())
-        yield "".join([f"{t} {x} {y} {p}\n" for t, x, y, p in zip(ts, xs, ys, ps)])
+        ts = _time_texts(events.t[start:end])
+        parts = [None] * (4 * len(ts))
+        parts[0::4] = ts
+        parts[1::4] = map(coord, events.x[start:end].tolist())
+        parts[2::4] = map(coord, events.y[start:end].tolist())
+        parts[3::4] = map(polarity, events.p[start:end].tolist())
+        yield "".join(parts)
+
+
+def _time_texts(t: np.ndarray) -> list[str]:
+    """``repr`` of each value of a finite float64 array, from one ``orjson`` call."""
+    import orjson
+
+    if not t.size:
+        return []
+    # orjson reads the buffer of a C-contiguous array only; a stream's t may be a strided view
+    t = np.ascontiguousarray(t)
+    texts = orjson.dumps(t, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
+    # repr writes these in exponent form (1e-05, 1e+16), orjson does not (0.00001, 1e16)
+    a = np.abs(t)
+    for i in np.flatnonzero(((a < 1e-4) & (t != 0)) | (a >= 1e16)).tolist():
+        texts[i] = repr(float(t[i]))
+    return texts
 
 
 def _write_event_container(path, events: EventStream) -> None:
@@ -506,8 +540,13 @@ def list_frames(directory) -> list[Path]:
     return paths
 
 
-def read_video_dir(path, interval: ExposureInterval | None = None) -> SharpVideo:
-    """Load a frame directory with a ``timestamps.txt`` (one seconds value per line)."""
+def video_frames(path) -> tuple[list[float], list[Path]]:
+    """A frame directory's timestamps and frame files, one timestamp a frame.
+
+    A directory without a ``timestamps.txt`` (a :func:`write_video_dir` that
+    failed part way leaves one so), or with more or fewer frames than
+    timestamps, is refused.
+    """
     directory = Path(path)
     ts_path = directory / TIMESTAMPS_FILE
     if not ts_path.exists():
@@ -530,6 +569,12 @@ def read_video_dir(path, interval: ExposureInterval | None = None) -> SharpVideo
         raise ValueError(
             f"{directory}: {len(paths)} frames but {len(times)} timestamps"
         )
+    return times, paths
+
+
+def read_video_dir(path, interval: ExposureInterval | None = None) -> SharpVideo:
+    """Load a frame directory with a ``timestamps.txt`` (one seconds value per line)."""
+    times, paths = video_frames(path)
     # one preallocated stack, filled a frame at a time: no list of frames
     first = read_frame(paths[0])
     frames = np.empty((len(paths),) + first.shape)

@@ -491,6 +491,30 @@ class TestErrorHandling:
         assert word in lines[0]
         assert not (tmp_path / "refined").exists()
 
+    @pytest.mark.parametrize("side", ["pred", "gt"])
+    @pytest.mark.parametrize("damage", ["failed rewrite", "extra frame"])
+    def test_eval_refuses_what_read_video_dir_refuses(self, tmp_path, side, damage):
+        times = np.linspace(IV.t_start, IV.t_end, 6)
+        for name in ("pred", "gt"):
+            write_video_dir(tmp_path / name, times, np.full((6, 4, 5), 0.5))
+        bad = tmp_path / side
+        if damage == "failed rewrite":
+            def frames():
+                yield from np.full((3, 4, 5), 0.25)
+                raise RuntimeError("frame 3 failed")
+
+            # three new frames, three old ones and no timestamps.txt
+            with pytest.raises(RuntimeError, match="frame 3 failed"):
+                write_video_dir(bad, times, frames())
+        else:
+            write_f32(bad / "frame_00006.f32", np.full((4, 5), 0.5))
+        with pytest.raises((FileNotFoundError, ValueError)) as refused:
+            read_video_dir(bad)
+        code, lines = run_main("eval", "--pred", tmp_path / "pred", "--gt", tmp_path / "gt",
+                               "--report", tmp_path / "report.txt")
+        assert (code, lines) == (2, [f"ecir eval: error: {refused.value}"])
+        assert not (tmp_path / "report.txt").exists()
+
 
 def run_main(*args):
     """In-process CLI call: the exit code and what a terminal would show on stderr.

@@ -235,19 +235,37 @@ def oracle_write_events(path, events):
             fh.write(f"{float(t)!r} {int(x)} {int(y)} {int(p)}\n")
 
 
+# where repr switches between its fixed and exponent forms, and the
+# smallest magnitudes: subnormals and powers of two; both signs of each
+TIME_SPECIALS = [
+    float(s)
+    for v in [
+        np.nextafter(1e-4, 0), 1e-4, np.nextafter(1e16, 0), 1e16,
+        5e-324, 3 * 5e-324, 2.0**-1050, np.nextafter(2.0**-1022, 0), 2.0**-1022,
+        *(2.0**k for k in range(-60, 60, 7)),
+    ]
+    for s in (v, -v)
+]
+
+
 @st.composite
 def oracle_streams(draw):
     """Streams around the writer's chunk size, with edge timestamps and coordinates."""
     n = draw(st.sampled_from(
         [0, 1, 5, EVENT_TEXT_CHUNK - 1, EVENT_TEXT_CHUNK, EVENT_TEXT_CHUNK + 1]
     ))
-    interval = draw(st.sampled_from([IV, ExposureInterval(0.0, 0.12), ExposureInterval(1e-20, 3.5)]))
+    interval = draw(st.sampled_from([
+        IV, ExposureInterval(0.0, 0.12), ExposureInterval(1e-20, 3.5),
+        # straddling 1e-4 and 1e16, and negative times across both
+        ExposureInterval(5e-5, 2e-4), ExposureInterval(-3e-4, 3e-4),
+        ExposureInterval(5e15, 2e16), ExposureInterval(-2e16, -5e15),
+    ]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     t = rng.uniform(interval.t_start, interval.t_end, n)
     top = draw(st.sampled_from([0, 1, 239, 65535, 65536, 2**31 - 1, 2**62]))
     x = rng.integers(0, top + 1, n)
     y = rng.integers(0, top + 1, n)
-    specials = [interval.t_start, interval.t_end, 5e-324, 1e-20, 0.0, -0.0]
+    specials = [interval.t_start, interval.t_end, 1e-20, 0.0, -0.0, *TIME_SPECIALS]
     for i in draw(st.lists(st.integers(0, max(n - 1, 0)), max_size=8)) if n else []:
         candidates = [s for s in specials if interval.contains(s)]
         t[i] = draw(st.sampled_from(candidates + [draw(st.floats(interval.t_start, interval.t_end))]))
@@ -261,6 +279,29 @@ def test_chunked_writer_bytes_equal_oracle(tmp_path, stream):
     write_events(tmp_path / "chunked.txt", stream)
     oracle_write_events(tmp_path / "oracle.txt", stream)
     assert (tmp_path / "chunked.txt").read_bytes() == (tmp_path / "oracle.txt").read_bytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(t=hnp.arrays(np.float64, st.integers(0, 64), elements=st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from(TIME_SPECIALS),
+)))
+def test_time_texts_equal_repr_property(t):
+    assert ecir.io._time_texts(t) == [repr(v) for v in t.tolist()]
+
+
+def test_strided_stream_bytes_equal_oracle(tmp_path):
+    rng = np.random.default_rng(5)
+    n = EVENT_TEXT_CHUNK + 3
+    # t is a column of a row-major table: a view with an 8-element stride
+    table = np.zeros((n, 8))
+    table[:, 3] = np.sort(rng.uniform(IV.t_start, IV.t_end, n))
+    stream = EventStream(rng.integers(0, 240, n), rng.integers(0, 180, n), table[:, 3],
+                         rng.choice([-1, 1], n), IV)
+    assert not stream.t.flags.c_contiguous
+    write_events(tmp_path / "strided.txt", stream)
+    oracle_write_events(tmp_path / "oracle.txt", stream)
+    assert (tmp_path / "strided.txt").read_bytes() == (tmp_path / "oracle.txt").read_bytes()
 
 
 def part_stream(n, wide=False):
