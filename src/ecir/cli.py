@@ -119,6 +119,13 @@ def _path_setting(flag_value, manifest: io.Manifest | None, name: str) -> Path:
     raise ValueError(f"missing --{name.replace('_', '-')} (no manifest fallback found)")
 
 
+def _times_of(args, manifest: io.Manifest | None, interval: ExposureInterval) -> np.ndarray:
+    """``--timestamps``, else ``--count`` times spanning ``interval``."""
+    if args.timestamps is not None:
+        return _parse_timestamps(args.timestamps)
+    return interval.uniform_times(_setting(args.count, manifest, "count", DEFAULT_FRAME_COUNT))
+
+
 def _parse_timestamps(text: str) -> np.ndarray:
     parts = [p for chunk in text.split(",") for p in chunk.split() if p]
     if not parts:
@@ -214,11 +221,7 @@ def _rendered(grid, times: np.ndarray):
 def cmd_render(args) -> int:
     manifest = _manifest_of(args)
     grid = io.load_polys(args.polys)
-    if args.timestamps is not None:
-        times = _parse_timestamps(args.timestamps)
-    else:
-        count = _setting(args.count, manifest, "count", DEFAULT_FRAME_COUNT)
-        times = grid.interval.uniform_times(count)
+    times = _times_of(args, manifest, grid.interval)
     if not grid.interval.contains(times):
         raise ValueError("render timestamps fall outside the fitted exposure interval")
     io.write_video_dir(args.out, times, _rendered(grid, times), fmt=args.format)
@@ -234,11 +237,7 @@ def cmd_edi(args) -> int:
     c = _setting(args.c, manifest, "c", DEFAULT_CONTRAST)
     blurry = BlurryFrame(io.read_frame(blurry_path), interval)
     events = io.read_events(events_path, interval)
-    if args.timestamps is not None:
-        times = _parse_timestamps(args.timestamps)
-    else:
-        count = _setting(args.count, manifest, "count", DEFAULT_FRAME_COUNT)
-        times = interval.uniform_times(count)
+    times = _times_of(args, manifest, interval)
     frames = edi_video(blurry, events, c, times)
     io.write_video_dir(args.out, times, frames, fmt=args.format)
     print(f"edi: {times.shape[0]} frames at c={c} -> {args.out}")
@@ -286,7 +285,7 @@ def cmd_eval(args) -> int:
     def packed(lo, hi):
         return [_EVAL_RECORD.pack(*row) for row in _scores(pred_paths, gt_paths, lo, hi)]
 
-    h, w = io.frame_shape(pred_paths[0])
+    h, w = io.read_frame(pred_paths[0]).shape
     edges = _parts.edges(len(pred_paths), -(-EVAL_PART_PIXELS // max(h * w, 1)))
     with _parts.forked(edges, packed) as drain:
         rows = _scores(pred_paths, gt_paths, 0, edges[1])

@@ -3,12 +3,15 @@
 Events travel in one of two formats, chosen by extension as frames are.
 Text, one ``t x y p`` record per line sorted by t, is the interchange
 format: diffable and trivially greppable. :func:`read_events` parses it with
-one vectorized ``np.loadtxt`` call and checks order, finiteness and polarity
-on whole columns; the stream narrows x, y and p straight from the table's
-columns, so a parse peaks at about 51 bytes an event. Any file that fails
-there is read again by the line-by-line parser, which is the reference for
-what a valid text file is and raises the line-numbered :class:`ParseError`;
-errors are therefore the same whichever path saw the file first.
+one vectorized ``np.loadtxt`` call and passes the table's columns straight
+to :class:`~ecir.types.EventStream`, whose own checks (order, interval,
+polarity, coordinates) decide whether the events are valid; the stream
+narrows x, y and p straight from the table's columns, so a parse peaks at
+about 51 bytes an event. A file that loadtxt or the stream refuses is read
+again by the line-by-line parser, the reference for what a valid text file
+is. It only names the first bad line, as a :class:`ParseError`; when every
+line parses, it raises the stream's error with the file's name. Errors are
+therefore the same whichever path saw the file first.
 :func:`write_events` formats text a chunk of lines at a time, byte for
 byte as one ``repr``-based line per event would. A chunk's timestamps are
 formatted by one ``orjson`` call, whose shortest round-trip digits (Ryu)
@@ -34,10 +37,12 @@ them, once, against its own exposure interval.
 Frames export either as 8-bit binary PGM (clamped and quantized) or as a
 raw little-endian float32 format with a 16-byte header (magic ``ECIRF32``,
 width, height) for lossless intermediates. Voxel histograms use the sibling
-``ECIRH32`` header with bin count, height, width. A raw payload holding NaN
-or inf is a :class:`FormatError` on read, so bad values stop at the file
-boundary; a finite frame value too large for float32, or a pixel
-coordinate too large for int32, is refused on write.
+``ECIRH32`` header with bin count, height, width. One reader, ``_header``,
+checks the magic and unpacks the fields of every binary header (``.evt``,
+``.f32``, ``.h32``). A raw payload holding NaN or inf is a
+:class:`FormatError` on read, so bad values stop at the file boundary; a
+finite frame value too large for float32, or a pixel coordinate too large
+for int32, is refused on write.
 
 Every output is written through one opener, :func:`_overwrite`, which
 rewrites an existing file in place and cuts it to the length written when
@@ -86,7 +91,6 @@ __all__ = [
     "write_f32",
     "read_frame",
     "write_frame",
-    "frame_shape",
     "read_histogram",
     "write_histogram",
     "list_frames",
@@ -140,6 +144,17 @@ class FormatError(ValueError):
     """Bad magic, header, payload size or non-finite payload in a binary file."""
 
 
+def _header(path, data: bytes, magic: bytes, fields: str) -> tuple:
+    """The ``fields`` (a struct format) that follow ``magic`` at the start of ``data``.
+
+    Every magic is a 7-letter name and a NUL byte; a short or wrong header
+    is a FormatError naming it.
+    """
+    if len(data) < len(magic) + struct.calcsize(fields) or not data.startswith(magic):
+        raise FormatError(f"{path}: bad {magic[:-1].decode()} magic")
+    return struct.unpack_from(fields, data, len(magic))
+
+
 @contextmanager
 def _overwrite(path, mode: str = "wb", **kwargs):
     """Open ``path`` for writing from its start, without truncating it first.
@@ -181,46 +196,31 @@ def read_events(path, interval: ExposureInterval) -> EventStream:
     text. A malformed container is a :class:`FormatError` naming the file;
     malformed text is the line parser's :class:`ParseError`. Events that
     fail the stream's checks (outside ``interval``, negative coordinates)
-    are a ValueError naming the file in either format.
+    are a ValueError naming the file in either format. Text is checked by
+    the stream alone; the line parser runs only on a file that fails there.
     """
     if Path(path).suffix.lower() == EVT_SUFFIX:
         return _read_event_container(path, interval)
-    if os.path.getsize(path) == 0:
-        return EventStream.empty(interval)
     try:
         with warnings.catch_warnings():
             # Warnings become errors so the line parser decides these files:
-            # loadtxt only warns on a file of blank lines, and numpy 1.x only
+            # loadtxt only warns on a file with no records, and numpy 1.x only
             # warns (DeprecationWarning) when it reads a float such as 1.0 into
             # an integer column, which the line parser rejects.
             warnings.simplefilter("error")
             table = np.loadtxt(path, dtype=EVENT_DTYPE, comments=None, ndmin=1, encoding="ascii")
+        # the constructor narrows x, y and p straight from the table's strided
+        # columns; only t, kept as float64, is copied out whole
+        return EventStream(
+            table["x"], table["y"], np.ascontiguousarray(table["t"]), table["p"], interval
+        )
     except (ValueError, OSError, Warning):
         return _read_events_lines(path, interval)
-    t, p = table["t"], table["p"]
-    if not (
-        np.all(np.isfinite(t)) and np.all(t[1:] >= t[:-1]) and np.all((p == 1) | (p == -1))
-    ):
-        return _read_events_lines(path, interval)
-    # the constructor narrows x, y and p straight from the table's strided
-    # columns; only t, kept as float64, is copied out whole
-    return _text_stream(path, table["x"], table["y"], np.ascontiguousarray(t), p, interval)
-
-
-def _text_stream(path, x, y, t, p, interval: ExposureInterval) -> EventStream:
-    """The stream of a parsed text file; a check it fails names the file."""
-    try:
-        return EventStream(x, y, t, p, interval)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
 
 
 def _read_event_container(path, interval: ExposureInterval) -> EventStream:
     with open(path, "rb") as fh:
-        header = fh.read(16)
-        if len(header) < 16 or header[:8] != EVT_MAGIC:
-            raise FormatError(f"{path}: bad ECIREVT magic")
-        (n,) = struct.unpack("<Q", header[8:16])
+        (n,) = _header(path, fh.read(16), EVT_MAGIC, "<Q")
         expected = 16 + EVT_RECORD_BYTES * n
         size = os.fstat(fh.fileno()).st_size
         if size != expected:
@@ -245,7 +245,11 @@ def _read_column(path, fh, dtype: str, n: int) -> np.ndarray:
 
 
 def _read_events_lines(path, interval: ExposureInterval) -> EventStream:
-    """The reference parser: one record per line, first bad line raises ``ParseError``."""
+    """The reference parser: one record per line, first bad line raises ``ParseError``.
+
+    A file whose every line parses but whose events fail the stream's checks
+    raises the stream's ValueError, prefixed with the file's name.
+    """
     xs, ys, ts, ps = [], [], [], []
     with open(path, "r", encoding="ascii") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -272,16 +276,16 @@ def _read_events_lines(path, interval: ExposureInterval) -> EventStream:
             xs.append(x)
             ys.append(y)
             ps.append(p)
-    if not ts:
-        return EventStream.empty(interval)
-    return _text_stream(
-        path,
-        np.array(xs, dtype=np.int64),
-        np.array(ys, dtype=np.int64),
-        np.array(ts, dtype=np.float64),
-        np.array(ps, dtype=np.int64),
-        interval,
-    )
+    try:
+        return EventStream(
+            np.array(xs, dtype=np.int64),
+            np.array(ys, dtype=np.int64),
+            np.array(ts, dtype=np.float64),
+            np.array(ps, dtype=np.int64),
+            interval,
+        )
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_events(path, events: EventStream) -> None:
@@ -451,16 +455,9 @@ def _finite(path, payload: np.ndarray) -> np.ndarray:
     return payload.astype(np.float64)
 
 
-def _f32_size(path, data: bytes) -> tuple[int, int]:
-    """(w, h) from the first 16 bytes of an .f32 file."""
-    if len(data) < 16 or data[:8] != F32_MAGIC:
-        raise FormatError(f"{path}: bad ECIRF32 magic")
-    return struct.unpack("<II", data[8:16])
-
-
 def read_f32(path) -> np.ndarray:
     data = Path(path).read_bytes()
-    w, h = _f32_size(path, data)
+    w, h = _header(path, data, F32_MAGIC, "<II")
     expected = 16 + 4 * w * h
     if len(data) != expected:
         raise FormatError(f"{path}: expected {expected} bytes, got {len(data)}")
@@ -487,15 +484,6 @@ def read_frame(path) -> np.ndarray:
     raise ValueError(f"unsupported frame extension {suffix!r} (use .pgm or .f32)")
 
 
-def frame_shape(path) -> tuple[int, int]:
-    """(h, w) of a frame file; an .f32 is read only as far as its header."""
-    if Path(path).suffix.lower() != ".f32":
-        return read_frame(path).shape
-    with open(path, "rb") as fh:
-        w, h = _f32_size(path, fh.read(16))
-    return h, w
-
-
 FRAME_EXTENSIONS = (".f32", ".pgm")
 
 
@@ -512,9 +500,7 @@ def write_histogram(path, hist: EventHistogram) -> None:
 
 def read_histogram(path, interval: ExposureInterval) -> EventHistogram:
     data = Path(path).read_bytes()
-    if len(data) < 20 or data[:8] != H32_MAGIC:
-        raise FormatError(f"{path}: bad ECIRH32 magic")
-    m, h, w = struct.unpack("<III", data[8:20])
+    m, h, w = _header(path, data, H32_MAGIC, "<III")
     expected = 20 + 4 * m * h * w
     if len(data) != expected:
         raise FormatError(f"{path}: expected {expected} bytes, got {len(data)}")
@@ -572,7 +558,7 @@ def video_frames(path) -> tuple[list[float], list[Path]]:
     return times, paths
 
 
-def read_video_dir(path, interval: ExposureInterval | None = None) -> SharpVideo:
+def read_video_dir(path) -> SharpVideo:
     """Load a frame directory with a ``timestamps.txt`` (one seconds value per line)."""
     times, paths = video_frames(path)
     # one preallocated stack, filled a frame at a time: no list of frames
@@ -587,7 +573,7 @@ def read_video_dir(path, interval: ExposureInterval | None = None) -> SharpVideo
                 f"{paths[0].name}'s {first.shape}"
             )
         frames[i] = frame
-    return SharpVideo(np.array(times), frames, interval)
+    return SharpVideo(np.array(times), frames)
 
 
 def write_video_dir(path, times: np.ndarray, frames, fmt: str = "f32") -> None:

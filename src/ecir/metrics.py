@@ -171,7 +171,7 @@ def loss_refinement(gt: np.ndarray, pred: np.ndarray) -> float:
     return float(per_frame.sum())
 
 
-def loss_residual(gt: np.ndarray, pred: np.ndarray, rho: float = 5.0) -> float:
+def loss_residual(gt: np.ndarray, pred: np.ndarray, rho: float = LossConfig.rho) -> float:
     """Sum over residuals of the mean exp-weighted absolute difference.
 
     Sparse ground-truth residuals get weight exp(rho * |R|) so the few pixels

@@ -275,7 +275,6 @@ def refine(
     lam: float = DEFAULT_LAMBDA,
     i_max: int = DEFAULT_ITERATIONS,
     solver: str = "tridiag",
-    step: float | None = None,
 ) -> np.ndarray:
     """Full refinement pass: surrogate residuals, solve, clamp to [0, 1].
 
@@ -284,6 +283,6 @@ def refine(
     its flow in them, and the solution is clamped in place.
     """
     residuals = surrogate_residuals(initial, events, c, schedule)
-    problem = RefineProblem(initial, residuals, lam=lam, i_max=i_max, step=step)
+    problem = RefineProblem(initial, residuals, lam=lam, i_max=i_max)
     frames = _apply(problem, _operator(problem, solver), residuals)
     return np.clip(frames, 0.0, 1.0, out=frames)

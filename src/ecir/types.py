@@ -46,9 +46,9 @@ class ExposureInterval:
     def length(self) -> float:
         return self.t_end - self.t_start
 
-    def contains(self, t, tol: float = 0.0) -> bool:
+    def contains(self, t) -> bool:
         t = np.asarray(t)
-        return bool(np.all((t >= self.t_start - tol) & (t <= self.t_end + tol)))
+        return bool(np.all((t >= self.t_start) & (t <= self.t_end)))
 
     def normalize(self, t):
         """Map absolute seconds to the normalized domain [-1, 1]."""

@@ -150,6 +150,21 @@ class TestClaims:
         with pytest.raises(ValueError):
             select_keypoints(np.array([0.3, -0.1]), HALF_UNIT, 3)
 
+    def test_repeat_claim_after_a_different_nearest_event(self):
+        # Nearest events by pivot, ties to the earliest: [1, 1, 1, 0, 0, 1].
+        # At 0.11, 0.11 - 2**-57 lies halfway between two doubles and rounds
+        # to the even one below 0.11, so event 1 is nearest again, two pivots
+        # after its last taker; comparing each pivot with its left neighbour
+        # alone would hand it out twice.
+        interval = ExposureInterval(0.0, 0.12)
+        times = np.array([0.0, 2.0**-57])
+        expected = [0.0, 2.0**-57, 0.03, 0.05, 0.09, 0.11]
+        assert np.array_equal(bits(oracle_select(times, interval, 6)), bits(expected))
+        stream = EventStream(np.zeros(2), np.zeros(2), times, np.ones(2), interval)
+        grid = keypoint_grid(stream, interval, 6, (1, 1))
+        assert np.array_equal(bits(grid), bits(loop_keypoint_grid(stream, interval, 6, (1, 1))))
+        assert np.array_equal(bits(grid[0, 0]), bits(expected))
+
 
 class TestDedup:
     def test_duplicate_event_timestamps(self):
@@ -248,6 +263,7 @@ def tie_heavy_streams(draw):
     base = pivots(interval, n)
     step = interval.length / n
     special = [interval.t_start, interval.t_end, 0.0, -0.0, 1e-20, 2e-20, -1e-20, 5e-324]
+    special += [2.0**-57, 2.0**-58]  # offsets that break the nearest index's order
     for b in base:
         special += [b, np.nextafter(b, -np.inf), np.nextafter(b, np.inf)]
         special += [b - step / 4, b + step / 4, b + step / 2]  # equidistant pairs
