@@ -134,6 +134,10 @@ def _parse_timestamps(text: str) -> np.ndarray:
         times = np.array([float(p) for p in parts])
     except ValueError:
         raise ValueError(f"bad timestamp list {text!r}") from None
+    bad = np.flatnonzero(~np.isfinite(times))
+    if bad.size:
+        # a NaN compares false, so the order check below would let it through
+        raise ValueError(f"timestamps must be finite, got {parts[bad[0]]!r}")
     if np.any(np.diff(times) <= 0):
         raise ValueError("timestamps must be strictly increasing")
     return times

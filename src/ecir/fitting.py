@@ -22,7 +22,8 @@ The EDI kernels use no scatter-add: the window counts come from
 :func:`ecir.simulation.window_counts`, and the normalizer groups events with
 :func:`ecir.types.key_groups` and sums them with one bincount whose per-pixel
 order is the scatter-add's, so both are bitwise equal to the scatter-add
-forms the tests keep as oracles. The frames are exponentiated only on the
+forms the tests keep as oracles. The events' pixel ids are formed once per
+call and serve both. The frames are exponentiated only on the
 pixels that hold events, which the normalizer's groups already give: a
 pixel without events keeps a count of 0, and exp(c * 0) is 1, so its frame
 is ``scaled / integral`` at every time, computed once. With events on every
@@ -36,7 +37,7 @@ import warnings
 import numpy as np
 
 from .representation import PolyGrid, horner
-from .simulation import window_counts
+from .simulation import _window_counts
 from .types import BlurryFrame, EventStream, SharpVideo, _active_columns, key_groups
 
 __all__ = ["fit_polys", "edi_reconstruct", "edi_video"]
@@ -121,12 +122,13 @@ def fit_polys(video: SharpVideo, keypoints: np.ndarray, blurry: BlurryFrame) -> 
 
 
 def _edi_factors(
-    blurry: BlurryFrame, events: EventStream, c: float
+    blurry: BlurryFrame, events: EventStream, c: float, ids: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-pixel integral of exp(c*S) over the interval, and the pixels with events.
 
-    Both are flattened to (h*w,); the second is a mask, read off the groups
-    of ``key_groups``. The integral is the normalizer of the double-integral
+    ``ids`` are the events' pixel ids on the blurry frame's grid. Both
+    results are flattened to (h*w,); the second is a mask, read off the
+    groups of ``key_groups``. The integral is the normalizer of the double-integral
     model. One ``np.bincount`` sums each pixel's segments, in time order,
     after a leading weight of T per pixel, so every pixel accumulates
     ``((T + s1) + s2) + ...``, the sums a scatter-add of the segments onto a
@@ -139,16 +141,13 @@ def _edi_factors(
         return np.full(h * w, iv.length), np.zeros(h * w, dtype=bool)
 
     hw = h * w
-    ids = events.pixel_ids((h, w))
     order, start, end = key_groups(ids, hw)
     # the bincount's keys and weights: every pixel once (weight T), then the
     # events pixel-major (weight: their segment), each filled in place
     keys = np.empty(hw + len(events), dtype=np.int64)
     keys[:hw] = np.arange(hw)
-    # order is a permutation, so "clip" never clips; unlike the default
-    # mode it fills ``out`` without an intermediate buffer
-    gid = np.take(ids, order, out=keys[hw:], mode="clip")
-    del ids
+    gid = keys[hw:]
+    gid[:] = np.repeat(keys[:hw], end - start)  # the pixel-major ids
 
     cum = np.cumsum(events.p[order])
     # within-pixel running count: subtract the total of the pixels before
@@ -204,12 +203,13 @@ def edi_video(
     out = np.empty((times.shape[0], h, w))
     frames = out.reshape(times.shape[0], h * w)
     order = np.argsort(times, kind="stable")
-    windows = window_counts(events, np.r_[iv.t_start, times[order]], (h, w))
+    ids = events.pixel_ids((h, w))  # one array serves the normalizer and the windows
+    windows = _window_counts(events, ids, np.r_[iv.t_start, times[order]], (h, w))
     try:
         # with finite inputs these flags are set only when exp(c * count)
         # or the normalizer overflows, which leaves no meaningful frame
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            integral, touched = _edi_factors(blurry, events, c)
+            integral, touched = _edi_factors(blurry, events, c, ids)
             scaled = blurry.values.reshape(h * w) * iv.length
             if frames.size:
                 # an event-free pixel's count stays 0 and exp(c * 0) is 1,

@@ -10,9 +10,11 @@ Lagrange nodes stay distinct.
 :func:`keypoint_grid` selects for every pixel at once. One pass over the
 time-sorted stream counts each pixel's events before each pivot, which places
 every (pixel, pivot) pair between its two neighbouring events; the nearer
-neighbour wins, ties going to the earliest equally distant event, and claims
-are compared across each row. Only rows that need nudging run the scalar
-dedup. :func:`select_keypoints` is the one-pixel case of the same search; the
+neighbour wins, ties going to the earliest equally distant event. Claims
+are compared on contiguous per-pivot planes of the chosen events: pivot i
+is claimed where its plane equals any earlier pivot's, pairwise, so a
+repeat after a different event still counts. Only rows that need nudging
+run the scalar dedup. :func:`select_keypoints` is the one-pixel case of the same search; the
 per-pixel argmin loop lives on in the tests as the oracle both are held to.
 Events are grouped pixel-major by :func:`ecir.types.key_groups`, and per-row
 event counts are bincounts, never scatter-adds.
@@ -160,13 +162,21 @@ def _select_rows(
         flat[pairs] = prev[tied]
     del d_left, d_flat, go_left
 
-    # a pivot whose event an earlier pivot of the row already took stays put
+    # a pivot whose event an earlier pivot of the row already took stays put;
+    # the claims compare contiguous (n, m) planes of the nearest events
     chosen = t[nearest]
     del t
-    for i in range(1, n):
-        claimed = np.any(nearest[:, :i] == nearest[:, i, None], axis=1)
-        chosen[claimed, i] = base[i]
+    planes = np.ascontiguousarray(nearest.T)
     del nearest, flat
+    claimed = np.empty(m, dtype=bool)
+    same = np.empty(m, dtype=bool)
+    for i in range(1, n):
+        np.equal(planes[0], planes[i], out=claimed)
+        for j in range(1, i):
+            np.equal(planes[j], planes[i], out=same)
+            claimed |= same
+        np.copyto(chosen[:, i], base[i], where=claimed)
+    del planes
     rows = np.sort(chosen, axis=1)
     for r in np.flatnonzero(np.any(rows[:, 1:] <= rows[:, :-1], axis=1)):
         rows[r] = _dedup_increasing(chosen[r], interval)

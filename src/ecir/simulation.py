@@ -6,6 +6,12 @@ reference level set by its last event. Frames are linearly interpolated in
 log space between timestamps, so events get sub-frame crossing times; a gap
 large enough for several threshold steps emits several events.
 
+Each gap between two frames is one emission for both polarities: a
+pixel's threshold is c+ where its log level rose past its reference and c-
+elsewhere, and its quotient rise / threshold counts its events either way.
+The gaps yield pieces of int32 pixel ids, times and polarities; x and y come
+from one ``divmod`` of the joined ids.
+
 The per-event kernels avoid scatter-adds and wide sorts. :func:`voxelize` and
 :func:`window_counts`, the signed-count kernel every consumer reads, sum
 polarities with one ``np.bincount`` over a flat bin or pixel index; the sums
@@ -112,20 +118,38 @@ def polarity(delta_ln: float, c_plus: float, c_minus: float) -> int:
     return 0
 
 
-def _emit_for_gap(flat_ref, count, threshold, l0, l1, t0, t1):
-    """Crossing times for every pixel needing ``count`` events in this gap."""
-    idx = np.flatnonzero(count > 0)
+def _emit_for_gap(ref, q, threshold, l0, l1, t0, t1):
+    """Crossing times of every pixel whose quotient ``q`` reaches 1 in this gap.
+
+    ``q`` is each pixel's rise over its threshold, so a pixel with q >= 1
+    crosses floor(q) levels, each one threshold past the last, whichever
+    way it moves.
+    """
+    idx = np.flatnonzero(q >= 1.0)
     if idx.size == 0:
         return None
-    reps = count[idx]
+    reps = q[idx].astype(np.int64)  # truncation is the floor of q >= 1
     pix = np.repeat(idx, reps)
-    # per-pixel crossing ranks 1..count
-    offs = np.concatenate(([0], np.cumsum(reps)))[:-1]
-    rank = np.arange(pix.shape[0]) - np.repeat(offs, reps) + 1.0
-    levels = flat_ref[pix] + rank * threshold[pix]
-    frac = (levels - l0[pix]) / (l1[pix] - l0[pix])
+    # per-pixel crossing ranks 1..count, integers held exactly in floats
+    offs = np.cumsum(reps)
+    offs -= reps
+    rank = np.arange(1.0, pix.shape[0] + 1.0)
+    rank -= np.repeat(offs, reps)
+    # levels = ref + rank * threshold, frac = (levels - l0) / (l1 - l0) and
+    # times = t0 + frac * (t1 - t0), each formed in place; a rounded sum or
+    # product does not depend on its operands' order, so the bits are these
+    times = threshold[pix]
+    times *= rank
+    times += ref[pix]
+    base = l0[pix]
+    times -= base
+    span = l1[pix]
+    span -= base
+    times /= span
+    times *= t1 - t0
+    times += t0
     # t0 + 1.0 * (t1 - t0) can round past t1; keep crossings inside the gap
-    times = np.clip(t0 + frac * (t1 - t0), t0, t1)
+    np.clip(times, t0, t1, out=times)
     return idx, reps, pix, times
 
 
@@ -142,7 +166,9 @@ def simulate_events(video: SharpVideo, cfg: ThresholdConfig) -> EventStream:
         return EventStream.empty(video.interval)
     # each column's per-gap pieces are freed once joined, and the order is
     # applied to one column at a time
-    x, y, t, p = (_join(pieces) for pieces in columns)
+    ids, t, p = (_join(pieces) for pieces in columns)
+    y, x = np.divmod(ids, video.shape[1])
+    del ids
     order = _event_order(t, y, x, p)
     x = x[order]
     y = y[order]
@@ -151,11 +177,16 @@ def simulate_events(video: SharpVideo, cfg: ThresholdConfig) -> EventStream:
     return EventStream(x, y, t, p, video.interval)
 
 
-def _crossings(video: SharpVideo, cfg: ThresholdConfig) -> tuple[list, list, list, list]:
-    """Per-gap x, y, t and p pieces of every event, in gap order.
+def _crossings(video: SharpVideo, cfg: ThresholdConfig) -> tuple[list, list, list]:
+    """Per-gap pixel id, t and p pieces of every event, in gap order.
 
-    The gaps run on the columns of the pixels that may fire (see
-    :func:`_may_fire`), in pixel order, so every piece is the full grid's.
+    Each gap is one emission for both polarities: a pixel's threshold is c+
+    where its log level rose past its reference and c- elsewhere, so its
+    quotient is rise / c+ or rise / c-, and a zero rise gives -0.0 and no
+    event. Within a piece the events are pixel-major; ids are row-major
+    ``y * w + x``. The gaps run on the columns of the pixels that may fire
+    (see :func:`_may_fire`), in pixel order, so every piece is the full
+    grid's.
     """
     h, w = video.shape
     cp, cm = cfg.per_pixel((h, w))
@@ -165,29 +196,41 @@ def _crossings(video: SharpVideo, cfg: ThresholdConfig) -> tuple[list, list, lis
     # each pixel's reference log level, reset to the crossed level on each event
     ref = ln[0].copy()
 
-    # pixel coordinates in the stream's int32 columns when the frame allows
+    # pixel ids in the stream's int32 coordinates when the frame allows
     pixels = np.arange(h * w, dtype=np.int32 if h * w < 2**31 else np.int64)[cols]
-    ys, xs = np.divmod(pixels, w)
-    all_x, all_y, all_t, all_p = [], [], [], []
+    rise = np.empty_like(ref)
+    up = np.empty(ref.shape, dtype=bool)
+    down = np.empty(ref.shape, dtype=bool)
+    threshold = np.empty_like(ref)
+    q = np.empty_like(ref)
+    all_ids, all_t, all_p = [], [], []
 
     for g in range(video.frame_count - 1):
         l0, l1 = ln[g], ln[g + 1]
         t0, t1 = float(video.times[g]), float(video.times[g + 1])
-        rise = l1 - ref
-        n_pos = np.where(rise > 0, np.floor(rise / cp_f), 0.0).astype(np.int64)
-        n_neg = np.where(rise < 0, np.floor(rise / cm_f), 0.0).astype(np.int64)
-        for count, threshold, pol in ((n_pos, cp_f, 1), (n_neg, cm_f, -1)):
-            emitted = _emit_for_gap(ref, count, threshold, l0, l1, t0, t1)
-            if emitted is None:
-                continue
-            idx, reps, pix, times = emitted
-            all_x.append(xs[pix])
-            all_y.append(ys[pix])
-            all_t.append(times)
-            all_p.append(np.full(pix.shape[0], pol, dtype=np.int8))
-            # the last crossing per pixel becomes the new reference
-            ref[idx] += reps * threshold[idx]
-    return all_x, all_y, all_t, all_p
+        np.subtract(l1, ref, out=rise)
+        # threshold = where(rise > 0, c+, c-) with no branch per pixel: one
+        # product is exactly the threshold and the other a zero, so the sum
+        # is exact
+        np.greater(rise, 0.0, out=up)
+        np.logical_not(up, out=down)
+        np.multiply(up, cp_f, out=threshold)
+        np.multiply(down, cm_f, out=q)
+        threshold += q
+        np.divide(rise, threshold, out=q)
+        emitted = _emit_for_gap(ref, q, threshold, l0, l1, t0, t1)
+        if emitted is None:
+            continue
+        idx, reps, pix, times = emitted
+        all_ids.append(pixels[pix])
+        all_t.append(times)
+        # a pixel's polarity is the sign of its rise: 2 * up - 1
+        pol = up[idx].view(np.int8) * np.int8(2)
+        pol -= np.int8(1)
+        all_p.append(np.repeat(pol, reps))
+        # the last crossing per pixel becomes the new reference
+        ref[idx] += reps * threshold[idx]
+    return all_ids, all_t, all_p
 
 
 # the candidates' margin in log units: far above any error of np.log, so
@@ -293,11 +336,15 @@ def window_counts(events: EventStream, edges, shape: tuple[int, int]) -> Iterato
     Edges must be non-decreasing. Pixel ids are formed once per call; each
     window is one ``np.bincount`` of its slice, yielded alone, never stacked.
     """
+    yield from _window_counts(events, events.pixel_ids(shape), edges, shape)
+
+
+def _window_counts(events: EventStream, ids: np.ndarray, edges, shape: tuple[int, int]):
+    """:func:`window_counts` on the events' pixel ids ``ids``, formed by the caller."""
     edges = np.asarray(edges, dtype=np.float64)
     if np.any(np.diff(edges) < 0):
         raise ValueError(f"window edges must be non-decreasing, got {edges}")
     h, w = shape
-    ids = events.pixel_ids(shape)
     cuts = np.searchsorted(events.t, edges, side="right")
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         counts = np.bincount(ids[lo:hi], weights=events.p[lo:hi], minlength=h * w)

@@ -160,12 +160,25 @@ def _coordinates(values) -> np.ndarray:
 def key_groups(keys: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Stable key-major order of ``keys`` in [0, m), and each key's [start, end).
 
-    Key k's entries are ``order[start[k]:end[k]]``, in input order. The sort
-    keys on the narrowest unsigned type holding m - 1, a radix sort for up to
-    65,536 keys; a stable sort's permutation is unique, so it is the int64
-    sort's. Group sizes are one ``np.bincount``, never a scatter-add.
+    Key k's entries are ``order[start[k]:end[k]]``, in input order. One
+    in-place sort of the packed int64 ``(key << b) | index``, b the bit
+    length of n - 1, orders by key and then by index; the packed values are
+    unique, so the permutation read back from the low b bits is the stable
+    sort's. Keys whose packing needs more than 63 bits are refused before
+    anything stream-sized is allocated. Group sizes are one ``np.bincount``,
+    never a scatter-add.
     """
-    order = np.argsort(keys.astype(np.min_scalar_type(m - 1), copy=False), kind="stable")
+    n = keys.shape[0]
+    b = max(n - 1, 0).bit_length()
+    if max(m - 1, 0).bit_length() + b > 63:
+        raise ValueError(
+            f"cannot pack {n} indices with keys below {m} into 63 bits"
+        )
+    order = keys.astype(np.int64)
+    order <<= b
+    order |= np.arange(n)
+    order.sort()
+    order &= (1 << b) - 1
     counts = np.bincount(keys, minlength=m)
     end = np.cumsum(counts)
     return order, end - counts, end

@@ -53,6 +53,32 @@ def same_pieces(got, expected):
         assert a.tobytes() == b.tobytes()
 
 
+def same_gap_pieces(got, expected, w):
+    """Each gap's piece of both polarities equals the oracle's up and down pieces of that gap.
+
+    ``got`` holds the simulator's per-gap pixel id, t and p pieces; ``expected``
+    the oracle's x, y, t and p pieces, up then down within a gap, and none for
+    a polarity without events. A gap's oracle pieces are therefore the next one
+    or two whose sizes add up to its piece's. Within a piece the events are
+    pixel-major, so a stable sort putting up before down gives the oracle's
+    order, and every column must match it bit for bit, dtypes included.
+    """
+    ids, ts, ps = got
+    xs, ys, tso, pso = expected
+    k = 0
+    for gid, gt, gp in zip(ids, ts, ps):
+        first, size = k, 0
+        while size < gid.shape[0]:
+            size += xs[k].shape[0]
+            k += 1
+        assert size == gid.shape[0] and k - first <= 2
+        order = np.lexsort((-gp,))
+        y, x = np.divmod(gid[order], w)
+        same_pieces([x, y, gt[order], gp[order]],
+                    [np.concatenate(column[first:k]) for column in (xs, ys, tso, pso)])
+    assert k == len(xs)
+
+
 @st.composite
 def sparse_videos(draw):
     """A small video whose active pixels wander in log intensity and the rest hold still.
@@ -85,8 +111,7 @@ def test_crossings_match_full_grid_oracle(case):
     video, cfg, _ = case
     got = _crossings(video, cfg)
     expected = oracle_crossings(video, cfg)
-    for a, b in zip(got, expected):
-        same_pieces(a, b)
+    same_gap_pieces(got, expected, video.shape[1])
     stream = simulate_events(video, cfg)
     if expected[0]:
         x, y, t, p = (np.concatenate(pieces) for pieces in expected)
@@ -103,9 +128,9 @@ def gap_kernel_shapes(monkeypatch):
     shapes = []
     real = simulation._emit_for_gap
 
-    def spy(flat_ref, count, threshold, l0, l1, t0, t1):
-        shapes.append({a.shape for a in (flat_ref, count, threshold, l0, l1)})
-        return real(flat_ref, count, threshold, l0, l1, t0, t1)
+    def spy(ref, q, threshold, l0, l1, t0, t1):
+        shapes.append({a.shape for a in (ref, q, threshold, l0, l1)})
+        return real(ref, q, threshold, l0, l1, t0, t1)
 
     monkeypatch.setattr(simulation, "_emit_for_gap", spy)
     return shapes
@@ -127,8 +152,8 @@ class TestGapKernelSeesActivePixels:
         events = simulate_events(patch_video(h, w, patch), ThresholdConfig(0.2, -0.2))
         assert len(events) > 0
         assert np.array_equal(np.unique(events.y * w + events.x), np.flatnonzero(patch))
-        # two calls a gap (up, then down), each on the 12 patch pixels, not h * w
-        assert len(shapes) == 2 * 8
+        # one call a gap for both polarities, on the 12 patch pixels, not h * w
+        assert len(shapes) == 8
         assert all(s == {(int(patch.sum()),)} for s in shapes)
 
     def test_scene_firing_everywhere_passes_the_whole_grid(self, monkeypatch):
@@ -165,10 +190,9 @@ def test_rise_on_the_threshold(monkeypatch, ulps_short, events):
     cfg = ThresholdConfig(c_plus=c_plus, c_minus=-1.0)
     shapes = gap_kernel_shapes(monkeypatch)
     got = _crossings(video, cfg)
-    for a, b in zip(got, oracle_crossings(video, cfg)):
-        same_pieces(a, b)
+    same_gap_pieces(got, oracle_crossings(video, cfg), video.shape[1])
     assert sum(piece.shape[0] for piece in got[0]) == events
-    assert shapes == [{(1,)}, {(1,)}]
+    assert shapes == [{(1,)}]
 
 
 def test_pixel_crossing_only_downward(monkeypatch):
@@ -179,11 +203,10 @@ def test_pixel_crossing_only_downward(monkeypatch):
     cfg = ThresholdConfig(0.2, -0.2, sigma=0.1, seed=4)
     shapes = gap_kernel_shapes(monkeypatch)
     got = _crossings(video, cfg)
-    for a, b in zip(got, oracle_crossings(video, cfg)):
-        same_pieces(a, b)
-    p = np.concatenate(got[3])
+    same_gap_pieces(got, oracle_crossings(video, cfg), video.shape[1])
+    p = np.concatenate(got[2])
     assert p.shape[0] >= 5 and np.all(p == -1)
-    assert all(s == {(1,)} for s in shapes)
+    assert len(shapes) == video.frame_count - 1 and all(s == {(1,)} for s in shapes)
 
 
 @st.composite

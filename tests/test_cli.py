@@ -21,6 +21,7 @@ from ecir.io import (
     read_f32,
     read_histogram,
     read_video_dir,
+    save_polys,
     write_events,
     write_f32,
     write_histogram,
@@ -29,7 +30,7 @@ from ecir.io import (
 from ecir.simulation import EventHistogram
 from ecir.types import EventStream
 
-from scenes import random_monomial_scene, render_scene
+from scenes import random_monomial_scene, random_poly_grid, render_scene
 
 IV = ExposureInterval(0.0, 0.12)
 
@@ -811,3 +812,18 @@ class TestRenderTimestamps:
                        check=False)
         assert proc.returncode == 2
         assert "outside" in proc.stderr
+
+    @pytest.mark.parametrize("timestamps, bad", [("0.01,nan", "nan"), ("nan,0.01", "nan"),
+                                                 ("0.01,inf", "inf"), ("-inf 0.01", "-inf")])
+    def test_non_finite_timestamps_rejected(self, tmp_path, timestamps, bad):
+        """A NaN passes the order check, so it is named before the interval is consulted."""
+        manifest = write_small_exposure(tmp_path)
+        save_polys(tmp_path / "polys.npz",
+                   random_poly_grid(np.random.default_rng(3), 4, 5, 4, IV))
+        for command, source in (("render", ("--polys", tmp_path / "polys.npz")),
+                                ("edi", ("--manifest", manifest))):
+            code, lines = run_main(command, *source, "--timestamps", timestamps,
+                                   "--out", tmp_path / command)
+            assert code == 2
+            assert lines == [f"ecir {command}: error: timestamps must be finite, got {bad!r}"]
+            assert not (tmp_path / command).exists()

@@ -251,7 +251,7 @@ class TestEdi:
         """Each pixel sums ((T + s1) + s2) + ... as the scatter-add does."""
         stream, shape, _ = case
         blurry = BlurryFrame(np.full(shape, 0.5), IV)
-        got, touched = _edi_factors(blurry, stream, c)
+        got, touched = _edi_factors(blurry, stream, c, stream.pixel_ids(shape))
         assert got.tobytes() == oracle_edi_factors(blurry, stream, c).tobytes()
         ids = stream.y.astype(np.int64) * shape[1] + stream.x
         assert np.array_equal(touched, np.bincount(ids, minlength=got.size) > 0)
@@ -269,7 +269,7 @@ class TestEdi:
         stream = EventStream(ids % w, ids // w, np.sort(rng.uniform(IV.t_start, IV.t_end, k)),
                              rng.choice([-1, 1], k), IV)
         blurry = BlurryFrame(np.full(shape, 0.5), IV)
-        got, touched = _edi_factors(blurry, stream, 0.3)
+        got, touched = _edi_factors(blurry, stream, 0.3, stream.pixel_ids(shape))
         assert got.tobytes() == oracle_edi_factors(blurry, stream, 0.3).tobytes()
         assert np.array_equal(touched, np.bincount(ids, minlength=h * w) > 0)
 
