@@ -1,10 +1,15 @@
 """Command-line pipeline: simulate, fit, render, edi, refine, eval, voxelize.
 
-Settings resolve as flag > manifest override > built-in default. Every
-subcommand validates its inputs and exits nonzero with a one-line diagnostic
-on bad input. A command that needs events reads them once, from the path it
-resolved (``--events``, else the manifest's), checked against its own
-exposure interval. ``eval`` scores its frame pairs, and ``simulate``
+Settings resolve as flag > manifest override > built-in default. The parser
+is the one place that declares a setting's type, choices and default.
+:func:`main` loads the manifest once, before dispatch, and converts each
+override (a key in :data:`OVERRIDABLE`) with its own flag's action, so an
+override is accepted exactly when the same value given as that flag would
+be; commands read the resolved ``args`` and the loaded ``args.manifest``.
+Every subcommand validates its inputs and exits nonzero with a one-line
+diagnostic on bad input. A command that needs events reads them once, from
+the path it resolved (``--events``, else the manifest's), checked against
+its own exposure interval. ``eval`` scores its frame pairs, and ``simulate``
 formats its text events, in contiguous parts on every CPU of the
 affinity mask: forked children take every part but the first
 (:mod:`ecir._parts`), and the outputs do not depend on the number of parts.
@@ -37,9 +42,6 @@ from .simulation import (
 )
 from .types import BlurryFrame, ExposureInterval
 
-DEFAULT_EXPOSURE_MS = 120.0
-DEFAULT_KEYPOINTS = 10
-DEFAULT_FRAME_COUNT = 14
 # fewest pixels a part of eval scores (see _parts), counted as frame pairs
 # times the pixels of the first predicted frame: 4 pairs of 180x240. The
 # timings below were measured with a five-filter SSIM, before a pair's SSIM
@@ -61,69 +63,66 @@ RENDER_BLOCK_BYTES = 4 * 180 * 240 * 8
 # one frame's (mse, psnr, ssim) as a forked part sends it: exact float64s
 _EVAL_RECORD = struct.Struct("<3d")
 
-_COERCE = {
-    "n": int,
-    "bins": int,
-    "count": int,
-    "imax": int,
-    "seed": int,
-    "width": int,
-    "height": int,
-    "c": float,
-    "c_plus": float,
-    "c_minus": float,
-    "sigma": float,
-    "lambda": float,
-    "exposure_ms": float,
-    "solver": str,
-}
+# the manifest override keys: each is its flag's name with underscores
+# (``lambda`` is ``--lambda``), and a command honors those of its own flags
+OVERRIDABLE = frozenset({
+    "exposure_ms", "c_plus", "c_minus", "sigma", "seed", "n", "count", "c", "lambda", "imax",
+    "solver", "bins", "width", "height",
+})
 
 
-def _setting(flag_value, manifest: io.Manifest | None, key: str, default):
-    """flag > manifest override > default."""
-    if flag_value is not None:
-        return flag_value
-    if manifest is not None and key in manifest.overrides:
-        value = manifest.overrides[key]
+def _apply_overrides(overridable: dict, overrides: dict) -> None:
+    """Make each override its flag's default, converted and checked as the flag's value.
+
+    ``overridable`` maps a command's override keys to its flags' actions;
+    any other key is ignored.
+    """
+    for key, value in overrides.items():
+        action = overridable.get(key)
+        if action is None:
+            continue
         try:
-            return _COERCE.get(key, str)(value)
-        except (TypeError, ValueError, OverflowError):
+            converted = (action.type or str)(str(value))
+            if action.choices is not None and converted not in action.choices:
+                raise ValueError
+        except ValueError:
             raise ValueError(f"manifest override {key!r} is not a valid value: {value!r}") from None
-    return default
+        action.default = converted
 
 
-def _manifest_of(args) -> io.Manifest | None:
-    path = getattr(args, "manifest", None)
-    return io.load_manifest(path) if path else None
-
-
-def _interval_of(args, manifest: io.Manifest | None) -> ExposureInterval:
-    t_start = getattr(args, "t_start", None)
-    t_end = getattr(args, "t_end", None)
-    if (t_start is None) != (t_end is None):
+def _interval_of(args) -> ExposureInterval:
+    if (args.t_start is None) != (args.t_end is None):
         raise ValueError("--t-start and --t-end must be given together")
-    if t_start is not None:
-        return ExposureInterval(t_start, t_end)
-    if manifest is not None:
-        return manifest.interval
+    if args.t_start is not None:
+        return ExposureInterval(args.t_start, args.t_end)
+    if args.manifest is not None:
+        return args.manifest.interval
     raise ValueError("need --t-start/--t-end or --manifest to fix the exposure interval")
 
 
-def _path_setting(flag_value, manifest: io.Manifest | None, name: str) -> Path:
-    if flag_value is not None:
-        return Path(flag_value)
-    if manifest is not None:
-        resolved = manifest.resolve(name)
-        if resolved is not None:
-            return resolved
-    raise ValueError(f"missing --{name.replace('_', '-')} (no manifest fallback found)")
+def _path_of(args, name: str) -> Path:
+    """``--<name>``, else the manifest's ``name``."""
+    if getattr(args, name) is not None:
+        return Path(getattr(args, name))
+    resolved = args.manifest.resolve(name) if args.manifest is not None else None
+    if resolved is None:
+        raise ValueError(f"missing --{name.replace('_', '-')} (no manifest fallback found)")
+    return resolved
 
 
-def _times_of(args, manifest: io.Manifest | None, interval: ExposureInterval) -> np.ndarray:
+def _events_of(args, interval: ExposureInterval):
+    return io.read_events(_path_of(args, "events"), interval)
+
+
+def _blurry_of(args, interval: ExposureInterval) -> BlurryFrame:
+    return BlurryFrame(io.read_frame(_path_of(args, "blurry")), interval)
+
+
+def _times_of(args, interval: ExposureInterval) -> np.ndarray:
     """``--timestamps``, else ``--count`` times spanning ``interval``."""
     if args.timestamps is not None:
         return _parse_timestamps(args.timestamps)
-    return interval.uniform_times(_setting(args.count, manifest, "count", DEFAULT_FRAME_COUNT))
+    return interval.uniform_times(args.count)
 
 
 def _parse_timestamps(text: str) -> np.ndarray:
@@ -148,17 +147,10 @@ def _parse_timestamps(text: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def cmd_simulate(args) -> int:
-    manifest = _manifest_of(args)
-    exposure_ms = _setting(args.exposure_ms, manifest, "exposure_ms", DEFAULT_EXPOSURE_MS)
-    cfg = ThresholdConfig(
-        c_plus=_setting(args.c_plus, manifest, "c_plus", DEFAULT_CONTRAST),
-        c_minus=_setting(args.c_minus, manifest, "c_minus", -DEFAULT_CONTRAST),
-        sigma=_setting(args.sigma, manifest, "sigma", 0.0),
-        seed=_setting(args.seed, manifest, "seed", 0),
-    )
+    cfg = ThresholdConfig(args.c_plus, args.c_minus, sigma=args.sigma, seed=args.seed)
     video = io.read_video_dir(args.video)
     window = ExposureInterval(
-        float(video.times[0]), float(video.times[0]) + exposure_ms / 1000.0
+        float(video.times[0]), float(video.times[0]) + args.exposure_ms / 1000.0
     )
     video = video.window(window)
 
@@ -185,27 +177,21 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    manifest = _manifest_of(args)
-    bounded = manifest is not None or args.t_start is not None or args.t_end is not None
-    window = _interval_of(args, manifest) if bounded else None
-    n = _setting(args.n, manifest, "n", DEFAULT_KEYPOINTS)
-    blurry_path = _path_setting(args.blurry, manifest, "blurry")
-    events_path = _path_setting(args.events, manifest, "events")
-    video_path = _path_setting(args.gt_video, manifest, "gt_video")
-
-    video = io.read_video_dir(video_path)
+    bounded = args.manifest is not None or args.t_start is not None or args.t_end is not None
+    window = _interval_of(args) if bounded else None
+    video = io.read_video_dir(_path_of(args, "gt_video"))
     if window is not None:
         video = video.window(window)
     interval = video.interval
-    blurry = BlurryFrame(io.read_frame(blurry_path), interval)
-    events = io.read_events(events_path, interval)
+    blurry = _blurry_of(args, interval)
+    events = _events_of(args, interval)
 
-    keypoints = keypoint_grid(events, interval, n, video.shape)
+    keypoints = keypoint_grid(events, interval, args.n, video.shape)
     del events  # the fit reads only the keypoints
     grid = fit_polys(video, keypoints, blurry)
     io.save_polys(args.out, grid)
     flag = " (rank-deficient, ridge engaged)" if grid.fit_warning else ""
-    print(f"fit: n={n} over {video.frame_count} frames -> {args.out}{flag}")
+    print(f"fit: n={args.n} over {video.frame_count} frames -> {args.out}{flag}")
     return 0
 
 
@@ -223,9 +209,8 @@ def _rendered(grid, times: np.ndarray):
 
 
 def cmd_render(args) -> int:
-    manifest = _manifest_of(args)
     grid = io.load_polys(args.polys)
-    times = _times_of(args, manifest, grid.interval)
+    times = _times_of(args, grid.interval)
     if not grid.interval.contains(times):
         raise ValueError("render timestamps fall outside the fitted exposure interval")
     io.write_video_dir(args.out, times, _rendered(grid, times), fmt=args.format)
@@ -234,36 +219,24 @@ def cmd_render(args) -> int:
 
 
 def cmd_edi(args) -> int:
-    manifest = _manifest_of(args)
-    interval = _interval_of(args, manifest)
-    blurry_path = _path_setting(args.blurry, manifest, "blurry")
-    events_path = _path_setting(args.events, manifest, "events")
-    c = _setting(args.c, manifest, "c", DEFAULT_CONTRAST)
-    blurry = BlurryFrame(io.read_frame(blurry_path), interval)
-    events = io.read_events(events_path, interval)
-    times = _times_of(args, manifest, interval)
-    frames = edi_video(blurry, events, c, times)
+    interval = _interval_of(args)
+    blurry = _blurry_of(args, interval)
+    events = _events_of(args, interval)
+    times = _times_of(args, interval)
+    frames = edi_video(blurry, events, args.c, times)
     io.write_video_dir(args.out, times, frames, fmt=args.format)
-    print(f"edi: {times.shape[0]} frames at c={c} -> {args.out}")
+    print(f"edi: {times.shape[0]} frames at c={args.c} -> {args.out}")
     return 0
 
 
 def cmd_refine(args) -> int:
-    manifest = _manifest_of(args)
-    interval = _interval_of(args, manifest)
-    events_path = _path_setting(args.events, manifest, "events")
-    lam = _setting(args.lam, manifest, "lambda", DEFAULT_LAMBDA)
-    i_max = _setting(args.imax, manifest, "imax", DEFAULT_ITERATIONS)
-    solver = _setting(args.solver, manifest, "solver", "tridiag")
-    c = _setting(args.c, manifest, "c", DEFAULT_CONTRAST)
-
+    interval = _interval_of(args)
     video = io.read_video_dir(args.frames)
-    if not interval.contains(video.times):
-        raise ValueError("frame schedule falls outside the exposure interval")
-    events = io.read_events(events_path, interval)
-    refined = refine(video.frames, events, c, video.times, lam=lam, i_max=i_max, solver=solver)
+    events = _events_of(args, interval)
+    refined = refine(video.frames, events, args.c, video.times, lam=args.lam, i_max=args.imax,
+                     solver=args.solver)
     io.write_video_dir(args.out, video.times, refined, fmt=args.format)
-    print(f"refine: solver={solver} lambda={lam} imax={i_max} -> {args.out}")
+    print(f"refine: solver={args.solver} lambda={args.lam} imax={args.imax} -> {args.out}")
     return 0
 
 
@@ -278,6 +251,10 @@ def _scores(pred_paths: list[Path], gt_paths: list[Path], lo: int, hi: int) -> l
 
 
 def cmd_eval(args) -> int:
+    report = Path(args.report)
+    csv_path = report.with_suffix(".csv") if report.suffix else Path(str(report) + ".csv")
+    if csv_path == report:
+        raise ValueError(f"--report {report} is the path of its CSV copy; give it another suffix")
     # a directory whose rewrite failed part way has no timestamps.txt
     _, pred_paths = io.video_frames(args.pred)
     _, gt_paths = io.video_frames(args.gt)
@@ -302,7 +279,6 @@ def cmd_eval(args) -> int:
                 rows += _EVAL_RECORD.iter_unpack(records)
             records.clear()
 
-    report = Path(args.report)
     report.parent.mkdir(parents=True, exist_ok=True)
     lines = [f"frames={len(rows)}"]
     for i, (m, p, s) in enumerate(rows):
@@ -316,7 +292,6 @@ def cmd_eval(args) -> int:
     with io._overwrite(report, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
 
-    csv_path = report.with_suffix(".csv") if report.suffix else Path(str(report) + ".csv")
     with io._overwrite(csv_path, "w", newline="", encoding="ascii") as fh:
         writer = csv.writer(fh)
         writer.writerow(["frame", "mse", "psnr", "ssim"])
@@ -328,16 +303,11 @@ def cmd_eval(args) -> int:
 
 
 def cmd_voxelize(args) -> int:
-    manifest = _manifest_of(args)
-    interval = _interval_of(args, manifest)
-    events_path = _path_setting(args.events, manifest, "events")
-    m = _setting(args.bins, manifest, "bins", DEFAULT_BINS)
-    events = io.read_events(events_path, interval)
-
-    width = _setting(args.width, manifest, "width", None)
-    height = _setting(args.height, manifest, "height", None)
+    interval = _interval_of(args)
+    events = _events_of(args, interval)
+    width, height = args.width, args.height
     if width is None or height is None:
-        blurry_path = manifest.resolve("blurry") if manifest else None
+        blurry_path = args.manifest.resolve("blurry") if args.manifest else None
         if blurry_path is not None:
             h, w = io.read_frame(blurry_path).shape
         elif len(events):
@@ -348,10 +318,11 @@ def cmd_voxelize(args) -> int:
         width = width if width is not None else w
         height = height if height is not None else h
 
-    hist = voxelize(events, m, (height, width))
+    hist = voxelize(events, args.bins, (height, width))
     io.write_histogram(args.out, hist)
     signed_total = float(hist.bins.sum())
-    print(f"voxelize: m={m} grid {height}x{width} signed-sum {signed_total:+g} -> {args.out}")
+    print(f"voxelize: m={args.bins} grid {height}x{width} signed-sum {signed_total:+g}"
+          f" -> {args.out}")
     return 0
 
 
@@ -359,10 +330,41 @@ def cmd_voxelize(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_interval_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--t-start", type=float, default=None, help="exposure start (s)")
-    p.add_argument("--t-end", type=float, default=None, help="exposure end (s)")
-    p.add_argument("--manifest", default=None, help="manifest.json supplying defaults")
+# flags several subcommands take, each declared here once
+_SHARED_FLAGS = {
+    "--t-start": {"type": float, "default": None, "help": "exposure start (s)"},
+    "--t-end": {"type": float, "default": None, "help": "exposure end (s)"},
+    "--manifest": {"default": None, "help": "manifest.json supplying defaults"},
+    "--events": {"default": None},
+    "--blurry": {"default": None},
+    "--c": {"type": float, "default": DEFAULT_CONTRAST},
+    "--count": {"type": int, "default": 14, "help": "uniform timestamp count"},
+    "--timestamps": {"default": None, "help": "comma-separated seconds"},
+    "--format": {"choices": ("f32", "pgm"), "default": "f32"},
+    "--threads": {"type": int, "default": None, "help": "accepted and ignored"},
+}
+_INTERVAL_FLAGS = ("--t-start", "--t-end", "--manifest")
+
+
+def _command(sub, name: str, func, help: str, *shared: str) -> argparse.ArgumentParser:
+    """The subcommand ``name``, running ``func``, with the ``shared`` flags.
+
+    Its namespace's ``overridable`` maps the override keys of its flags to
+    their actions (see :func:`_flag`).
+    """
+    p = sub.add_parser(name, help=help)
+    p.set_defaults(func=func, overridable={})
+    for flag in shared:
+        _flag(p, flag, **_SHARED_FLAGS[flag])
+    return p
+
+
+def _flag(p: argparse.ArgumentParser, flag: str, **kwargs) -> None:
+    """Add ``flag``; an overridable one's action goes into ``p``'s ``overridable``."""
+    action = p.add_argument(flag, **kwargs)
+    key = flag[2:].replace("-", "_")
+    if key in OVERRIDABLE:
+        p.get_default("overridable")[key] = action
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -372,83 +374,67 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", help="events + blurry frame from a sharp video")
-    p.add_argument("--video", required=True, help="frame directory with timestamps.txt")
-    p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--c-plus", type=float, default=None)
-    p.add_argument("--c-minus", type=float, default=None)
-    p.add_argument("--sigma", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--exposure-ms", type=float, default=None)
-    p.add_argument("--threads", type=int, default=None, help="accepted and ignored")
-    p.add_argument("--manifest", default=None)
-    p.set_defaults(func=cmd_simulate)
+    p = _command(sub, "simulate", cmd_simulate, "events + blurry frame from a sharp video",
+                 "--threads", "--manifest")
+    _flag(p, "--video", required=True, help="frame directory with timestamps.txt")
+    _flag(p, "--out", required=True, help="output directory")
+    _flag(p, "--c-plus", type=float, default=DEFAULT_CONTRAST)
+    _flag(p, "--c-minus", type=float, default=-DEFAULT_CONTRAST)
+    _flag(p, "--sigma", type=float, default=0.0)
+    _flag(p, "--seed", type=int, default=0)
+    _flag(p, "--exposure-ms", type=float, default=120.0)
 
-    p = sub.add_parser("fit", help="fit per-pixel intensity polynomials")
-    p.add_argument("--blurry", default=None)
-    p.add_argument("--events", default=None)
-    p.add_argument("--gt-video", default=None)
-    p.add_argument("--n", type=int, default=None, help="keypoints per pixel")
-    p.add_argument("--out", required=True, help="output .npz")
-    p.add_argument("--threads", type=int, default=None, help="accepted and ignored")
-    _add_interval_flags(p)
-    p.set_defaults(func=cmd_fit)
+    p = _command(sub, "fit", cmd_fit, "fit per-pixel intensity polynomials",
+                 "--blurry", "--events", "--threads", *_INTERVAL_FLAGS)
+    _flag(p, "--gt-video", default=None)
+    _flag(p, "--n", type=int, default=10, help="keypoints per pixel")
+    _flag(p, "--out", required=True, help="output .npz")
 
-    p = sub.add_parser("render", help="latent frames from fitted polynomials")
-    p.add_argument("--polys", required=True)
-    p.add_argument("--timestamps", default=None, help="comma-separated seconds")
-    p.add_argument("--count", type=int, default=None, help="uniform timestamp count")
-    p.add_argument("--out", required=True)
-    p.add_argument("--format", choices=("f32", "pgm"), default="f32")
-    p.add_argument("--threads", type=int, default=None, help="accepted and ignored")
-    p.add_argument("--manifest", default=None)
-    p.set_defaults(func=cmd_render)
+    p = _command(sub, "render", cmd_render, "latent frames from fitted polynomials",
+                 "--timestamps", "--count", "--format", "--threads", "--manifest")
+    _flag(p, "--polys", required=True)
+    _flag(p, "--out", required=True)
 
-    p = sub.add_parser("edi", help="double-integral analytic baseline")
-    p.add_argument("--blurry", default=None)
-    p.add_argument("--events", default=None)
-    p.add_argument("--c", type=float, default=None)
-    p.add_argument("--count", type=int, default=None)
-    p.add_argument("--timestamps", default=None)
-    p.add_argument("--out", required=True)
-    p.add_argument("--format", choices=("f32", "pgm"), default="f32")
-    _add_interval_flags(p)
-    p.set_defaults(func=cmd_edi)
+    p = _command(sub, "edi", cmd_edi, "double-integral analytic baseline",
+                 "--blurry", "--events", "--c", "--count", "--timestamps", "--format",
+                 *_INTERVAL_FLAGS)
+    _flag(p, "--out", required=True)
 
-    p = sub.add_parser("refine", help="residual-flow refinement of a frame stack")
-    p.add_argument("--frames", required=True, help="initial frames directory")
-    p.add_argument("--events", default=None)
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
-    p.add_argument("--imax", type=int, default=None)
-    p.add_argument("--solver", choices=("tridiag", "gd"), default=None)
-    p.add_argument("--c", type=float, default=None)
-    p.add_argument("--out", required=True)
-    p.add_argument("--format", choices=("f32", "pgm"), default="f32")
-    _add_interval_flags(p)
-    p.set_defaults(func=cmd_refine)
+    p = _command(sub, "refine", cmd_refine, "residual-flow refinement of a frame stack",
+                 "--events", "--c", "--format", *_INTERVAL_FLAGS)
+    _flag(p, "--frames", required=True, help="initial frames directory")
+    _flag(p, "--lambda", dest="lam", type=float, default=DEFAULT_LAMBDA)
+    _flag(p, "--imax", type=int, default=DEFAULT_ITERATIONS)
+    _flag(p, "--solver", choices=("tridiag", "gd"), default="tridiag")
+    _flag(p, "--out", required=True)
 
-    p = sub.add_parser("eval", help="MSE/PSNR/SSIM report between frame directories")
-    p.add_argument("--pred", required=True)
-    p.add_argument("--gt", required=True)
-    p.add_argument("--report", required=True)
-    p.add_argument("--threads", type=int, default=None, help="accepted and ignored")
-    p.set_defaults(func=cmd_eval)
+    p = _command(sub, "eval", cmd_eval, "MSE/PSNR/SSIM report between frame directories",
+                 "--threads")
+    _flag(p, "--pred", required=True)
+    _flag(p, "--gt", required=True)
+    _flag(p, "--report", required=True)
 
-    p = sub.add_parser("voxelize", help="signed event histogram to a raw-float file")
-    p.add_argument("--events", default=None)
-    p.add_argument("--bins", type=int, default=None)
-    p.add_argument("--out", required=True)
-    p.add_argument("--width", type=int, default=None)
-    p.add_argument("--height", type=int, default=None)
-    _add_interval_flags(p)
-    p.set_defaults(func=cmd_voxelize)
+    p = _command(sub, "voxelize", cmd_voxelize, "signed event histogram to a raw-float file",
+                 "--events", *_INTERVAL_FLAGS)
+    _flag(p, "--bins", type=int, default=DEFAULT_BINS)
+    _flag(p, "--out", required=True)
+    _flag(p, "--width", type=int, default=None)
+    _flag(p, "--height", type=int, default=None)
 
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
+        # the manifest is loaded once, here; its overrides become the
+        # defaults of a second parse, which the flags given still beat
+        manifest = io.load_manifest(args.manifest) if getattr(args, "manifest", None) else None
+        if manifest is not None and manifest.overrides:
+            _apply_overrides(args.overridable, manifest.overrides)
+            args = parser.parse_args(argv)
+        args.manifest = manifest
         return args.func(args)
     except (ValueError, OSError, MemoryError, DivergenceError) as exc:
         print(f"ecir {args.command}: error: {exc}", file=sys.stderr)

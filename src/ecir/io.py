@@ -580,10 +580,12 @@ def write_video_dir(path, times: np.ndarray, frames, fmt: str = "f32") -> None:
     """Write ``frame_NNNNN.<fmt>`` files and ``timestamps.txt`` into ``path``.
 
     ``frames`` is a stack or any iterable of 2-d frames, such as a generator,
-    one per entry of ``times``. ``timestamps.txt`` is removed before the
-    first frame is written and written after the last, so a write that
-    fails part way leaves a directory :func:`read_video_dir` refuses, not a
-    mix of new and old frames. Any other frame file there, one
+    one per entry of ``times``: one that ends early, or yields a frame past
+    the last time (no further frame is taken), is a ValueError.
+    ``timestamps.txt`` is removed before the first frame is written and
+    written after the last, so a write that fails part way leaves a
+    directory :func:`read_video_dir` refuses, not a mix of new and old
+    frames. Any other frame file there, one
     :func:`list_frames` would read, is deleted once every frame is written,
     so the directory reads back as exactly this video.
     """
@@ -593,13 +595,19 @@ def write_video_dir(path, times: np.ndarray, frames, fmt: str = "f32") -> None:
         raise ValueError("fmt must be 'f32' or 'pgm'")
     (directory / TIMESTAMPS_FILE).unlink(missing_ok=True)
     written = set()
-    for frame in frames:
-        name = f"frame_{len(written):05d}.{fmt}"
+    frames = iter(frames)
+    for index in range(len(times)):
+        frame = next(frames, None)
+        if frame is None:
+            raise ValueError(f"{directory}: {index} frames for {len(times)} timestamps")
+        name = f"frame_{index:05d}.{fmt}"
         write_frame(directory / name, frame)
         written.add(name)
         # a generator may build its next frames while the loop would still
         # hold this one, and with it the block it is a view of
         del frame
+    if next(frames, None) is not None:
+        raise ValueError(f"{directory}: more frames than its {len(times)} timestamps")
     for stale in _frame_paths(directory):
         if stale.name not in written:
             stale.unlink()
@@ -724,6 +732,9 @@ def load_manifest(path) -> Manifest:
     except json.JSONDecodeError as exc:
         raise ParseError(path, exc.lineno, exc.msg) from None
     try:
+        for name in ("t_start", "t_end"):
+            if isinstance(payload[name], bool):
+                raise TypeError(f"{name} must be a number, got {payload[name]!r}")
         manifest = Manifest(
             t_start=float(payload["t_start"]),
             t_end=float(payload["t_end"]),

@@ -388,7 +388,10 @@ class TestErrorHandling:
         ('{"t_start": 0, "t_end": 0.1, "events": "e.txt", "overrides": {"bins": {"a": 1}}}', "bins"),
         ('{"t_start": 0, "t_end": 0.1, "events": "e.txt", "overrides": {"bins": 1e400}}', "bins"),
         ('{"t_start": 0, "t_end": 0.1, "overrides": [["bins", 3]]}', "overrides"),
-    ], ids=["events_int", "bins_object", "bins_inf", "overrides_list"])
+        ('{"t_start": true, "t_end": 2, "events": "e.txt"}', "t_start"),
+        ('{"t_start": 0, "t_end": 0.1, "events": "e.txt", "overrides": {"bins": true}}', "bins"),
+    ], ids=["events_int", "bins_object", "bins_inf", "overrides_list", "t_start_bool",
+            "bins_bool"])
     def test_manifest_field_of_wrong_type_one_line_diagnostic(self, tmp_path, body, word):
         (tmp_path / "m.json").write_text(body)
         (tmp_path / "e.txt").write_text("")
@@ -491,6 +494,24 @@ class TestErrorHandling:
         assert len(lines) == 1
         assert word in lines[0]
         assert not (tmp_path / "refined").exists()
+
+    def test_refine_frames_outside_interval_one_line_diagnostic(self, tmp_path):
+        manifest = write_small_exposure(tmp_path)
+        write_video_dir(tmp_path / "late", np.linspace(IV.t_start, 2 * IV.t_end, 3),
+                        np.full((3, 4, 5), 0.5))
+        code, lines = run_main("refine", "--frames", tmp_path / "late", "--manifest", manifest,
+                               "--out", tmp_path / "refined")
+        assert (code, lines) == (
+            2, ["ecir refine: error: schedule falls outside the exposure interval"])
+        assert not (tmp_path / "refined").exists()
+
+    def test_eval_report_named_like_its_csv_one_line_diagnostic(self, tmp_path):
+        # refused before the frame directories, which do not exist, are read
+        code, lines = run_main("eval", "--pred", tmp_path / "pred", "--gt", tmp_path / "gt",
+                               "--report", tmp_path / "out" / "report.csv")
+        assert code == 2
+        assert len(lines) == 1 and "report.csv" in lines[0] and "CSV" in lines[0]
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("side", ["pred", "gt"])
     @pytest.mark.parametrize("damage", ["failed rewrite", "extra frame"])
@@ -780,6 +801,120 @@ class TestConfigPrecedence:
         with np.load(tmp_path / "p1.npz") as a, np.load(tmp_path / "p4.npz") as b:
             assert np.array_equal(a["derivatives"], b["derivatives"])
             assert np.array_equal(a["constants"], b["constants"])
+
+
+# each manifest override key: the command that honors it, flags that make the
+# key matter, a value its flag accepts (other than the default) and one the
+# flag refuses
+OVERRIDE_CASES = {
+    "exposure_ms": ("simulate", (), 60.0, True),
+    "c_plus": ("simulate", (), 0.25, "high"),
+    "c_minus": ("simulate", (), -0.25, None),
+    "sigma": ("simulate", (), 0.03, [0.03]),
+    "seed": ("simulate", ("--sigma", "0.03"), 3, 3.0),
+    "n": ("fit", (), "6", 4.7),
+    "count": ("render", (), 5, True),
+    "c": ("edi", (), "0.3", "0.3x"),
+    "lambda": ("refine", (), 0.5, {"a": 1}),
+    "imax": ("refine", ("--solver", "gd"), 7, 12.0),
+    "solver": ("refine", ("--imax", "3"), "gd", "foo"),
+    "bins": ("voxelize", (), 7, 2.9),
+    "width": ("voxelize", (), 40, "9.5"),
+    "height": ("voxelize", (), 30, False),
+}
+
+
+def output_bytes(path):
+    """A file's bytes, or a directory's as {name: bytes}."""
+    if path.is_dir():
+        return {p.name: p.read_bytes() for p in sorted(path.iterdir())}
+    return path.read_bytes()
+
+
+class TestManifestOverrides:
+    @pytest.fixture(scope="class")
+    def exposure(self, tmp_path_factory):
+        base = tmp_path_factory.mktemp("exposure")
+        make_scene_fixture(base, seed=467, h=12, w=16, k=24)
+        for args in (("simulate", "--video", base / "video", "--out", base / "sim"),
+                     ("fit", "--manifest", base / "sim" / "manifest.json",
+                      "--gt-video", base / "video", "--out", base / "polys.npz"),
+                     ("render", "--polys", base / "polys.npz", "--count", "6",
+                      "--out", base / "initial")):
+            assert run_main(*args) == (0, [])
+        return base
+
+    @staticmethod
+    def argv(exposure, key, *flags):
+        """The key's command, its inputs and the flags that make the key matter."""
+        command, extra, _, _ = OVERRIDE_CASES[key]
+        inputs = {"simulate": ("--video", exposure / "video"),
+                  "fit": ("--gt-video", exposure / "video"),
+                  "render": ("--polys", exposure / "polys.npz"),
+                  "refine": ("--frames", exposure / "initial")}.get(command, ())
+        return [command, *inputs, *extra, *flags]
+
+    def run(self, exposure, tmp_path, key, overrides, *flags):
+        """The key's command, given a manifest holding ``overrides``: (code, stderr, out)."""
+        sim = load_manifest(exposure / "sim" / "manifest.json")
+        manifest = tmp_path / f"manifest_{len(list(tmp_path.iterdir()))}.json"
+        Manifest(t_start=sim.t_start, t_end=sim.t_end, blurry=str(sim.resolve("blurry")),
+                 events=str(sim.resolve("events")), overrides=overrides).save(manifest)
+        argv = self.argv(exposure, key, *flags)
+        out = tmp_path / f"out_{manifest.stem}{'.npz' if argv[0] == 'fit' else ''}"
+        code, lines = run_main(*argv, "--manifest", manifest, "--out", out)
+        return code, lines, out
+
+    def test_keys_are_the_overridable_ones(self):
+        from ecir.cli import OVERRIDABLE
+
+        assert set(OVERRIDE_CASES) == OVERRIDABLE
+
+    @pytest.mark.parametrize("key", sorted(OVERRIDE_CASES))
+    def test_valid_override_gives_the_flags_output(self, exposure, tmp_path, key):
+        value = OVERRIDE_CASES[key][2]
+        code, lines, default = self.run(exposure, tmp_path, key, {})
+        assert (code, lines) == (0, [])
+        code, lines, flagged = self.run(exposure, tmp_path, key, {},
+                                        f"--{key.replace('_', '-')}={value}")
+        assert (code, lines) == (0, [])
+        code, lines, overridden = self.run(exposure, tmp_path, key, {key: value})
+        assert (code, lines) == (0, [])
+        assert output_bytes(overridden) == output_bytes(flagged)
+        # the value changes the output, so the override did take effect
+        assert output_bytes(flagged) != output_bytes(default)
+
+    @pytest.mark.parametrize("key", sorted(OVERRIDE_CASES))
+    def test_refused_override_one_line_diagnostic(self, exposure, tmp_path, key, monkeypatch):
+        import ecir.io
+
+        command, _, _, bad = OVERRIDE_CASES[key]
+        flag = f"--{key.replace('_', '-')}"
+        # the flag refuses the same value
+        err = io.StringIO()
+        with pytest.raises(SystemExit) as refused, contextlib.redirect_stderr(err):
+            main([str(a) for a in self.argv(exposure, key, f"{flag}={bad}", "--out", "x")])
+        assert refused.value.code == 2
+        assert f"argument {flag}: invalid" in err.getvalue()
+
+        def unread(*args, **kwargs):
+            raise AssertionError("an input was read before the overrides were checked")
+
+        for reader in ("read_video_dir", "read_frame", "read_events", "load_polys"):
+            monkeypatch.setattr(ecir.io, reader, unread)
+        code, lines, out = self.run(exposure, tmp_path, key, {key: bad})
+        assert (code, lines) == (
+            2, [f"ecir {command}: error: manifest override {key!r} is not a valid value: {bad!r}"])
+        assert not out.exists()
+
+    def test_other_keys_ignored(self, exposure, tmp_path):
+        code, lines, default = self.run(exposure, tmp_path, "count", {})
+        assert (code, lines) == (0, [])
+        code, lines, out = self.run(exposure, tmp_path, "count",
+                                    {"format": "pgm", "out": "elsewhere", "threads": "x",
+                                     "polys": "none.npz", "timestamps": "bad"})
+        assert (code, lines) == (0, [])
+        assert output_bytes(out) == output_bytes(default)
 
 
 class TestRenderTimestamps:

@@ -859,6 +859,26 @@ class TestVideoDirs:
         with pytest.raises(FileNotFoundError, match="missing timestamps.txt"):
             read_video_dir(d)
 
+    @pytest.mark.parametrize("yielded, message", [(2, "2 frames for 3 timestamps"),
+                                                   (6, "more frames than its 3")],
+                             ids=["shorter", "longer"])
+    def test_frame_count_other_than_times_refused(self, tmp_path, yielded, message):
+        d = tmp_path / "vid"
+        write_video_dir(d, np.linspace(0.0, 0.1, 6), np.full((6, 2, 3), 0.25))
+        taken = []
+
+        def frames():
+            for i in range(yielded):
+                taken.append(i)
+                yield np.full((2, 3), 0.5)
+
+        with pytest.raises(ValueError, match=message):
+            write_video_dir(d, np.linspace(0.0, 0.1, 3), frames())
+        # no more than one frame past the last time is taken
+        assert len(taken) == min(yielded, 4)
+        with pytest.raises(FileNotFoundError, match="missing timestamps.txt"):
+            read_video_dir(d)
+
     def test_no_frame_held_while_the_next_is_made(self, tmp_path):
         refs = []
 
