@@ -9,10 +9,18 @@ be; commands read the resolved ``args`` and the loaded ``args.manifest``.
 Every subcommand validates its inputs and exits nonzero with a one-line
 diagnostic on bad input. A command that needs events reads them once, from
 the path it resolved (``--events``, else the manifest's), checked against
-its own exposure interval. ``eval`` scores its frame pairs, and ``simulate``
-formats its text events, in contiguous parts on every CPU of the
-affinity mask: forked children take every part but the first
-(:mod:`ecir._parts`), and the outputs do not depend on the number of parts.
+its own exposure interval. ``--format`` offers the frame formats of
+:data:`ecir.io.FRAME_FORMATS`. A command that writes several files removes
+the one that ties them together first and writes it last: ``simulate``'s
+``manifest.json`` and ``eval``'s report, as :func:`ecir.io.write_video_dir`
+does with ``timestamps.txt``. So a run that fails part way leaves no
+manifest, which every ``--manifest`` command then refuses, or no report:
+never a mix of old and new files. ``eval`` formats each score once and
+writes both its report and the CSV copy from those texts. ``eval`` scores
+its frame pairs, and ``simulate`` formats its text events, in contiguous
+parts on every CPU of the affinity mask: forked children take every part
+but the first (:mod:`ecir._parts`), and the outputs do not depend on the
+number of parts.
 Each process runs one thread; ``--threads`` is accepted for compatibility
 and ignored.
 """
@@ -60,6 +68,8 @@ EVAL_PART_PIXELS = 4 * 180 * 240
 # stack, one frame at a time, 26.8; blocks of 1: 24.9, 2: 20.5, 4: 18.7,
 # 8: 27.2, 16: 28.5. A block past the cache loses more than the pass saves.
 RENDER_BLOCK_BYTES = 4 * 180 * 240 * 8
+# the scores eval reports for each frame pair, in their order in both files
+EVAL_SCORES = ("mse", "psnr", "ssim")
 # one frame's (mse, psnr, ssim) as a forked part sends it: exact float64s
 _EVAL_RECORD = struct.Struct("<3d")
 
@@ -159,6 +169,10 @@ def cmd_simulate(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    # the manifest is the commit point: gone before the first artifact and
+    # written after the last, so a run that fails part way leaves a
+    # directory every --manifest command refuses
+    (out / "manifest.json").unlink(missing_ok=True)
     # the text file is the interchange copy; commands given the manifest
     # read the container, which needs no parsing
     io.write_events(out / "events.txt", events)
@@ -279,25 +293,27 @@ def cmd_eval(args) -> int:
                 rows += _EVAL_RECORD.iter_unpack(records)
             records.clear()
 
-    report.parent.mkdir(parents=True, exist_ok=True)
-    lines = [f"frames={len(rows)}"]
-    for i, (m, p, s) in enumerate(rows):
-        lines.append(f"frame_{i:04d}_mse={m:.9f}")
-        lines.append(f"frame_{i:04d}_psnr={p:.9f}")
-        lines.append(f"frame_{i:04d}_ssim={s:.9f}")
     agg = np.mean(np.array(rows, dtype=np.float64), axis=0)
-    lines.append(f"mse_mean={agg[0]:.9f}")
-    lines.append(f"psnr_mean={agg[1]:.9f}")
-    lines.append(f"ssim_mean={agg[2]:.9f}")
-    with io._overwrite(report, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+    # each score is formatted once, for both files
+    texts = [[f"{v:.9f}" for v in row] for row in rows]
+    means = [f"{v:.9f}" for v in agg]
 
+    # the report is the commit point: gone before the CSV is written and
+    # written after it, so a failed write leaves no report
+    report.parent.mkdir(parents=True, exist_ok=True)
+    report.unlink(missing_ok=True)
     with io._overwrite(csv_path, "w", newline="", encoding="ascii") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["frame", "mse", "psnr", "ssim"])
-        for i, (m, p, s) in enumerate(rows):
-            writer.writerow([i, f"{m:.9f}", f"{p:.9f}", f"{s:.9f}"])
-        writer.writerow(["mean", f"{agg[0]:.9f}", f"{agg[1]:.9f}", f"{agg[2]:.9f}"])
+        writer.writerow(["frame", *EVAL_SCORES])
+        writer.writerows([i, *row] for i, row in enumerate(texts))
+        writer.writerow(["mean", *means])
+
+    lines = [f"frames={len(rows)}"]
+    for i, row in enumerate(texts):
+        lines += (f"frame_{i:04d}_{name}={v}" for name, v in zip(EVAL_SCORES, row))
+    lines += (f"{name}_mean={v}" for name, v in zip(EVAL_SCORES, means))
+    with io._overwrite(report, "w", encoding="ascii") as fh:
+        fh.write("\n".join(lines) + "\n")
     print(f"eval: mse={agg[0]:.6f} psnr={agg[1]:.3f} ssim={agg[2]:.4f} -> {report}")
     return 0
 
@@ -340,7 +356,7 @@ _SHARED_FLAGS = {
     "--c": {"type": float, "default": DEFAULT_CONTRAST},
     "--count": {"type": int, "default": 14, "help": "uniform timestamp count"},
     "--timestamps": {"default": None, "help": "comma-separated seconds"},
-    "--format": {"choices": ("f32", "pgm"), "default": "f32"},
+    "--format": {"choices": [suffix[1:] for suffix in io.FRAME_FORMATS], "default": "f32"},
     "--threads": {"type": int, "default": None, "help": "accepted and ignored"},
 }
 _INTERVAL_FLAGS = ("--t-start", "--t-end", "--manifest")

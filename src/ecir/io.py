@@ -27,37 +27,44 @@ by chunk, then appends the children's text in order, so the bytes do not
 depend on the number of parts. A ``.evt`` file is the binary event
 container: magic ``ECIREVT``, a little-endian uint64 count, then the t,
 x, y and p columns as float64, int32, int32 and int8 (17 bytes an event).
-The reader fills one array per column, in those dtypes, straight from the
-file: no buffer of the whole file is made or pinned by a view, and no
-column is widened.
+:data:`EVT_COLUMNS` declares that layout once; the reader, the writer and
+the record size are read from it. The reader fills one array per column,
+in those dtypes, straight from the file: no buffer of the whole file is
+made or pinned by a view, and no column is widened.
 ``simulate`` writes a container beside ``events.txt`` and its manifest names
 it, so each ``--manifest`` command skips the text parse. :func:`load_manifest` only
 checks that the events file exists; the command that needs the events reads
 them, once, against its own exposure interval.
 Frames export either as 8-bit binary PGM (clamped and quantized) or as a
 raw little-endian float32 format with a 16-byte header (magic ``ECIRF32``,
-width, height) for lossless intermediates. Voxel histograms use the sibling
-``ECIRH32`` header with bin count, height, width. One reader, ``_header``,
-checks the magic and unpacks the fields of every binary header (``.evt``,
-``.f32``, ``.h32``). A raw payload holding NaN or inf is a
-:class:`FormatError` on read, so bad values stop at the file boundary; a
-finite frame value too large for float32, or a pixel coordinate too large
-for int32, is refused on write.
+width, height) for lossless intermediates. :data:`FRAME_FORMATS` maps each
+frame suffix to its reader and writer, and is the one list of frame
+formats: the dispatch of :func:`read_frame` and :func:`write_frame`, the
+files of a frame directory and ``cli``'s ``--format`` choices all come from
+it. Voxel histograms use the sibling ``ECIRH32`` header with bin count,
+height, width. One reader, ``_header``, checks the magic and unpacks the
+fields of every binary header (``.evt``, ``.f32``, ``.h32``). A raw
+payload holding NaN or inf is a :class:`FormatError` on read, so bad
+values stop at the file boundary; a finite frame value too large for
+float32, or a pixel coordinate too large for int32, is refused on write.
 
-Every output is written through one opener, :func:`_overwrite`, which
-rewrites an existing file in place and cuts it to the length written when
-the write ends. It opens without ``O_TRUNC``: on ext4, truncating a file
-that holds data to zero length makes ``close()`` start writeback at once
-(the ``auto_da_alloc`` heuristic). Rewriting 64 existing frames of
-180x240 ``.f32`` took 8.1 ms that way against 3.2 ms in place, and 64
-fresh files 9.4 against 9.7 ms (ext4, 2 vCPU, medians of 12). An
-exception mid-write leaves exactly the bytes written so far, as a
-truncating open would. A process killed mid-write (SIGKILL, power loss)
-can leave the new bytes followed by the old file's tail, at the old
-length, where a truncating open would leave a short file; the binary
-readers' size checks catch only the latter. :func:`write_video_dir` also
+Every writer writes exactly the path it is given: :func:`save_polys` adds
+no ``.npz`` suffix. Every output is written through one opener,
+:func:`_overwrite`, which rewrites an existing file in place and cuts it
+to the length written when the write ends. It opens without ``O_TRUNC``:
+on ext4, truncating a file that holds data to zero length makes
+``close()`` start writeback at once (the ``auto_da_alloc`` heuristic).
+Rewriting 64 existing frames of 180x240 ``.f32`` took 8.1 ms that way
+against 3.2 ms in place, and 64 fresh files 9.4 against 9.7 ms (ext4,
+2 vCPU, medians of 12). An exception mid-write leaves exactly the bytes
+written so far, as a truncating open would. A process killed mid-write
+(SIGKILL, power loss) can leave the new bytes followed by the old file's
+tail, at the old length, where a truncating open would leave a short
+file; the binary readers' size checks catch only the latter. :func:`write_video_dir` also
 deletes the frame files of the directory that it does not write, so a
-shorter video or another format leaves no stale frame behind.
+shorter video or another format leaves no stale frame behind. Every reader
+of a frame directory goes through :func:`video_frames`, which refuses a
+``timestamps.txt`` that is not strictly increasing and names the line.
 """
 
 from __future__ import annotations
@@ -106,8 +113,10 @@ F32_MAGIC = b"ECIRF32\x00"
 H32_MAGIC = b"ECIRH32\x00"
 EVT_MAGIC = b"ECIREVT\x00"
 EVT_SUFFIX = ".evt"
-# bytes per event in the container: <f8 t, <i4 x, <i4 y, i1 p
-EVT_RECORD_BYTES = 17
+# the container's columns, in file order, each with its dtype on disk
+EVT_COLUMNS = (("t", "<f8"), ("x", "<i4"), ("y", "<i4"), ("p", "i1"))
+# bytes per event in the container: 17
+EVT_RECORD_BYTES = sum(np.dtype(dtype).itemsize for _, dtype in EVT_COLUMNS)
 # lines formatted per write by the text writer. A chunk's Python strings
 # take about 170 bytes a line; at 8192 lines, writing 600k events raises the
 # peak RSS of simulate by under 2 MB (65536 lines: 11 MB, all at once: 78 MB)
@@ -227,12 +236,12 @@ def _read_event_container(path, interval: ExposureInterval) -> EventStream:
             raise FormatError(f"{path}: {n} events need {expected} bytes, got {size}")
         # each column is read into its own array in the stream's dtype, so
         # no buffer of the whole file exists and no column is widened
-        t, x, y, p = (_read_column(path, fh, dtype, n) for dtype in ("<f8", "<i4", "<i4", "i1"))
-    if not np.all(np.isfinite(t)):
+        columns = {name: _read_column(path, fh, dtype, n) for name, dtype in EVT_COLUMNS}
+    if not np.all(np.isfinite(columns["t"])):
         raise FormatError(f"{path}: timestamps hold NaN or infinite values")
     try:
         # the constructor checks order, interval, polarity and coordinates
-        return EventStream(x, y, t, p, interval)
+        return EventStream(**columns, interval=interval)
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from None
 
@@ -371,10 +380,8 @@ def _write_event_container(path, events: EventStream) -> None:
         raise ValueError(f"{path}: pixel coordinates exceed the int32 range of the container")
     with _overwrite(path) as fh:
         fh.write(EVT_MAGIC + struct.pack("<Q", n))
-        fh.write(events.t.astype("<f8").tobytes())
-        fh.write(events.x.astype("<i4").tobytes())
-        fh.write(events.y.astype("<i4").tobytes())
-        fh.write(events.p.astype("i1").tobytes())
+        for name, dtype in EVT_COLUMNS:
+            fh.write(getattr(events, name).astype(dtype).tobytes())
 
 
 # ---------------------------------------------------------------------------
@@ -464,27 +471,28 @@ def read_f32(path) -> np.ndarray:
     return _finite(path, np.frombuffer(data, dtype="<f4", count=w * h, offset=16).reshape(h, w))
 
 
+# the frame formats: each suffix's (reader, writer). Every other list of
+# formats (frame directories, ``--format``, the messages) is read from here.
+FRAME_FORMATS = {".f32": (read_f32, write_f32), ".pgm": (read_pgm, write_pgm)}
+
+
+def _frame_format(path) -> tuple:
+    """The (reader, writer) of ``path``'s suffix, matched without regard to case."""
+    suffix = Path(path).suffix.lower()
+    if suffix not in FRAME_FORMATS:
+        # kept byte for byte, this message names .pgm first
+        names = " or ".join(reversed(FRAME_FORMATS))
+        raise ValueError(f"unsupported frame extension {suffix!r} (use {names})")
+    return FRAME_FORMATS[suffix]
+
+
 def write_frame(path, frame: np.ndarray) -> None:
     """Dispatch on extension: .pgm quantized, .f32 lossless."""
-    suffix = Path(path).suffix.lower()
-    if suffix == ".pgm":
-        write_pgm(path, frame)
-    elif suffix == ".f32":
-        write_f32(path, frame)
-    else:
-        raise ValueError(f"unsupported frame extension {suffix!r} (use .pgm or .f32)")
+    _frame_format(path)[1](path, frame)
 
 
 def read_frame(path) -> np.ndarray:
-    suffix = Path(path).suffix.lower()
-    if suffix == ".pgm":
-        return read_pgm(path)
-    if suffix == ".f32":
-        return read_f32(path)
-    raise ValueError(f"unsupported frame extension {suffix!r} (use .pgm or .f32)")
-
-
-FRAME_EXTENSIONS = (".f32", ".pgm")
+    return _frame_format(path)[0](path)
 
 
 # ---------------------------------------------------------------------------
@@ -514,7 +522,7 @@ def read_histogram(path, interval: ExposureInterval) -> EventHistogram:
 # ---------------------------------------------------------------------------
 
 def _frame_paths(directory: Path) -> list[Path]:
-    return sorted(p for p in directory.iterdir() if p.suffix.lower() in FRAME_EXTENSIONS)
+    return sorted(p for p in directory.iterdir() if p.suffix.lower() in FRAME_FORMATS)
 
 
 def list_frames(directory) -> list[Path]:
@@ -522,16 +530,18 @@ def list_frames(directory) -> list[Path]:
     directory = Path(directory)
     paths = _frame_paths(directory)
     if not paths:
-        raise FileNotFoundError(f"{directory}: no .f32 or .pgm frames")
+        raise FileNotFoundError(f"{directory}: no {' or '.join(FRAME_FORMATS)} frames")
     return paths
 
 
 def video_frames(path) -> tuple[list[float], list[Path]]:
     """A frame directory's timestamps and frame files, one timestamp a frame.
 
-    A directory without a ``timestamps.txt`` (a :func:`write_video_dir` that
-    failed part way leaves one so), or with more or fewer frames than
-    timestamps, is refused.
+    Every reader of a frame directory goes through here. A directory
+    without a ``timestamps.txt`` (a :func:`write_video_dir` that failed part
+    way leaves one so), or with more or fewer frames than timestamps, is
+    refused. A timestamp that is not finite, or not greater than the one
+    before it, is a :class:`ParseError` naming its line.
     """
     directory = Path(path)
     ts_path = directory / TIMESTAMPS_FILE
@@ -549,6 +559,8 @@ def video_frames(path) -> tuple[list[float], list[Path]]:
                 raise ParseError(ts_path, lineno, f"bad timestamp {line!r}") from None
             if not math.isfinite(t):
                 raise ParseError(ts_path, lineno, f"timestamp must be finite, got {line}")
+            if times and t <= times[-1]:
+                raise ParseError(ts_path, lineno, "timestamps must be strictly increasing")
             times.append(t)
     paths = list_frames(directory)
     if len(paths) != len(times):
@@ -591,8 +603,8 @@ def write_video_dir(path, times: np.ndarray, frames, fmt: str = "f32") -> None:
     """
     directory = Path(path)
     directory.mkdir(parents=True, exist_ok=True)
-    if fmt not in ("f32", "pgm"):
-        raise ValueError("fmt must be 'f32' or 'pgm'")
+    if "." + fmt not in FRAME_FORMATS:
+        raise ValueError("fmt must be " + " or ".join(repr(s[1:]) for s in FRAME_FORMATS))
     (directory / TIMESTAMPS_FILE).unlink(missing_ok=True)
     written = set()
     frames = iter(frames)
@@ -623,11 +635,9 @@ def write_video_dir(path, times: np.ndarray, frames, fmt: str = "f32") -> None:
 def save_polys(path, grid: PolyGrid) -> None:
     """The grid's (h, w, n) arrays as C-order float64 members, transposed from its planes.
 
-    As with ``np.savez``, a name not ending in ``.npz`` gets that suffix.
+    The archive is written at exactly ``path``, as every writer here writes:
+    no ``.npz`` suffix is added.
     """
-    path = os.fspath(path)
-    if not path.endswith(".npz"):
-        path += ".npz"
     with _overwrite(path) as fh:
         np.savez(
             fh,

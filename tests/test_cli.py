@@ -5,6 +5,7 @@ import io
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -139,6 +140,18 @@ class TestFullPipeline:
                 "--report", tmp_path / "report.txt")
         assert report_value(tmp_path / "report.txt", "psnr_mean") > 50.0
         assert (tmp_path / "report.csv").exists()
+
+    def test_fit_out_without_suffix_is_the_path_render_reads(self, tmp_path):
+        make_scene_fixture(tmp_path, seed=439, h=8, w=10, k=16)
+        run_cli("simulate", "--video", tmp_path / "video", "--out", tmp_path / "sim")
+        proc = run_cli("fit", "--manifest", tmp_path / "sim" / "manifest.json",
+                       "--gt-video", tmp_path / "video", "--n", "6", "--out", tmp_path / "polys")
+        assert proc.stdout.rstrip().endswith(f"-> {tmp_path / 'polys'}")
+        assert not (tmp_path / "polys.npz").exists()
+        proc = run_cli("render", "--polys", tmp_path / "polys", "--count", "3",
+                       "--out", tmp_path / "frames")
+        assert proc.returncode == 0
+        assert len(read_video_dir(tmp_path / "frames").times) == 3
 
     def test_eval_reports_are_byte_stable(self, tmp_path):
         coeffs, times = make_scene_fixture(tmp_path, seed=431, h=16, w=20, k=12)
@@ -514,6 +527,21 @@ class TestErrorHandling:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("side", ["pred", "gt"])
+    @pytest.mark.parametrize("stamps, line", [(["0.1", "0.0", "0.0"], 2),
+                                              (["0.0", "0.05", "0.05"], 3)])
+    def test_eval_refuses_non_increasing_timestamps(self, tmp_path, side, stamps, line):
+        for name in ("pred", "gt"):
+            write_video_dir(tmp_path / name, np.linspace(IV.t_start, IV.t_end, 3),
+                            np.full((3, 4, 5), 0.5))
+        (tmp_path / side / "timestamps.txt").write_text("\n".join(stamps) + "\n")
+        code, lines = run_main("eval", "--pred", tmp_path / "pred", "--gt", tmp_path / "gt",
+                               "--report", tmp_path / "out" / "report.txt")
+        stamps_path = tmp_path / side / "timestamps.txt"
+        assert (code, lines) == (2, [f"ecir eval: error: {stamps_path}:{line}: "
+                                     "timestamps must be strictly increasing"])
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("side", ["pred", "gt"])
     @pytest.mark.parametrize("damage", ["failed rewrite", "extra frame"])
     def test_eval_refuses_what_read_video_dir_refuses(self, tmp_path, side, damage):
         times = np.linspace(IV.t_start, IV.t_end, 6)
@@ -553,6 +581,76 @@ def run_main(*args):
             code = main([str(a) for a in args])
     lines = [ln for ln in err.getvalue().splitlines() if ln.strip()]
     return code, lines + [str(w.message) for w in caught]
+
+
+class TestCommitLast:
+    """A multi-file output that fails part way leaves no file tying it together."""
+
+    SIMULATE_WRITES = ("events.txt", "events.evt", "blurry.f32", "manifest.json")
+
+    @pytest.mark.parametrize("failing", SIMULATE_WRITES)
+    def test_interrupted_simulate_rerun_leaves_no_manifest(self, tmp_path, monkeypatch,
+                                                           failing):
+        import ecir.io
+
+        make_scene_fixture(tmp_path / "a", seed=443, h=6, w=8, k=12)
+        make_scene_fixture(tmp_path / "b", seed=449, h=5, w=7, k=10)
+        out = tmp_path / "sim"
+        assert run_main("simulate", "--video", tmp_path / "a" / "video", "--out", out)[0] == 0
+
+        def interrupted(write, path_at):
+            def wrapped(*args):
+                if Path(args[path_at]).name == failing:
+                    raise OSError(f"{args[path_at]}: interrupted")
+                return write(*args)
+            return wrapped
+
+        monkeypatch.setattr(ecir.io, "write_events", interrupted(ecir.io.write_events, 0))
+        monkeypatch.setattr(ecir.io, "write_f32", interrupted(ecir.io.write_f32, 0))
+        monkeypatch.setattr(ecir.io.Manifest, "save", interrupted(ecir.io.Manifest.save, 1))
+        code, lines = run_main("simulate", "--video", tmp_path / "b" / "video", "--out", out)
+        assert (code, lines) == (2, [f"ecir simulate: error: {out / failing}: interrupted"])
+        assert not (out / "manifest.json").exists()
+        monkeypatch.undo()
+
+        manifest = out / "manifest.json"
+        for argv in (["fit", "--gt-video", tmp_path / "a" / "video", "--out", tmp_path / "p.npz"],
+                     ["edi", "--out", tmp_path / "edi"],
+                     ["refine", "--frames", tmp_path / "a" / "video", "--out", tmp_path / "ref"],
+                     ["voxelize", "--out", tmp_path / "v.h32"]):
+            code, lines = run_main(*argv, "--manifest", manifest)
+            assert code == 2 and len(lines) == 1, (argv[0], lines)
+            assert lines[0].startswith(f"ecir {argv[0]}: error: ") and str(manifest) in lines[0]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a", "b", "sim"]
+
+    def test_failed_eval_csv_write_leaves_no_report(self, tmp_path, monkeypatch):
+        import csv
+
+        times = np.linspace(IV.t_start, IV.t_end, 3)
+        for name, value in (("pred", 0.5), ("gt", 0.25)):
+            write_video_dir(tmp_path / name, times, np.full((3, 12, 13), value))
+        argv = ("eval", "--pred", tmp_path / "pred", "--gt", tmp_path / "gt",
+                "--report", tmp_path / "report.txt")
+        assert run_main(*argv)[0] == 0
+
+        writer = csv.writer
+
+        class FailingWriter:
+            """Writes the header, then fails on the frame rows."""
+
+            def __init__(self, fh):
+                self.rows = writer(fh)
+
+            def writerow(self, row):
+                self.rows.writerow(row)
+
+            def writerows(self, rows):
+                raise OSError("No space left on device")
+
+        monkeypatch.setattr(csv, "writer", FailingWriter)
+        code, lines = run_main(*argv)
+        assert (code, lines) == (2, ["ecir eval: error: No space left on device"])
+        assert not (tmp_path / "report.txt").exists()
 
 
 @st.composite

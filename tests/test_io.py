@@ -756,6 +756,30 @@ class TestFrameFiles:
             write_frame(tmp_path / "c.png", frame)
 
 
+    def test_frame_format_messages(self, tmp_path, capsys):
+        """Every list of frame formats is read from one table; the messages stay as they were."""
+        assert list(ecir.io.FRAME_FORMATS) == [".f32", ".pgm"]
+        for call in (lambda: read_frame(tmp_path / "a.png"),
+                     lambda: write_frame(tmp_path / "a.png", np.zeros((2, 2)))):
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == "unsupported frame extension '.png' (use .pgm or .f32)"
+        with pytest.raises(FileNotFoundError) as info:
+            list_frames(tmp_path)
+        assert str(info.value) == f"{tmp_path}: no .f32 or .pgm frames"
+        with pytest.raises(ValueError) as info:
+            write_video_dir(tmp_path / "vid", [0.0], np.zeros((1, 2, 2)), fmt="png")
+        assert str(info.value) == "fmt must be 'f32' or 'pgm'"
+        parser = ecir.cli.build_parser()
+        with pytest.raises(SystemExit):
+            parser.parse_args(["render", "--polys", "p", "--out", "o", "--format", "png"])
+        err = capsys.readouterr().err
+        assert "invalid choice: 'png'" in err and "f32" in err and "pgm" in err
+        for fmt in ("f32", "pgm"):
+            argv = ["render", "--polys", "p", "--out", "o", "--format", fmt]
+            assert parser.parse_args(argv).format == fmt
+
+
 class TestHistogramFiles:
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(373)
@@ -813,6 +837,19 @@ class TestVideoDirs:
         times[2] = float(token)
         with pytest.raises(ValueError, match="strictly increasing"):
             SharpVideo(times, np.zeros((6, 2, 2)))
+
+    @pytest.mark.parametrize("stamps, line", [(["0.1", "0.0", "0.0"], 2),
+                                              (["0.0", "0.05", "0.05"], 3)])
+    def test_non_increasing_timestamp_reports_line_number(self, tmp_path, stamps, line):
+        d = tmp_path / "vid"
+        write_video_dir(d, np.linspace(IV.t_start, IV.t_end, 3), np.zeros((3, 2, 2)))
+        (d / "timestamps.txt").write_text("\n".join(stamps) + "\n")
+        for read in (read_video_dir, ecir.io.video_frames):
+            with pytest.raises(ParseError) as info:
+                read(d)
+            assert str(info.value) == (
+                f"{d / 'timestamps.txt'}:{line}: timestamps must be strictly increasing")
+            assert info.value.lineno == line
 
     def test_count_mismatch(self, tmp_path):
         d = tmp_path / "vid"
@@ -1159,10 +1196,10 @@ class TestOverwrite:
                 raise RuntimeError("stop")
         assert path.read_bytes() == b"new bytes"
 
-    def test_save_polys_adds_the_npz_suffix(self, tmp_path):
+    def test_save_polys_writes_exactly_the_path_given(self, tmp_path):
         from scenes import random_poly_grid
 
         grid = random_poly_grid(np.random.default_rng(397), 2, 3, 3, IV)
         save_polys(tmp_path / "model", grid)
-        assert [p.name for p in tmp_path.iterdir()] == ["model.npz"]
-        assert np.array_equal(load_polys(tmp_path / "model.npz").keypoints, grid.keypoints)
+        assert [p.name for p in tmp_path.iterdir()] == ["model"]
+        assert np.array_equal(load_polys(tmp_path / "model").keypoints, grid.keypoints)

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ecir import ExposureInterval, select_keypoints
+from ecir import ExposureInterval, SharpVideo, fit_polys, select_keypoints, synthesize_blur
 from ecir.keypoints import _dedup_increasing, keypoint_grid, pivots
 from ecir.simulation import simulate_events, ThresholdConfig
 from ecir.types import EventStream
+
+from scenes import random_monomial_scene, render_scene
 
 HALF_UNIT = ExposureInterval(-0.5, 0.5)
 
@@ -296,3 +298,35 @@ def test_grid_matches_loop_oracle_bitwise(case):
         for x in range(w):
             one = select_keypoints(stream.pixel_times(x, y), interval, n).timestamps
             assert np.array_equal(bits(one), bits(grid[y, x]))
+
+
+@st.composite
+def drawn_scenes(draw):
+    """A small polynomial video, its simulated events and its blurry frame, and n."""
+    h, w = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    n = draw(st.integers(2, 10))
+    k = draw(st.integers(n + 1, 3 * n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    coeffs = random_monomial_scene(rng, h, w, draw(st.integers(0, n)))
+    times = np.linspace(HALF_UNIT.t_start, HALF_UNIT.t_end, k)
+    video = SharpVideo(times, render_scene(coeffs, HALF_UNIT, times))
+    c = draw(st.sampled_from([0.02, 0.05, 0.2]))
+    events = simulate_events(video, ThresholdConfig(c, -c))
+    return video, events, synthesize_blur(video), n
+
+
+@settings(max_examples=60, deadline=None)
+@given(drawn_scenes())
+def test_keypoints_do_not_change_the_fit(scene):
+    """Event-aligned keypoints and even pivots render the same fitted curves.
+
+    The least-squares fit never reads the keypoints; it only samples its
+    fitted derivative there. So the keypoints parameterize the curve, and
+    the renders of the two fits agree to rounding.
+    """
+    video, events, blurry, n = scene
+    interval = video.interval
+    snapped = fit_polys(video, keypoint_grid(events, interval, n, video.shape), blurry)
+    even = fit_polys(video, pivots(interval, n), blurry)
+    at = np.linspace(interval.t_start, interval.t_end, 9)[:, None, None]
+    assert np.max(np.abs(snapped.intensity_at(at) - even.intensity_at(at))) <= 1e-9
