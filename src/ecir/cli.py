@@ -48,7 +48,7 @@ from .simulation import (
     synthesize_blur,
     voxelize,
 )
-from .types import BlurryFrame, ExposureInterval
+from .types import BlurryFrame, ExposureInterval, _increasing
 
 # fewest pixels a part of eval scores (see _parts), counted as frame pairs
 # times the pixels of the first predicted frame: 4 pairs of 180x240. The
@@ -145,10 +145,9 @@ def _parse_timestamps(text: str) -> np.ndarray:
         raise ValueError(f"bad timestamp list {text!r}") from None
     bad = np.flatnonzero(~np.isfinite(times))
     if bad.size:
-        # a NaN compares false, so the order check below would let it through
+        # the order check below refuses a NaN too, but cannot name it
         raise ValueError(f"timestamps must be finite, got {parts[bad[0]]!r}")
-    if np.any(np.diff(times) <= 0):
-        raise ValueError("timestamps must be strictly increasing")
+    _increasing(times, "timestamps")
     return times
 
 
@@ -225,8 +224,7 @@ def _rendered(grid, times: np.ndarray):
 def cmd_render(args) -> int:
     grid = io.load_polys(args.polys)
     times = _times_of(args, grid.interval)
-    if not grid.interval.contains(times):
-        raise ValueError("render timestamps fall outside the fitted exposure interval")
+    grid.interval.require(times, "render timestamps")
     io.write_video_dir(args.out, times, _rendered(grid, times), fmt=args.format)
     print(f"render: {times.shape[0]} frames -> {args.out}")
     return 0
@@ -259,6 +257,8 @@ def _scores(pred_paths: list[Path], gt_paths: list[Path], lo: int, hi: int) -> l
     rows = []
     for pred_path, gt_path in zip(pred_paths[lo:hi], gt_paths[lo:hi]):
         pred, gt = io.read_frame(pred_path), io.read_frame(gt_path)
+        if pred.shape != gt.shape:
+            raise ValueError(f"{pred_path}: shape mismatch: {pred.shape} vs {gt_path}'s {gt.shape}")
         err = mse(pred, gt)
         rows.append((err, _psnr_of_mse(err), ssim(pred, gt)))
     return rows

@@ -197,8 +197,7 @@ def edi_video(
         raise ValueError(f"threshold c must be finite and positive, got {c}")
     iv = events.interval
     times = np.asarray(times, dtype=np.float64)
-    if not iv.contains(times):
-        raise ValueError("timestamps outside the exposure interval")
+    iv.require(times, "timestamps")
     h, w = blurry.shape
     out = np.empty((times.shape[0], h, w))
     frames = out.reshape(times.shape[0], h * w)

@@ -64,7 +64,17 @@ file; the binary readers' size checks catch only the latter. :func:`write_video_
 deletes the frame files of the directory that it does not write, so a
 shorter video or another format leaves no stale frame behind. Every reader
 of a frame directory goes through :func:`video_frames`, which refuses a
-``timestamps.txt`` that is not strictly increasing and names the line.
+``timestamps.txt`` that is not strictly increasing and names the line; the
+writer refuses such times through ``types._increasing`` before it touches
+the directory, so it never writes one its readers refuse.
+
+:func:`load_polys` refuses, as a :class:`FormatError` naming the file and
+the member, an archive that ``fit`` could not have written: a member that is
+not real, an interval bound that is not a scalar, a NaN or infinite value,
+or keypoints that break :class:`~ecir.representation.KeypointSet`'s rule
+(strictly increasing inside the interval). That rule is checked on the
+archive's own (h, w, n) keypoints, once the grid has checked the shapes,
+so each pixel's keypoints are one contiguous row.
 """
 
 from __future__ import annotations
@@ -85,7 +95,7 @@ import numpy as np
 from . import _parts
 from .representation import PolyGrid
 from .simulation import EventHistogram
-from .types import EventStream, ExposureInterval, SharpVideo
+from .types import EventStream, ExposureInterval, SharpVideo, _increasing
 
 __all__ = [
     "ParseError",
@@ -591,6 +601,8 @@ def read_video_dir(path) -> SharpVideo:
 def write_video_dir(path, times: np.ndarray, frames, fmt: str = "f32") -> None:
     """Write ``frame_NNNNN.<fmt>`` files and ``timestamps.txt`` into ``path``.
 
+    ``times`` must rise strictly, as every reader of the directory requires;
+    other times are a ValueError before any file is made, removed or written.
     ``frames`` is a stack or any iterable of 2-d frames, such as a generator,
     one per entry of ``times``: one that ends early, or yields a frame past
     the last time (no further frame is taken), is a ValueError.
@@ -602,6 +614,7 @@ def write_video_dir(path, times: np.ndarray, frames, fmt: str = "f32") -> None:
     so the directory reads back as exactly this video.
     """
     directory = Path(path)
+    _increasing(times, f"{directory}: timestamps")
     directory.mkdir(parents=True, exist_ok=True)
     if "." + fmt not in FRAME_FORMATS:
         raise ValueError("fmt must be " + " or ".join(repr(s[1:]) for s in FRAME_FORMATS))
@@ -677,16 +690,22 @@ def load_polys(path) -> PolyGrid:
             # header says, zip flags (compression method, version, encryption)
             # that zipfile refuses, or an offset that makes it seek before 0
             raise FormatError(f"{path}: corrupt archive: {exc}") from None
-    grid = PolyGrid(
-        arrays["keypoints"],
-        arrays["derivatives"],
-        arrays["constants"],
-        ExposureInterval(float(arrays["t_start"]), float(arrays["t_end"])),
-    )
-    for name in ("keypoints", "derivatives", "constants"):
-        if not np.all(np.isfinite(getattr(grid, name))):
-            raise FormatError(f"{path}: {name} holds NaN or infinite values")
-    return grid
+    try:
+        for name, array in arrays.items():
+            if array.dtype.kind not in "biuf":
+                raise ValueError(f"{name} must hold real numbers, got {array.dtype}")
+            if name.startswith("t_") and array.ndim:
+                raise ValueError(f"{name} must be a scalar, got shape {array.shape}")
+            if not np.all(np.isfinite(array)):
+                raise ValueError(f"{name} holds NaN or infinite values")
+        interval = ExposureInterval(float(arrays["t_start"]), float(arrays["t_end"]))
+        grid = PolyGrid(arrays["keypoints"], arrays["derivatives"], arrays["constants"], interval)
+        # KeypointSet's rule, on the archive's own (h, w, n) keypoints, now known to be 3-d
+        _increasing(arrays["keypoints"], "keypoints")
+        interval.require(arrays["keypoints"], "keypoints")
+        return grid
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

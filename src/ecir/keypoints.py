@@ -67,8 +67,9 @@ def select_keypoints(
     """
     base = pivots(interval, n)
     times = np.asarray(event_times, dtype=np.float64)
-    if times.size and (np.any(np.diff(times) < 0) or not interval.contains(times)):
-        raise ValueError("event times must be sorted and inside the interval")
+    if np.any(np.diff(times) < 0):
+        raise ValueError("event times must be sorted")
+    interval.require(times, "event times")
     if times.size == 0:
         return KeypointSet(base, interval)
     rows = _select_rows(times, np.zeros(times.shape[0], dtype=np.int64), 1, base, interval)
@@ -92,8 +93,7 @@ def keypoint_grid(
         return grid
 
     ids = events.pixel_ids(shape)
-    if not interval.contains(events.t):
-        raise ValueError("event times must be sorted and inside the interval")
+    interval.require(events.t, "event times")
     touched = np.zeros(h * w, dtype=bool)
     touched[ids] = True
     pixels = np.flatnonzero(touched)

@@ -11,7 +11,10 @@ D the forward difference, whose eigenvectors are the DCT-II basis. So both
 solvers are one closed-form d x (d-1) operator on the initial residual flow
 of all pixels, with one filter on the eigenvalues each: the exact minimizer
 (``tridiagonal_solve``, solver ``tridiag``) and ``i_max`` fixed gradient
-steps at a cost independent of ``i_max`` (``descend``, solver ``gd``).
+steps at a cost independent of ``i_max`` (``descend``, solver ``gd``). The
+two share one formula: the exact filter is the gradient filter at
+``i_max = inf``, bit for bit, from the default step whatever step the
+problem holds.
 ``RefineProblem`` rejects a step at or past the exact stability limit, and
 ``surrogate_residuals`` a threshold ``c`` whose exp(c * signed count)
 overflows.
@@ -34,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .simulation import window_counts
-from .types import EventStream, _active_columns
+from .types import EventStream, _active_columns, _increasing
 
 __all__ = [
     "DivergenceError",
@@ -130,10 +133,8 @@ def surrogate_residuals(
     d = initial.shape[0]
     if schedule.shape != (d,):
         raise ValueError("schedule must hold one timestamp per frame")
-    if np.any(np.diff(schedule) <= 0):
-        raise ValueError("schedule must be strictly increasing")
-    if not events.interval.contains(schedule):
-        raise ValueError("schedule falls outside the exposure interval")
+    _increasing(schedule, "schedule")
+    events.interval.require(schedule, "schedule")
     shape = initial.shape[1:]
     out = np.empty((d - 1,) + shape)
     # every window's counts first, in the output's rows, and the pixels
@@ -231,20 +232,22 @@ def _operator(problem: RefineProblem, solver: str) -> np.ndarray:
     if solver == "tridiag":
         if problem.lam <= 0:
             raise ValueError("the exact solve needs lambda > 0 for strict convexity")
-        gain = 1.0 / half_w
+        # i = inf from any stable step; the default one keeps the rate below
+        # 1.8, clear of a step so near the limit that its rate rounds to 2
+        step, steps = default_step(problem.lam), math.inf
     elif solver == "gd":
-        rate = 2.0 * problem.step * half_w  # step w, below 2 for a stable step
         # an i_max past the float range has converged like any huge one
-        steps = float(min(problem.i_max, sys.float_info.max))
-        # 1 - (1 - rate)^i; where 1 - rate > 0.5 the power would lose the
-        # digits that matter, and log1p with expm1 keeps them
-        done = 1.0 - (1.0 - rate) ** steps
-        slow = rate < 0.5
-        done[slow] = -np.expm1(steps * np.log1p(-rate[slow]))
-        gain = done / half_w
+        step, steps = problem.step, float(min(problem.i_max, sys.float_info.max))
     else:
         raise ValueError(f"unknown solver {solver!r} (expected 'tridiag' or 'gd')")
-    return (basis * gain) @ differences.T
+    rate = 2.0 * step * half_w  # step w, below 2 for a stable step
+    # 1 - (1 - rate)^i; where 1 - rate > 0.5 the power would lose the digits
+    # that matter, and log1p with expm1 keeps them. At i = inf both read 1.0
+    # exactly, so the exact solve's gain is 1 / half_w bit for bit.
+    done = 1.0 - (1.0 - rate) ** steps
+    slow = rate < 0.5
+    done[slow] = -np.expm1(steps * np.log1p(-rate[slow]))
+    return (basis * (done / half_w)) @ differences.T
 
 
 def _apply(problem: RefineProblem, q: np.ndarray, flow: np.ndarray) -> np.ndarray:

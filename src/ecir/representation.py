@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .types import ExposureInterval
+from .types import ExposureInterval, _increasing
 
 __all__ = [
     "SingularBasisError", "KeypointSet", "IntensityPoly", "MonomialPoly", "PolyGrid",
@@ -173,10 +173,8 @@ class KeypointSet:
         object.__setattr__(self, "timestamps", ts)
         if ts.ndim != 1 or ts.shape[0] < 1:
             raise ValueError("keypoints must be a non-empty 1-d array")
-        if np.any(np.diff(ts) <= 0):
-            raise ValueError("keypoints must be strictly increasing")
-        if not self.interval.contains(ts):
-            raise ValueError("keypoints fall outside the exposure interval")
+        _increasing(ts, "keypoints")
+        self.interval.require(ts, "keypoints")
 
     @property
     def n(self) -> int:
@@ -351,9 +349,5 @@ class PolyGrid:
 
 def render_frame(polys: PolyGrid, t: float) -> np.ndarray:
     """Latent frame at ``t``. Raises if ``t`` is outside the exposure interval."""
-    if not polys.interval.contains(t):
-        raise ValueError(
-            f"render time {t} outside exposure interval "
-            f"[{polys.interval.t_start}, {polys.interval.t_end}]"
-        )
+    polys.interval.require(t, f"render time {t}")
     return polys.intensity_at(t)

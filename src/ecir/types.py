@@ -3,6 +3,20 @@
 Frames are plain ``(h, w)`` float64 arrays with intensities nominally in
 [0, 1]. Intermediate values are never clamped; clamping happens only when a
 frame is exported to an 8-bit format (see :mod:`ecir.io`).
+
+The time rules every stage shares are stated here once. An exposure
+interval is closed, and a NaN lies outside it: :meth:`ExposureInterval.require`
+is the one membership refusal, worded ``"<what> outside the exposure
+interval [t_start, t_end]"`` for every caller. ``_increasing`` is the one
+strict-order refusal, along the last axis, worded ``"<what> must be strictly
+increasing"``; event streams keep their own non-decreasing rule, and the
+line-numbered checks of :mod:`ecir.io`'s parsers stay with the parsers.
+:attr:`ExposureInterval.tolerance` is the one slack between a bound and a
+frame time: :class:`SharpVideo` checks that its frames span its interval
+with the very comparisons :meth:`SharpVideo.window` makes, so a window whose
+bound rounds just past the video (0.02 + 0.1 past 0.12) ends on the video's
+last frame and keeps the requested bound, and every window it cuts is a
+valid video.
 """
 
 from __future__ import annotations
@@ -46,9 +60,24 @@ class ExposureInterval:
     def length(self) -> float:
         return self.t_end - self.t_start
 
+    @property
+    def tolerance(self) -> float:
+        """How far a frame time may sit from a bound and still stand for it.
+
+        1e-9 of the length, and at least 1e-9 s: room for the rounding of a
+        bound computed as a sum, such as ``t0 + exposure``.
+        """
+        return 1e-9 * max(1.0, self.length)
+
     def contains(self, t) -> bool:
+        """Whether every value of ``t`` lies in the closed interval; a NaN does not."""
         t = np.asarray(t)
         return bool(np.all((t >= self.t_start) & (t <= self.t_end)))
+
+    def require(self, t, what: str) -> None:
+        """The one membership refusal: a ValueError unless :meth:`contains` holds."""
+        if not self.contains(t):
+            raise ValueError(f"{what} outside the exposure interval [{self.t_start}, {self.t_end}]")
 
     def normalize(self, t):
         """Map absolute seconds to the normalized domain [-1, 1]."""
@@ -61,6 +90,12 @@ class ExposureInterval:
         if count == 1:
             return np.array([0.5 * (self.t_start + self.t_end)])
         return np.linspace(self.t_start, self.t_end, count)
+
+
+def _increasing(t, what: str) -> None:
+    """The one strict-order refusal, along the last axis; a NaN fails it too."""
+    if not np.all(np.diff(t) > 0):
+        raise ValueError(f"{what} must be strictly increasing")
 
 
 @dataclass(frozen=True)
@@ -112,8 +147,7 @@ class EventStream:
             # a NaN compares false here and fails the interval check below
             if np.any(self.t[1:] < self.t[:-1]):
                 raise ValueError("event timestamps must be sorted non-decreasing")
-            if not self.interval.contains(self.t):
-                raise ValueError("event timestamps fall outside the exposure interval")
+            self.interval.require(self.t, "event timestamps")
             if np.any((p != 1) & (p != -1)):
                 raise ValueError("polarities must be -1 or +1")
             if np.any(self.x < 0) or np.any(self.y < 0):
@@ -228,15 +262,13 @@ class SharpVideo:
             raise ValueError("frame count and timestamp count differ")
         if self.times.shape[0] < 2:
             raise ValueError("a video needs at least 2 frames")
-        if not np.all(np.diff(self.times) > 0):  # a NaN fails it too
-            raise ValueError("timestamps must be strictly increasing")
+        _increasing(self.times, "timestamps")
         if self.interval is None:
             self.interval = ExposureInterval(float(self.times[0]), float(self.times[-1]))
-        span_tol = 1e-9 * max(1.0, self.interval.length)
-        if (
-            abs(self.times[0] - self.interval.t_start) > span_tol
-            or abs(self.times[-1] - self.interval.t_end) > span_tol
-        ):
+        # the comparisons window() makes, so every window it cuts passes here
+        first, last, tol = self.times[0], self.times[-1], self.interval.tolerance
+        if not (first - tol <= self.interval.t_start <= first + tol
+                and last - tol <= self.interval.t_end <= last + tol):
             raise ValueError("frame timestamps must span the exposure interval")
 
     @property
@@ -249,8 +281,7 @@ class SharpVideo:
 
     def frame_at(self, t: float) -> np.ndarray:
         """Linear interpolation between the two frames straddling ``t``."""
-        if not self.interval.contains(t):
-            raise ValueError(f"t={t} outside [{self.interval.t_start}, {self.interval.t_end}]")
+        self.interval.require(t, f"t={t}")
         j = int(np.searchsorted(self.times, t, side="right"))
         if j >= self.frame_count:
             return self.frames[-1].copy()
@@ -263,25 +294,26 @@ class SharpVideo:
     def window(self, interval: ExposureInterval) -> "SharpVideo":
         """Cut the video down to ``interval``, interpolating boundary frames.
 
-        When both bounds are frame times the result is a slice of this
-        video: its frames are a view of this stack, not a copy.
+        A bound up to ``interval.tolerance`` past the video's first or last
+        frame stands for that frame, the tolerance by which the result's
+        frame times may miss its bounds; the result keeps ``interval``. When
+        both bounds are frame times the result is a slice of this video: its
+        frames are a view of this stack, not a copy.
         """
-        tol = 1e-9 * max(1.0, self.interval.length)
+        tol = interval.tolerance
         if interval.t_start < self.times[0] - tol or interval.t_end > self.times[-1] + tol:
             raise ValueError("requested window extends beyond the video")
-        lo, hi = np.searchsorted(self.times, [interval.t_start, interval.t_end])
-        if (
-            hi < self.frame_count
-            and self.times[lo] == interval.t_start
-            and self.times[hi] == interval.t_end
-        ):
+        t_start = max(interval.t_start, float(self.times[0]))
+        t_end = min(interval.t_end, float(self.times[-1]))
+        lo, hi = np.searchsorted(self.times, [t_start, t_end])
+        if hi < self.frame_count and self.times[lo] == t_start and self.times[hi] == t_end:
             return SharpVideo(self.times[lo : hi + 1], self.frames[lo : hi + 1], interval)
-        inside = (self.times > interval.t_start) & (self.times < interval.t_end)
-        times = [interval.t_start]
-        frames = [self.frame_at(interval.t_start)]
+        inside = (self.times > t_start) & (self.times < t_end)
+        times = [t_start]
+        frames = [self.frame_at(t_start)]
         for t, f in zip(self.times[inside], self.frames[inside]):
             times.append(float(t))
             frames.append(f)
-        times.append(interval.t_end)
-        frames.append(self.frame_at(interval.t_end))
+        times.append(t_end)
+        frames.append(self.frame_at(t_end))
         return SharpVideo(np.array(times), np.stack(frames), interval)

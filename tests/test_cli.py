@@ -515,7 +515,7 @@ class TestErrorHandling:
         code, lines = run_main("refine", "--frames", tmp_path / "late", "--manifest", manifest,
                                "--out", tmp_path / "refined")
         assert (code, lines) == (
-            2, ["ecir refine: error: schedule falls outside the exposure interval"])
+            2, ["ecir refine: error: schedule outside the exposure interval [0.0, 0.12]"])
         assert not (tmp_path / "refined").exists()
 
     def test_eval_report_named_like_its_csv_one_line_diagnostic(self, tmp_path):
@@ -1049,7 +1049,7 @@ class TestRenderTimestamps:
     @pytest.mark.parametrize("timestamps, bad", [("0.01,nan", "nan"), ("nan,0.01", "nan"),
                                                  ("0.01,inf", "inf"), ("-inf 0.01", "-inf")])
     def test_non_finite_timestamps_rejected(self, tmp_path, timestamps, bad):
-        """A NaN passes the order check, so it is named before the interval is consulted."""
+        """A NaN is named before the order check, which would refuse it without naming it."""
         manifest = write_small_exposure(tmp_path)
         save_polys(tmp_path / "polys.npz",
                    random_poly_grid(np.random.default_rng(3), 4, 5, 4, IV))

@@ -212,7 +212,12 @@ def test_bad_pair_is_the_serial_one_line_error(tmp_path, cpus, floor, kind, word
     assert len(lines) == 1
     assert (code, lines) == serial
     assert word in lines[0]
-    assert f"frame_{index:05d}" in lines[0] or kind == "shape"
+    assert f"frame_{index:05d}" in lines[0]
+    if kind == "shape":
+        # both files of the pair, each with its shape
+        name = f"frame_{index:05d}.f32"
+        assert lines[0] == (f"ecir eval: error: {pred / name}: shape mismatch: ({H}, {W}) "
+                            f"vs {gt / name}'s ({H + 1}, {W})")
     assert len(forks) == 2
     assert not (tmp_path / "report.txt").exists()
 

@@ -590,11 +590,18 @@ def test_h32_roundtrip_bitwise_property(tmp_path, bins):
 
 @st.composite
 def poly_grids(draw):
+    """Grids as ``fit`` writes them: each pixel's keypoints rise strictly inside the interval.
+
+    Every other grid is refused on load (``TestPolyFiles``).
+    """
     h, w, n = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 5))
-    t_start = draw(st.floats(-1e6, 1e6))
-    t_end = draw(st.floats(t_start, 2e6).filter(lambda v: v > t_start))
+    # values unique across the array are unique along each pixel's row
+    keypoints = np.sort(draw(hnp.arrays(np.float64, (h, w, n), elements=st.floats(-1e6, 1e6),
+                                        unique=True)), axis=-1)
+    t_start = draw(st.floats(-2e6, keypoints.min()))
+    t_end = draw(st.floats(keypoints.max(), 2e6).filter(lambda v: v > t_start))
     return PolyGrid(
-        draw(hnp.arrays(np.float64, (h, w, n), elements=FINITE64)),
+        keypoints,
         draw(hnp.arrays(np.float64, (h, w, n), elements=FINITE64)),
         draw(hnp.arrays(np.float64, (h, w), elements=FINITE64)),
         ExposureInterval(t_start, t_end),
@@ -994,6 +1001,63 @@ class TestPolyFiles:
         save_polys(tmp_path / "polys.npz", grid)
         with pytest.raises(FormatError, match=f"polys.npz: {name} holds NaN or infinite"):
             load_polys(tmp_path / "polys.npz")
+
+    @pytest.mark.parametrize("damage, message", [
+        ("keypoint_past_the_end", "keypoints outside the exposure interval [-0.06, 0.06]"),
+        ("keypoint_before_the_start", "keypoints outside the exposure interval [-0.06, 0.06]"),
+        ("keypoints_swapped", "keypoints must be strictly increasing"),
+        ("keypoints_repeated", "keypoints must be strictly increasing"),
+        ("t_start_of_shape_2", "t_start must be a scalar, got shape (2,)"),
+        ("t_end_of_shape_1", "t_end must be a scalar, got shape (1,)"),
+        ("complex_constants", "constants must hold real numbers, got complex128"),
+        ("text_derivatives", "derivatives must hold real numbers, got <U3"),
+        ("scalar_keypoints", "keypoints and derivatives must both be (h, w, n)"),
+    ])
+    def test_malformed_member_is_one_line_format_error(self, tmp_path, capsys, damage, message):
+        """``load_polys`` holds an archive to ``KeypointSet``'s rule and real scalar bounds.
+
+        ``render`` used to extrapolate from keypoints outside the interval,
+        cast complex constants with a ComplexWarning, and end a bound of
+        shape (2,) in a TypeError traceback.
+        """
+        from scenes import random_poly_grid
+
+        grid = random_poly_grid(np.random.default_rng(409), 3, 4, 5, IV)
+        members = {
+            "keypoints": grid.keypoints.copy(), "derivatives": grid.derivatives,
+            "constants": grid.constants, "t_start": np.float64(IV.t_start),
+            "t_end": np.float64(IV.t_end),
+        }
+        kp = members["keypoints"]
+        if damage == "keypoint_past_the_end":
+            kp[2, 3, -1] = IV.t_end + 1e-3
+        elif damage == "keypoint_before_the_start":
+            kp[0, 0, 0] = np.nextafter(IV.t_start, -1.0)
+        elif damage == "keypoints_swapped":
+            kp[1, 2, [1, 2]] = kp[1, 2, [2, 1]]
+        elif damage == "keypoints_repeated":
+            kp[1, 2, 3] = kp[1, 2, 2]
+        elif damage == "t_start_of_shape_2":
+            members["t_start"] = np.array([IV.t_start, IV.t_start])
+        elif damage == "t_end_of_shape_1":
+            members["t_end"] = np.array([IV.t_end])
+        elif damage == "complex_constants":
+            members["constants"] = grid.constants + 0j
+        elif damage == "scalar_keypoints":
+            members["keypoints"] = kp[0, 0, 0]
+        else:
+            members["derivatives"] = np.full(grid.derivatives.shape, "1.5")
+        path = tmp_path / "polys.npz"
+        np.savez(path, **members)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FormatError) as info:
+                load_polys(path)
+            assert str(info.value) == f"{path}: {message}"
+            code = ecir.cli.main(["render", "--polys", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == f"ecir render: error: {path}: {message}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_npy_file_is_format_error(self, tmp_path):
         # np.load returns a bare array for .npy content, whatever the name

@@ -244,7 +244,8 @@ class TestKeypointGrid:
         stream = EventStream(
             np.array([0]), np.array([0]), np.array([0.4]), np.array([1]), HALF_UNIT
         )
-        with pytest.raises(ValueError, match="inside the interval"):
+        with pytest.raises(ValueError, match=r"^event times outside the exposure interval "
+                                             r"\[-0.5, 0.3\]$"):
             keypoint_grid(stream, ExposureInterval(-0.5, 0.3), 3, (1, 1))
 
 

@@ -457,6 +457,22 @@ class TestTridiagonalSolve:
         solution = tridiagonal_solve(problem)
         assert np.max(np.abs(solution - problem.initial)) < 1e-3
 
+    @pytest.mark.parametrize("d", [2, 3, 5, 14, 48, 64, 200])
+    @pytest.mark.parametrize("lam", [1e-6, 0.01, 1.0, 3.7, 1e4])
+    def test_independent_of_the_problem_step(self, d, lam):
+        """The exact solve is gd's filter at i = inf, whatever step the problem holds.
+
+        A step one ulp below the stability limit can make step * w round to
+        2, where (1 - 2)^inf is 1 and the filter would read 0.
+        """
+        rng = np.random.default_rng(d)
+        initial, residuals = rng.uniform(0, 1, (d, 3)), rng.uniform(-0.3, 0.3, (d - 1, 3))
+        limit = 1.0 / (lam + 2.0 + 2.0 * math.cos(math.pi / d))
+        expected = tridiagonal_solve(RefineProblem(initial, residuals, lam=lam)).tobytes()
+        for step in (np.nextafter(limit, 0.0), 1e-300):
+            problem = RefineProblem(initial, residuals, lam=lam, step=float(step))
+            assert tridiagonal_solve(problem).tobytes() == expected
+
     def test_flow_overflow_diverges(self):
         # finite frames whose flow 1e308 - (-1e308) overflows
         problem = scalar_problem([1e308, -1e308, 1e308], [0.0, 0.0], lam=1.0)
