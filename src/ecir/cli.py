@@ -15,7 +15,10 @@ the one that ties them together first and writes it last: ``simulate``'s
 ``manifest.json`` and ``eval``'s report, as :func:`ecir.io.write_video_dir`
 does with ``timestamps.txt``. So a run that fails part way leaves no
 manifest, which every ``--manifest`` command then refuses, or no report:
-never a mix of old and new files. ``eval`` formats each score once and
+never a mix of old and new files. ``render`` and ``edi`` hand their frames
+to the writer as they are made, so neither holds a frame stack; the writer
+takes the first frame before it makes the directory, so inputs that give no
+first frame leave none. ``eval`` formats each score once and
 writes both its report and the CSV copy from those texts. ``eval`` scores
 its frame pairs, and ``simulate`` formats its text events, in contiguous
 parts on every CPU of the affinity mask: forked children take every part
@@ -36,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _parts, io
-from .fitting import edi_video, fit_polys
+from .fitting import _edi_frames, fit_polys
 from .keypoints import keypoint_grid
 from .metrics import _psnr_of_mse, mse, ssim
 from .refinement import DEFAULT_ITERATIONS, DEFAULT_LAMBDA, DivergenceError, refine
@@ -235,8 +238,10 @@ def cmd_edi(args) -> int:
     blurry = _blurry_of(args, interval)
     events = _events_of(args, interval)
     times = _times_of(args, interval)
-    frames = edi_video(blurry, events, args.c, times)
-    io.write_video_dir(args.out, times, frames, fmt=args.format)
+    # the times rise, so the frames go to the writer as they are made; the
+    # writer takes the first before it makes the directory
+    io.write_video_dir(args.out, times, _edi_frames(blurry, events, args.c, times),
+                       fmt=args.format)
     print(f"edi: {times.shape[0]} frames at c={args.c} -> {args.out}")
     return 0
 

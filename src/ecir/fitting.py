@@ -17,7 +17,10 @@ measurement pins that level through the temporal-average constraint. It
 visits its timestamps in increasing order and adds each window's signed
 count to a running total, so the event stream is scanned once however many
 frames are asked for. The counts are integers held in floats, so the running
-total is exact. ``edi_reconstruct`` is the one-frame call of the same path.
+total is exact. The frames come from one generator, ``_edi_frames``, one at
+a time in time order: ``edi_video`` collects them into its stack, the ``edi``
+command hands them straight to the frame writer, so it never holds more than
+the frame being written, and ``edi_reconstruct`` takes the first.
 The EDI kernels use no scatter-add: the window counts come from
 :func:`ecir.simulation.window_counts`, and the normalizer groups events with
 :func:`ecir.types.key_groups` and sums them with one bincount whose per-pixel
@@ -32,6 +35,7 @@ pixel the index is a full slice, a view, so nothing is gathered.
 
 from __future__ import annotations
 
+import contextlib
 import warnings
 
 import numpy as np
@@ -182,7 +186,7 @@ def edi_reconstruct(
     blurry: BlurryFrame, events: EventStream, c: float, t: float
 ) -> np.ndarray:
     """Sharp frame at ``t`` from the blurry frame and exponentiated event counts."""
-    return edi_video(blurry, events, c, [t])[0]
+    return next(_edi_frames(blurry, events, c, [t]))
 
 
 def edi_video(
@@ -190,8 +194,30 @@ def edi_video(
 ) -> np.ndarray:
     """Frames at ``times`` (any order, repeats allowed).
 
-    One normalizer and one pass over the events serve every frame. A ``c``
-    so large that exp(c * signed count) overflows is a ValueError.
+    One normalizer and one pass over the events serve every frame: the
+    stream of :func:`_edi_frames` over the sorted times, each frame put in
+    its time's place. A ``c`` so large that exp(c * signed count) overflows
+    is a ValueError.
+    """
+    times = np.asarray(times, dtype=np.float64)
+    h, w = blurry.shape
+    out = np.empty((times.shape[0], h, w))
+    order = np.argsort(times, kind="stable")
+    # the stream first: it checks the inputs even when there are no times
+    for frame, i in zip(_edi_frames(blurry, events, c, times[order]), order):
+        out[i] = frame
+    return out
+
+
+def _edi_frames(blurry: BlurryFrame, events: EventStream, c: float, times: np.ndarray):
+    """The frames at non-decreasing ``times``, one new (h, w) array at a time.
+
+    The inputs are checked, and the normalizer formed, when the first frame
+    is asked for. A frame is kept apart from the stream's own state, so a
+    writer may drop each one as it goes. Each step enters numpy's error
+    state for its own arithmetic and leaves it before it yields: the state
+    is a context variable, and a suspended generator holding it would set it
+    for its caller.
     """
     if not (np.isfinite(c) and c > 0):
         raise ValueError(f"threshold c must be finite and positive, got {c}")
@@ -199,36 +225,40 @@ def edi_video(
     times = np.asarray(times, dtype=np.float64)
     iv.require(times, "timestamps")
     h, w = blurry.shape
-    out = np.empty((times.shape[0], h, w))
-    frames = out.reshape(times.shape[0], h * w)
-    order = np.argsort(times, kind="stable")
     ids = events.pixel_ids((h, w))  # one array serves the normalizer and the windows
-    windows = _window_counts(events, ids, np.r_[iv.t_start, times[order]], (h, w))
+    windows = _window_counts(events, ids, np.r_[iv.t_start, times], (h, w))
+    with _finite_frames(c):
+        integral, touched = _edi_factors(blurry, events, c, ids)
+        scaled = blurry.values.reshape(h * w) * iv.length
+        # an event-free pixel's count stays 0 and exp(c * 0) is 1, so its
+        # frame is scaled / integral at every time
+        quiet = np.zeros(h * w)
+        np.divide(scaled, integral, out=quiet, where=~touched)
+    cols = _active_columns(touched)
+    scaled, integral = scaled[cols], integral[cols]
+    count = np.zeros(integral.shape)
+    level = np.empty(integral.shape)
+    for window in windows:
+        count += window.reshape(h * w)[cols]
+        with _finite_frames(c):
+            np.multiply(c, count, out=level)
+            np.exp(level, out=level)
+            np.multiply(scaled, level, out=level)
+            level /= integral
+        frame = quiet.copy()
+        frame[cols] = level
+        yield frame.reshape(h, w)
+
+
+@contextlib.contextmanager
+def _finite_frames(c: float):
+    """Overflow in the EDI arithmetic as the one ValueError."""
     try:
         # with finite inputs these flags are set only when exp(c * count)
         # or the normalizer overflows, which leaves no meaningful frame
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            integral, touched = _edi_factors(blurry, events, c, ids)
-            scaled = blurry.values.reshape(h * w) * iv.length
-            if frames.size:
-                # an event-free pixel's count stays 0 and exp(c * 0) is 1,
-                # so its frame is scaled / integral at every time
-                quiet = np.zeros(h * w)
-                np.divide(scaled, integral, out=quiet, where=~touched)
-                frames[:] = quiet
-            cols = _active_columns(touched)
-            scaled, integral = scaled[cols], integral[cols]
-            count = np.zeros(integral.shape)
-            level = np.empty(integral.shape)
-            for i, window in zip(order, windows):
-                count += window.reshape(h * w)[cols]
-                np.multiply(c, count, out=level)
-                np.exp(level, out=level)
-                np.multiply(scaled, level, out=level)
-                level /= integral
-                frames[i, cols] = level
+            yield
     except FloatingPointError:
         raise ValueError(
             f"edi frames are not finite at c={c}: exp(c * signed count) overflows"
         ) from None
-    return out

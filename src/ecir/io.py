@@ -601,11 +601,14 @@ def read_video_dir(path) -> SharpVideo:
 def write_video_dir(path, times: np.ndarray, frames, fmt: str = "f32") -> None:
     """Write ``frame_NNNNN.<fmt>`` files and ``timestamps.txt`` into ``path``.
 
-    ``times`` must rise strictly, as every reader of the directory requires;
-    other times are a ValueError before any file is made, removed or written.
-    ``frames`` is a stack or any iterable of 2-d frames, such as a generator,
-    one per entry of ``times``: one that ends early, or yields a frame past
-    the last time (no further frame is taken), is a ValueError.
+    ``times`` must rise strictly, as every reader of the directory requires,
+    and ``fmt`` must name a frame format; anything else is a ValueError
+    before any file is made, removed or written. ``frames`` is a stack or
+    any iterable of 2-d frames, such as a generator, one per entry of
+    ``times``: one that ends early, or yields a frame past the last time (no
+    further frame is taken), is a ValueError. The first frame is taken
+    before the directory is made, so a generator that fails on its first
+    frame leaves nothing behind either.
     ``timestamps.txt`` is removed before the first frame is written and
     written after the last, so a write that fails part way leaves a
     directory :func:`read_video_dir` refuses, not a mix of new and old
@@ -615,14 +618,14 @@ def write_video_dir(path, times: np.ndarray, frames, fmt: str = "f32") -> None:
     """
     directory = Path(path)
     _increasing(times, f"{directory}: timestamps")
-    directory.mkdir(parents=True, exist_ok=True)
     if "." + fmt not in FRAME_FORMATS:
         raise ValueError("fmt must be " + " or ".join(repr(s[1:]) for s in FRAME_FORMATS))
+    frames = iter(frames)
+    frame = next(frames, None)
+    directory.mkdir(parents=True, exist_ok=True)
     (directory / TIMESTAMPS_FILE).unlink(missing_ok=True)
     written = set()
-    frames = iter(frames)
     for index in range(len(times)):
-        frame = next(frames, None)
         if frame is None:
             raise ValueError(f"{directory}: {index} frames for {len(times)} timestamps")
         name = f"frame_{index:05d}.{fmt}"
@@ -631,7 +634,8 @@ def write_video_dir(path, times: np.ndarray, frames, fmt: str = "f32") -> None:
         # a generator may build its next frames while the loop would still
         # hold this one, and with it the block it is a view of
         del frame
-    if next(frames, None) is not None:
+        frame = next(frames, None)
+    if frame is not None:
         raise ValueError(f"{directory}: more frames than its {len(times)} timestamps")
     for stale in _frame_paths(directory):
         if stale.name not in written:

@@ -280,8 +280,15 @@ class SharpVideo:
         return self.frames.shape[1], self.frames.shape[2]
 
     def frame_at(self, t: float) -> np.ndarray:
-        """Linear interpolation between the two frames straddling ``t``."""
-        self.interval.require(t, f"t={t}")
+        """Linear interpolation between the two frames straddling ``t``.
+
+        ``t`` may lie in the video's interval or in its frame span, which
+        differ by at most the tolerance; past the frame span the end frame
+        stands, so a video answers for its own first and last frames.
+        """
+        first, last = float(self.times[0]), float(self.times[-1])
+        span = ExposureInterval(min(first, self.interval.t_start), max(last, self.interval.t_end))
+        span.require(t, f"t={t}")
         j = int(np.searchsorted(self.times, t, side="right"))
         if j >= self.frame_count:
             return self.frames[-1].copy()

@@ -191,6 +191,30 @@ class TestEdiAndRefine:
         assert video.frames.shape[0] == 8
         assert np.all(video.frames > 0)
 
+    def test_edi_command_writes_the_edi_video_stack(self, pipeline, monkeypatch):
+        import ecir.io
+        from ecir import BlurryFrame, edi_video
+
+        tmp_path = pipeline
+        manifest = load_manifest(tmp_path / "sim" / "manifest.json")
+        written = []
+        write_frame = ecir.io.write_frame
+
+        def recording(path, frame):
+            written.append(np.array(frame, dtype=np.float64))
+            write_frame(path, frame)
+
+        monkeypatch.setattr(ecir.io, "write_frame", recording)
+        assert run_main("edi", "--manifest", tmp_path / "sim" / "manifest.json",
+                        "--c", "0.15", "--count", "9", "--out", tmp_path / "edi")[0] == 0
+        interval = manifest.interval
+        stack = edi_video(BlurryFrame(read_f32(manifest.resolve("blurry")), interval),
+                          read_events(manifest.resolve("events"), interval), 0.15,
+                          interval.uniform_times(9))
+        assert len(written) == 9
+        for frame, expected in zip(written, stack):
+            assert frame.tobytes() == expected.tobytes()
+
     def test_refine_solvers_agree_in_reports(self, pipeline):
         tmp_path = pipeline
         manifest = tmp_path / "sim" / "manifest.json"
@@ -622,6 +646,23 @@ class TestCommitLast:
             assert code == 2 and len(lines) == 1, (argv[0], lines)
             assert lines[0].startswith(f"ecir {argv[0]}: error: ") and str(manifest) in lines[0]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a", "b", "sim"]
+
+    def test_edi_overflow_on_a_later_frame_leaves_no_timestamps(self, tmp_path):
+        # the frame at 0.1 counts the event, and 1.2e5 * exp(700) overflows;
+        # the frame at 0.0 and the normalizer stay finite
+        write_f32(tmp_path / "blurry.f32", np.full((2, 3), 1e6))
+        (tmp_path / "events.txt").write_text("0.05 1 0 1\n")
+        argv = ("edi", "--t-start", "0", "--t-end", "0.12", "--blurry", tmp_path / "blurry.f32",
+                "--events", tmp_path / "events.txt", "--timestamps", "0.0,0.1")
+        out = tmp_path / "edi"
+        assert run_main(*argv, "--c", "1", "--out", out)[0] == 0
+        assert (out / "timestamps.txt").exists()
+        code, lines = run_main(*argv, "--c", "700", "--out", out)
+        assert (code, lines) == (2, ["ecir edi: error: edi frames are not finite at c=700.0: "
+                                     "exp(c * signed count) overflows"])
+        assert not (out / "timestamps.txt").exists()
+        with pytest.raises(FileNotFoundError, match="missing timestamps.txt"):
+            read_video_dir(out)
 
     def test_failed_eval_csv_write_leaves_no_report(self, tmp_path, monkeypatch):
         import csv

@@ -18,7 +18,7 @@ from ecir import (
     render_frame,
     synthesize_blur,
 )
-from ecir.fitting import _edi_factors
+from ecir.fitting import _edi_factors, _edi_frames
 from ecir.keypoints import pivots
 
 from oracles import oracle_edi_factors, oracle_signed_count, tie_heavy_streams
@@ -282,6 +282,44 @@ class TestEdi:
         for c in (math.inf, math.nan):
             with pytest.raises(ValueError, match="finite"):
                 edi_reconstruct(blurry, EventStream.empty(IV), c, 0.0)
+
+    def test_stream_is_the_stack(self):
+        rng = np.random.default_rng(197)
+        blurry = BlurryFrame(rng.uniform(0.2, 0.8, (6, 7)), IV)
+        stream = random_stream(rng, 80, (6, 7))
+        times = np.sort(np.concatenate([rng.uniform(IV.t_start, IV.t_end, 6), stream.t[[3, 3]]]))
+        stack = edi_video(blurry, stream, 0.25, times)
+        frames = list(_edi_frames(blurry, stream, 0.25, times))
+        assert len(frames) == len(times)
+        for frame, expected in zip(frames, stack):
+            assert frame.tobytes() == expected.tobytes()
+        # each frame is its own array, free of the stream's state
+        assert not any(np.shares_memory(a, b) for a, b in zip(frames, frames[1:]))
+
+    def test_stream_leaves_numpy_error_state_alone(self):
+        rng = np.random.default_rng(199)
+        blurry = BlurryFrame(rng.uniform(0.2, 0.8, (4, 5)), IV)
+        stream = random_stream(rng, 40, (4, 5))
+        before = np.geterr()
+        frames = _edi_frames(blurry, stream, 0.3, np.linspace(IV.t_start, IV.t_end, 5))
+        next(frames)
+        assert np.geterr() == before
+        with np.errstate(all="warn"):
+            next(frames)
+            assert np.geterr() == {k: "warn" for k in before}
+        assert np.geterr() == before
+        frames.close()
+        assert np.geterr() == before
+
+    def test_overflow_on_a_later_frame_is_the_one_value_error(self):
+        # scaled * exp(c) overflows once the event is counted; the
+        # normalizer, about 0.07 * exp(c), stays finite
+        blurry = BlurryFrame(np.full((2, 2), 1e6), IV)
+        stream = EventStream([1], [0], [0.0], [1], IV)
+        frames = _edi_frames(blurry, stream, 700.0, [-0.05, 0.05])
+        assert np.all(np.isfinite(next(frames)))
+        with pytest.raises(ValueError, match="edi frames are not finite at c=700.0"):
+            next(frames)
 
     def test_overflowing_threshold_rejected(self):
         blurry = BlurryFrame(np.full((2, 2), 0.5), IV)

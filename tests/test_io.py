@@ -888,6 +888,21 @@ class TestVideoDirs:
         assert (d / "notes.txt").read_text() == "kept\n"
         assert (d / "notes").is_dir()
 
+    def test_unknown_format_leaves_nothing(self, tmp_path):
+        d = tmp_path / "new" / "vid"
+        with pytest.raises(ValueError, match="fmt must be 'f32' or 'pgm'"):
+            write_video_dir(d, [0.0, 1.0], np.zeros((2, 2, 2)), fmt="png")
+        assert not (tmp_path / "new").exists()
+
+    def test_failure_on_the_first_frame_leaves_nothing(self, tmp_path):
+        def frames():
+            raise ValueError("no first frame")
+            yield
+
+        with pytest.raises(ValueError, match="no first frame"):
+            write_video_dir(tmp_path / "vid", [0.0, 1.0], frames())
+        assert not (tmp_path / "vid").exists()
+
     def test_rewrite_failing_part_way_does_not_read_back(self, tmp_path):
         d = tmp_path / "vid"
         write_video_dir(d, np.linspace(0.0, 0.1, 6), np.full((6, 2, 3), 0.25))

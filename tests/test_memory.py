@@ -5,8 +5,10 @@ Each test runs one function on a fixed seeded scene and reads, with
 memory above the heap at the call. Per-event paths are held to bytes per
 event, per-frame paths to frame stacks, where a stack is the scene's
 float64 frames, and per-pixel polynomial paths to "planes" of one (h, w, n)
-float64 array each (n of the (h, w) planes a grid holds); the render
-command is also held to the same peak whatever its frame count. A budget
+float64 array each (n of the (h, w) planes a grid holds); the render and
+edi commands are also held to the same peak whatever their frame count,
+and refine on a frame wider than its product's blocks to one stack and a
+block. A budget
 is the value measured when it was set plus 25% for numpy-version drift,
 below every value measured before, so a change that brings back a wide
 per-event temporary or a second stack fails here.
@@ -19,6 +21,7 @@ import numpy as np
 import pytest
 
 from ecir import (
+    EventStream,
     ExposureInterval,
     PolyGrid,
     SharpVideo,
@@ -30,8 +33,16 @@ from ecir import (
     simulate_events,
     synthesize_blur,
 )
-from ecir.cli import RENDER_BLOCK_BYTES, build_parser, cmd_render
-from ecir.io import read_events, read_video_dir, save_polys, write_events, write_video_dir
+from ecir.cli import RENDER_BLOCK_BYTES, build_parser, cmd_edi, cmd_render
+from ecir.io import (
+    read_events,
+    read_video_dir,
+    save_polys,
+    write_events,
+    write_f32,
+    write_video_dir,
+)
+from ecir.refinement import _column_blocks
 from ecir.representation import antiderivative_coeffs
 
 from scenes import random_monomial_scene, random_poly_grid, render_scene
@@ -57,8 +68,19 @@ MEASURED = {
     "read_events_text": 51.0,
     "edi_video": 38.9,  # before: 85.8
     "read_video_dir": 1.14,  # before: 2.03
+    # the edi command at every --count from 1 to 64, bytes an event. Before:
+    # 60.0 at --count 1 and 77.9 at --count 64, when it stacked the frames.
+    "edi_command": 59.7,
+    # this scene's 3072 columns are one block of refine's product, so the
+    # block is a whole stack. With numpy 2.4.6 refine measures 2.14 since
+    # the blocks and 2.11 before them (one frame row more: the buffer's
+    # last row); the budgets stay where they were set.
     "refine_tridiag": 2.01,  # before: 4.04
     "refine_gd": 2.13,  # before: 3.10
+    # a 180x240 frame of 16 frames, 9 blocks: the buffer, one block and
+    # the residuals' per-window arrays. Before: 2.06, the flow and the
+    # product's output beside the input.
+    "refine_wide": 1.31,
     # before: 6.62, when antiderivative_coeffs made two planes of temporaries.
     # Since the kernels run in place on (n, h, w) planes it measures 5.56,
     # the grid's keypoints and derivatives plus the primitive's nodes,
@@ -188,6 +210,23 @@ def test_render_command_flat_in_frame_count(tmp_path, capsys):
         assert peak - peaks[1] <= RENDER_BLOCK_BYTES + frame, count
 
 
+def test_edi_command_flat_in_frame_count(scene, tmp_path, capsys):
+    video, events = scene
+    write_f32(tmp_path / "blurry.f32", synthesize_blur(video).values)
+    write_events(tmp_path / "events.evt", events)
+    peaks = {}
+    for count in (1, 14, 64):
+        args = build_parser().parse_args([
+            "edi", "--t-start", str(IV.t_start), "--t-end", str(IV.t_end),
+            "--blurry", str(tmp_path / "blurry.f32"), "--events", str(tmp_path / "events.evt"),
+            "--c", str(C), "--count", str(count), "--out", str(tmp_path / "edi")])
+        _, peaks[count] = traced_peak(cmd_edi, args)
+    for count, peak in peaks.items():
+        assert peak / len(events) <= MARGIN * MEASURED["edi_command"], count
+        # the frame being written above a one-frame run
+        assert peak - peaks[1] <= H * W * 8, count
+
+
 def test_antiderivative_coeffs_in_place():
     # the dense bench's grid: numpy's fixed iterator buffers (about 200 KB)
     # are small against its 3.8 MB output
@@ -221,3 +260,16 @@ def test_refine_per_frame(scene, solver):
     video, events = scene
     _, peak = traced_peak(refine, video.frames, events, C, video.times, solver=solver)
     assert peak / STACK <= MARGIN * MEASURED[f"refine_{solver}"]
+
+
+@pytest.mark.parametrize("solver", ["tridiag", "gd"])
+def test_refine_wide_frame_per_frame(solver):
+    rng = np.random.default_rng(2031)
+    d, h, w, k = 16, 180, 240, 50_000
+    assert len(_column_blocks(h * w, d)) == 9
+    frames = rng.uniform(0.1, 0.9, (d, h, w))
+    events = EventStream(rng.integers(0, w, k), rng.integers(0, h, k),
+                         np.sort(rng.uniform(IV.t_start, IV.t_end, k)), rng.choice([-1, 1], k), IV)
+    schedule = np.linspace(IV.t_start, IV.t_end, d)
+    _, peak = traced_peak(refine, frames, events, C, schedule, solver=solver)
+    assert peak / frames.nbytes <= MARGIN * MEASURED["refine_wide"]

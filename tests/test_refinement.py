@@ -22,6 +22,7 @@ from ecir import (
     surrogate_residuals,
     tridiagonal_solve,
 )
+from ecir.refinement import PRODUCT_BLOCK_COLUMNS, PRODUCT_BLOCK_MADDS, _column_blocks, _operator
 
 IV = ExposureInterval(-0.06, 0.06)
 
@@ -529,3 +530,78 @@ class TestRefinePass:
                 np.array([IV.t_start, IV.t_end]),
                 solver="newton",
             )
+
+
+def narrowest_block(d):
+    """The block width below which a (d, width) product is not split."""
+    b = max(PRODUCT_BLOCK_COLUMNS, -(-PRODUCT_BLOCK_MADDS // (d * (d - 1))))
+    return -(-b // 64) * 64
+
+
+def single_product(problem, solver):
+    """``initial + Q @ flow`` as one GEMM over every column, the flow formed as ``_apply`` does."""
+    d = problem.frame_count
+    initial = problem.initial.reshape(d, -1)
+    flow = problem.residuals.reshape(d - 1, -1) + initial[:-1]
+    flow -= initial[1:]
+    q = _operator(problem, solver)
+    out = np.matmul(q, flow)
+    out += initial
+    return out.reshape(problem.initial.shape)
+
+
+class TestColumnBlocks:
+    """The solve writes its frames over their flow one block of columns at a time.
+
+    Blocks are bitwise the single product only at the BLAS thread count the
+    process runs with, so CI runs this class at one thread as well.
+    """
+
+    @pytest.mark.parametrize("d", [2, 8, 17, 64, 200])
+    @pytest.mark.parametrize("width", [0, 1, 63, 4095, 43195, 43200, 10**6 + 1])
+    def test_blocks_tile_the_columns(self, d, width):
+        blocks = _column_blocks(width, d)
+        assert [lo for lo, _ in blocks] == [0] + [hi for _, hi in blocks[:-1]]
+        assert blocks[-1][1] == width
+        b = blocks[0][1] if len(blocks) > 1 else None
+        if b is not None:
+            # equal blocks of a multiple of 64 columns, the last one wider
+            assert b == narrowest_block(d) and b % 64 == 0
+            assert all(hi - lo == b for lo, hi in blocks[:-1])
+            assert b <= blocks[-1][1] - blocks[-1][0] < 2 * b
+
+    @pytest.mark.parametrize("d", [8, 17, 64])
+    def test_narrowest_block(self, d):
+        b = narrowest_block(d)
+        assert _column_blocks(2 * b - 1, d) == [(0, 2 * b - 1)]
+        assert _column_blocks(2 * b, d) == [(0, b), (b, 2 * b)]
+
+    @pytest.mark.parametrize("solver", ["gd", "tridiag"])
+    @pytest.mark.parametrize("d", [8, 17, 64])
+    def test_blocked_product_is_the_single_product(self, solver, d):
+        b = narrowest_block(d)
+        rng = np.random.default_rng(d)
+        solve = descend if solver == "gd" else tridiagonal_solve
+        for width in (1, b - 1, b, b + 1, 2 * b + 1, 1201, 43195, 43200):
+            problem = stack_problem(rng, d, (width,))
+            expected = single_product(problem, solver)
+            assert solve(problem).tobytes() == expected.tobytes(), width
+
+    @pytest.mark.parametrize("solver", ["gd", "tridiag"])
+    def test_refine_leaves_initial_unmodified(self, solver):
+        rng = np.random.default_rng(331)
+        d, h, w = 16, 60, 150  # two blocks of columns
+        assert len(_column_blocks(h * w, d)) > 1
+        initial = rng.uniform(0.1, 0.9, (d, h, w))
+        before = initial.copy()
+        schedule = np.linspace(IV.t_start, IV.t_end, d)
+        k = 500
+        stream = EventStream(rng.integers(0, w, k), rng.integers(0, h, k),
+                             np.sort(rng.uniform(IV.t_start, IV.t_end, k)),
+                             rng.choice([-1, 1], k), IV)
+        out = refine(initial, stream, 0.2, schedule, solver=solver)
+        assert initial.tobytes() == before.tobytes()
+        assert not np.shares_memory(out, initial)
+        problem = RefineProblem(before, surrogate_residuals(before, stream, 0.2, schedule))
+        expected = np.clip(single_product(problem, solver), 0.0, 1.0)
+        assert out.tobytes() == expected.tobytes()

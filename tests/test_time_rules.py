@@ -183,6 +183,20 @@ def test_window_bound_past_the_tolerance_is_refused():
             v.window(ExposureInterval(*bounds))
 
 
+def test_video_answers_for_its_own_end_frames():
+    """An interval within the tolerance inside the frame span still reaches the end frames."""
+    frames = np.random.default_rng(3).uniform(0.0, 1.0, (3, 2, 3))
+    v = SharpVideo([0.0, 0.06, 0.12], frames, ExposureInterval(1e-10, 0.12 - 1e-10))
+    assert v.frame_at(0.0).tobytes() == frames[0].tobytes()
+    assert v.frame_at(0.12).tobytes() == frames[2].tobytes()
+    cut = v.window(ExposureInterval(0.0, 0.1))
+    assert cut.times.tolist() == [0.0, 0.06, 0.1]
+    assert cut.frames[0].tobytes() == frames[0].tobytes()
+    # past both the frame span and the interval is still refused
+    with pytest.raises(ValueError, match=r"^t=-1e-09 outside the exposure interval \[0.0, 0.12\]$"):
+        v.frame_at(-1e-9)
+
+
 def test_window_past_by_rounding_is_a_slice():
     """0.02 + 0.1 rounds past a video ending at 0.12: the window ends on that frame."""
     times = np.array([round(0.02 + 0.01 * i, 2) for i in range(11)])
