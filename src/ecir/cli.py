@@ -51,7 +51,7 @@ from .simulation import (
     synthesize_blur,
     voxelize,
 )
-from .types import BlurryFrame, ExposureInterval, _increasing
+from .types import BlurryFrame, ExposureInterval, _increasing, _raising
 
 # fewest pixels a part of eval scores (see _parts), counted as frame pairs
 # times the pixels of the first predicted frame: 4 pairs of 180x240. The
@@ -216,12 +216,18 @@ def _rendered(grid, times: np.ndarray):
 
     A (G, 1, 1) block of times broadcasts against the grid's planes, and every
     element gets the multiply-adds a one-frame call gives it, so the frames
-    are bitwise the per-frame ones.
+    are bitwise the per-frame ones. Each block is computed under
+    :func:`~ecir.types._raising`, left before its frames are yielded: a grid
+    of finite values whose polynomial overflows is a ValueError, not a
+    frame of NaN or inf.
     """
     h, w = grid.shape
     block = max(1, RENDER_BLOCK_BYTES // max(8 * h * w, 1))
     for lo in range(0, times.shape[0], block):
-        yield from grid.intensity_at(times[lo : lo + block, None, None])
+        with _raising("rendered frames are not finite: the fitted polynomials overflow"):
+            frames = grid.intensity_at(times[lo : lo + block, None, None])
+        yield from frames
+        del frames  # not held while the next block is computed
 
 
 def cmd_render(args) -> int:

@@ -35,14 +35,14 @@ pixel the index is a full slice, a view, so nothing is gathered.
 
 from __future__ import annotations
 
-import contextlib
 import warnings
 
 import numpy as np
 
 from .representation import PolyGrid, horner
 from .simulation import _window_counts
-from .types import BlurryFrame, EventStream, SharpVideo, _active_columns, key_groups
+from .types import BlurryFrame, EventStream, SharpVideo, key_groups
+from .types import _active_columns, _raising, _threshold
 
 __all__ = ["fit_polys", "edi_reconstruct", "edi_video"]
 
@@ -214,20 +214,20 @@ def _edi_frames(blurry: BlurryFrame, events: EventStream, c: float, times: np.nd
 
     The inputs are checked, and the normalizer formed, when the first frame
     is asked for. A frame is kept apart from the stream's own state, so a
-    writer may drop each one as it goes. Each step enters numpy's error
-    state for its own arithmetic and leaves it before it yields: the state
-    is a context variable, and a suspended generator holding it would set it
-    for its caller.
+    writer may drop each one as it goes. Each step enters
+    :func:`~ecir.types._raising` for its own arithmetic and leaves it before
+    it yields. With finite inputs its flags are set only when exp(c * count)
+    or the normalizer overflows, which leaves no meaningful frame.
     """
-    if not (np.isfinite(c) and c > 0):
-        raise ValueError(f"threshold c must be finite and positive, got {c}")
+    _threshold(c)
+    overflow = f"edi frames are not finite at c={c}: exp(c * signed count) overflows"
     iv = events.interval
     times = np.asarray(times, dtype=np.float64)
     iv.require(times, "timestamps")
     h, w = blurry.shape
     ids = events.pixel_ids((h, w))  # one array serves the normalizer and the windows
     windows = _window_counts(events, ids, np.r_[iv.t_start, times], (h, w))
-    with _finite_frames(c):
+    with _raising(overflow):
         integral, touched = _edi_factors(blurry, events, c, ids)
         scaled = blurry.values.reshape(h * w) * iv.length
         # an event-free pixel's count stays 0 and exp(c * 0) is 1, so its
@@ -240,7 +240,7 @@ def _edi_frames(blurry: BlurryFrame, events: EventStream, c: float, times: np.nd
     level = np.empty(integral.shape)
     for window in windows:
         count += window.reshape(h * w)[cols]
-        with _finite_frames(c):
+        with _raising(overflow):
             np.multiply(c, count, out=level)
             np.exp(level, out=level)
             np.multiply(scaled, level, out=level)
@@ -249,16 +249,3 @@ def _edi_frames(blurry: BlurryFrame, events: EventStream, c: float, times: np.nd
         frame[cols] = level
         yield frame.reshape(h, w)
 
-
-@contextlib.contextmanager
-def _finite_frames(c: float):
-    """Overflow in the EDI arithmetic as the one ValueError."""
-    try:
-        # with finite inputs these flags are set only when exp(c * count)
-        # or the normalizer overflows, which leaves no meaningful frame
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
-            yield
-    except FloatingPointError:
-        raise ValueError(
-            f"edi frames are not finite at c={c}: exp(c * signed count) overflows"
-        ) from None

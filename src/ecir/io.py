@@ -25,28 +25,39 @@ each buffering its text (about 30 bytes an event: 9 MB for half of a
 600k-event stream). The caller streams the first part to the file chunk
 by chunk, then appends the children's text in order, so the bytes do not
 depend on the number of parts. A ``.evt`` file is the binary event
-container: magic ``ECIREVT``, a little-endian uint64 count, then the t,
-x, y and p columns as float64, int32, int32 and int8 (17 bytes an event).
-:data:`EVT_COLUMNS` declares that layout once; the reader, the writer and
-the record size are read from it. The reader fills one array per column,
-in those dtypes, straight from the file: no buffer of the whole file is
-made or pinned by a view, and no column is widened.
-``simulate`` writes a container beside ``events.txt`` and its manifest names
-it, so each ``--manifest`` command skips the text parse. :func:`load_manifest` only
-checks that the events file exists; the command that needs the events reads
-them, once, against its own exposure interval.
-Frames export either as 8-bit binary PGM (clamped and quantized) or as a
-raw little-endian float32 format with a 16-byte header (magic ``ECIRF32``,
-width, height) for lossless intermediates. :data:`FRAME_FORMATS` maps each
-frame suffix to its reader and writer, and is the one list of frame
+container. ``simulate`` writes one beside ``events.txt`` and its manifest
+names it, so each ``--manifest`` command skips the text parse.
+:func:`load_manifest` only checks that the events file exists; the command
+that needs the events reads them, once, against its own exposure interval.
+Frames export either as 8-bit binary PGM (clamped and quantized) or as raw
+float32 ``.f32`` for lossless intermediates. :data:`FRAME_FORMATS` maps
+each frame suffix to its reader and writer, and is the one list of frame
 formats: the dispatch of :func:`read_frame` and :func:`write_frame`, the
 files of a frame directory and ``cli``'s ``--format`` choices all come from
-it. Voxel histograms use the sibling ``ECIRH32`` header with bin count,
-height, width. One reader, ``_header``, checks the magic and unpacks the
-fields of every binary header (``.evt``, ``.f32``, ``.h32``). A raw
-payload holding NaN or inf is a :class:`FormatError` on read, so bad
-values stop at the file boundary; a finite frame value too large for
-float32, or a pixel coordinate too large for int32, is refused on write.
+it. Voxel histograms are raw float32 ``.h32`` files.
+
+The three raw binary formats share one codec. Each is a ``_Layout``
+(:data:`F32`, :data:`H32`, :data:`EVT`): an 8-byte magic, a 7-letter name
+and a NUL; a little-endian header of counts; then whole columns in file
+order, each of the one shape the counts give:
+
+    ======  =======  ==============  ====================================  =========
+    suffix  magic    counts          columns, dtype on disk                shape
+    ======  =======  ==============  ====================================  =========
+    .f32    ECIRF32  uint32 w, h     frame float32                         (h, w)
+    .h32    ECIRH32  uint32 m, h, w  bins float32                          (m, h, w)
+    .evt    ECIREVT  uint64 n        t float64, x int32, y int32, p int8   (n,)
+    ======  =======  ==============  ====================================  =========
+
+``_read_raw`` checks the magic and the exact size, reads each column
+straight into its own array, so no buffer of the whole file is made or
+pinned by a view and no column is widened, and refuses a float column
+holding NaN or inf: every failure is a :class:`FormatError` naming the
+file, so bad values stop at the file boundary. A writer refuses what its
+reader refuses: ``_write_raw`` raises a ValueError naming the file, before
+it opens it, for a value its column cannot hold (NaN, inf or a value past
+float32 in a float column, a coordinate past int32). :func:`write_pgm`
+clamps an inf like any value but refuses a NaN, which has no grey level.
 
 Every writer writes exactly the path it is given: :func:`save_polys` adds
 no ``.npz`` suffix. Every output is written through one opener,
@@ -64,9 +75,10 @@ file; the binary readers' size checks catch only the latter. :func:`write_video_
 deletes the frame files of the directory that it does not write, so a
 shorter video or another format leaves no stale frame behind. Every reader
 of a frame directory goes through :func:`video_frames`, which refuses a
-``timestamps.txt`` that is not strictly increasing and names the line; the
-writer refuses such times through ``types._increasing`` before it touches
-the directory, so it never writes one its readers refuse.
+``timestamps.txt`` that is not finite and strictly increasing and names the
+line; the writer refuses such times through ``types._increasing`` and
+``types._finite`` before it touches the directory, so it never writes one
+its readers refuse.
 
 :func:`load_polys` refuses, as a :class:`FormatError` naming the file and
 the member, an archive that ``fit`` could not have written: a member that is
@@ -81,6 +93,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 import stat
 import struct
@@ -89,13 +102,14 @@ import zipfile
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import _parts
 from .representation import PolyGrid
 from .simulation import EventHistogram
-from .types import EventStream, ExposureInterval, SharpVideo, _increasing
+from .types import EventStream, ExposureInterval, SharpVideo, _finite, _increasing, _raising
 
 __all__ = [
     "ParseError",
@@ -119,14 +133,7 @@ __all__ = [
     "load_manifest",
 ]
 
-F32_MAGIC = b"ECIRF32\x00"
-H32_MAGIC = b"ECIRH32\x00"
-EVT_MAGIC = b"ECIREVT\x00"
 EVT_SUFFIX = ".evt"
-# the container's columns, in file order, each with its dtype on disk
-EVT_COLUMNS = (("t", "<f8"), ("x", "<i4"), ("y", "<i4"), ("p", "i1"))
-# bytes per event in the container: 17
-EVT_RECORD_BYTES = sum(np.dtype(dtype).itemsize for _, dtype in EVT_COLUMNS)
 # lines formatted per write by the text writer. A chunk's Python strings
 # take about 170 bytes a line; at 8192 lines, writing 600k events raises the
 # peak RSS of simulate by under 2 MB (65536 lines: 11 MB, all at once: 78 MB)
@@ -163,15 +170,82 @@ class FormatError(ValueError):
     """Bad magic, header, payload size or non-finite payload in a binary file."""
 
 
-def _header(path, data: bytes, magic: bytes, fields: str) -> tuple:
-    """The ``fields`` (a struct format) that follow ``magic`` at the start of ``data``.
+class _Layout(NamedTuple):
+    """A raw binary format: its magic, a header of counts, then whole columns.
 
-    Every magic is a 7-letter name and a NUL byte; a short or wrong header
-    is a FormatError naming it.
+    ``columns`` are (name, dtype on disk) in file order, and ``shape`` maps
+    the header's counts to the shape of every column.
     """
-    if len(data) < len(magic) + struct.calcsize(fields) or not data.startswith(magic):
-        raise FormatError(f"{path}: bad {magic[:-1].decode()} magic")
-    return struct.unpack_from(fields, data, len(magic))
+
+    magic: bytes
+    counts: struct.Struct
+    columns: tuple
+    shape: Callable
+
+
+F32 = _Layout(b"ECIRF32\x00", struct.Struct("<II"), (("frame", "<f4"),), lambda w, h: (h, w))
+H32 = _Layout(b"ECIRH32\x00", struct.Struct("<III"), (("bins", "<f4"),), lambda *mhw: mhw)
+EVT_MAGIC = b"ECIREVT\x00"
+EVT = _Layout(EVT_MAGIC, struct.Struct("<Q"),
+              (("t", "<f8"), ("x", "<i4"), ("y", "<i4"), ("p", "i1")), lambda n: (n,))
+
+
+def _read_raw(path, layout: _Layout) -> dict:
+    """The columns of ``path``, a file in ``layout``, each read into its own array.
+
+    The magic and the exact size are checked before a column is allocated,
+    and float columns must be finite; every failure is a FormatError
+    naming the file. No buffer of the whole file is made, and no column is
+    widened.
+    """
+    try:
+        with open(path, "rb") as fh:
+            fixed = len(layout.magic) + layout.counts.size
+            head = fh.read(fixed)
+            if len(head) < fixed or not head.startswith(layout.magic):
+                raise ValueError(f"bad {layout.magic[:-1].decode()} magic")
+            shape = layout.shape(*layout.counts.unpack_from(head, len(layout.magic)))
+            record = sum(np.dtype(dtype).itemsize for _, dtype in layout.columns)
+            expected, size = fixed + record * math.prod(shape), os.fstat(fh.fileno()).st_size
+            if size != expected:
+                raise ValueError(f"expected {expected} bytes, got {size}")
+            columns = {}
+            for name, dtype in layout.columns:
+                column = columns[name] = np.empty(shape, dtype)
+                if fh.readinto(column.reshape(-1).view(np.uint8)) != column.nbytes:
+                    raise ValueError(f"file ended inside the {name} column")
+                if column.dtype.kind == "f":
+                    _finite(column, name)
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from None
+    return columns
+
+
+def _write_raw(path, layout: _Layout, counts: tuple, *columns) -> None:
+    """Write ``columns``, in ``layout``'s order, after the header of ``counts``.
+
+    A value its column cannot hold (NaN, inf or a value past the float32
+    range in a float column, a value past an integer column's range) is a
+    ValueError naming the file, raised before the file is opened: a writer
+    never writes what :func:`_read_raw` refuses. A float column is checked
+    in one pass over its cast payload, and an integer column already in its
+    dtype on disk is not checked at all.
+    """
+    payloads = []
+    for (name, disk), values in zip(layout.columns, columns):
+        values, disk = np.asarray(values), np.dtype(disk)
+        beyond = f"{path}: {name} values exceed the {disk.name} range"
+        with _raising(beyond):
+            payload = np.ascontiguousarray(values, dtype=disk)
+        if disk.kind == "f":
+            _finite(payload, f"{path}: {name}")
+        elif payload.dtype != values.dtype and not np.array_equal(payload, values):
+            raise ValueError(beyond)
+        payloads.append(payload)
+    with _overwrite(path) as fh:
+        fh.write(layout.magic + layout.counts.pack(*counts))
+        for payload in payloads:
+            fh.write(payload)
 
 
 @contextmanager
@@ -219,7 +293,12 @@ def read_events(path, interval: ExposureInterval) -> EventStream:
     the stream alone; the line parser runs only on a file that fails there.
     """
     if Path(path).suffix.lower() == EVT_SUFFIX:
-        return _read_event_container(path, interval)
+        columns = _read_raw(path, EVT)
+        try:
+            # the constructor checks order, interval, polarity and coordinates
+            return EventStream(**columns, interval=interval)
+        except ValueError as exc:
+            raise FormatError(f"{path}: {exc}") from None
     try:
         with warnings.catch_warnings():
             # Warnings become errors so the line parser decides these files:
@@ -235,32 +314,6 @@ def read_events(path, interval: ExposureInterval) -> EventStream:
         )
     except (ValueError, OSError, Warning):
         return _read_events_lines(path, interval)
-
-
-def _read_event_container(path, interval: ExposureInterval) -> EventStream:
-    with open(path, "rb") as fh:
-        (n,) = _header(path, fh.read(16), EVT_MAGIC, "<Q")
-        expected = 16 + EVT_RECORD_BYTES * n
-        size = os.fstat(fh.fileno()).st_size
-        if size != expected:
-            raise FormatError(f"{path}: {n} events need {expected} bytes, got {size}")
-        # each column is read into its own array in the stream's dtype, so
-        # no buffer of the whole file exists and no column is widened
-        columns = {name: _read_column(path, fh, dtype, n) for name, dtype in EVT_COLUMNS}
-    if not np.all(np.isfinite(columns["t"])):
-        raise FormatError(f"{path}: timestamps hold NaN or infinite values")
-    try:
-        # the constructor checks order, interval, polarity and coordinates
-        return EventStream(**columns, interval=interval)
-    except ValueError as exc:
-        raise FormatError(f"{path}: {exc}") from None
-
-
-def _read_column(path, fh, dtype: str, n: int) -> np.ndarray:
-    column = np.empty(n, dtype=dtype)
-    if fh.readinto(column.view(np.uint8)) != column.nbytes:
-        raise FormatError(f"{path}: file ended inside the {dtype} column")
-    return column
 
 
 def _read_events_lines(path, interval: ExposureInterval) -> EventStream:
@@ -320,8 +373,7 @@ def write_events(path, events: EventStream) -> None:
     opened.
     """
     if Path(path).suffix.lower() == EVT_SUFFIX:
-        _write_event_container(path, events)
-        return
+        return _write_raw(path, EVT, (len(events),), events.t, events.x, events.y, events.p)
     # imported here, not with ecir, and before the fork, so children inherit it
     import orjson
 
@@ -383,28 +435,23 @@ def _time_texts(t: np.ndarray) -> list[str]:
     return texts
 
 
-def _write_event_container(path, events: EventStream) -> None:
-    n = len(events)
-    limit = np.iinfo(np.int32).max
-    if n and max(int(events.x.max()), int(events.y.max())) > limit:
-        raise ValueError(f"{path}: pixel coordinates exceed the int32 range of the container")
-    with _overwrite(path) as fh:
-        fh.write(EVT_MAGIC + struct.pack("<Q", n))
-        for name, dtype in EVT_COLUMNS:
-            fh.write(getattr(events, name).astype(dtype).tobytes())
-
-
 # ---------------------------------------------------------------------------
 # frames
 # ---------------------------------------------------------------------------
 
 def write_pgm(path, frame: np.ndarray) -> None:
-    """8-bit binary PGM; intensities are clamped to [0, 1] and quantized here."""
+    """8-bit binary PGM; intensities are clamped to [0, 1] and quantized here.
+
+    An infinite value is clamped like any other; a NaN, which has no grey
+    level, is a ValueError raised before the file is opened.
+    """
     frame = np.asarray(frame, dtype=np.float64)
     if frame.ndim != 2:
         raise ValueError("frame must be 2-d")
     h, w = frame.shape
-    quantized = np.rint(np.clip(frame, 0.0, 1.0) * 255.0).astype(np.uint8)
+    # a NaN sets the cast's invalid flag; an inf is clamped like any value
+    with _raising(f"{path}: frame holds NaN values"):
+        quantized = np.rint(np.clip(frame, 0.0, 1.0) * 255.0).astype(np.uint8)
     with _overwrite(path) as fh:
         fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
         fh.write(quantized.tobytes())
@@ -447,38 +494,18 @@ def read_pgm(path) -> np.ndarray:
 def write_f32(path, frame: np.ndarray) -> None:
     """Raw float32 frame: 16-byte header (magic, w, h), row-major payload.
 
-    A finite value beyond the float32 range is a ValueError, not an inf
-    that :func:`read_f32` would refuse.
+    NaN, inf or a finite value beyond the float32 range is a ValueError,
+    not a file that :func:`read_f32` would refuse.
     """
     frame = np.asarray(frame)
     if frame.ndim != 2:
         raise ValueError("frame must be 2-d")
     h, w = frame.shape
-    try:
-        # the cast flags overflow only for a finite value that becomes inf
-        with np.errstate(over="raise"):
-            payload = frame.astype("<f4")
-    except FloatingPointError:
-        raise ValueError(f"{path}: frame values exceed the float32 range") from None
-    with _overwrite(path) as fh:
-        fh.write(F32_MAGIC + struct.pack("<II", w, h))
-        fh.write(payload.tobytes())
-
-
-def _finite(path, payload: np.ndarray) -> np.ndarray:
-    """The payload as float64; a NaN or infinite value is a FormatError."""
-    if not np.all(np.isfinite(payload)):
-        raise FormatError(f"{path}: payload holds NaN or infinite values")
-    return payload.astype(np.float64)
+    _write_raw(path, F32, (w, h), frame)
 
 
 def read_f32(path) -> np.ndarray:
-    data = Path(path).read_bytes()
-    w, h = _header(path, data, F32_MAGIC, "<II")
-    expected = 16 + 4 * w * h
-    if len(data) != expected:
-        raise FormatError(f"{path}: expected {expected} bytes, got {len(data)}")
-    return _finite(path, np.frombuffer(data, dtype="<f4", count=w * h, offset=16).reshape(h, w))
+    return _read_raw(path, F32)["frame"].astype(np.float64)
 
 
 # the frame formats: each suffix's (reader, writer). Every other list of
@@ -510,21 +537,16 @@ def read_frame(path) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def write_histogram(path, hist: EventHistogram) -> None:
-    m, h, w = hist.bins.shape
-    with _overwrite(path) as fh:
-        fh.write(H32_MAGIC + struct.pack("<III", m, h, w))
-        fh.write(hist.bins.astype("<f4").tobytes())
+    """Raw float32 bins after the ``ECIRH32`` header (magic, m, h, w).
+
+    NaN, inf or a count beyond the float32 range is a ValueError, not a file
+    that :func:`read_histogram` would refuse.
+    """
+    _write_raw(path, H32, hist.bins.shape, hist.bins)
 
 
 def read_histogram(path, interval: ExposureInterval) -> EventHistogram:
-    data = Path(path).read_bytes()
-    m, h, w = _header(path, data, H32_MAGIC, "<III")
-    expected = 20 + 4 * m * h * w
-    if len(data) != expected:
-        raise FormatError(f"{path}: expected {expected} bytes, got {len(data)}")
-    payload = np.frombuffer(data, dtype="<f4", count=m * h * w, offset=20)
-    bins = _finite(path, payload.reshape(m, h, w))
-    return EventHistogram(bins, interval)
+    return EventHistogram(_read_raw(path, H32)["bins"], interval)
 
 
 # ---------------------------------------------------------------------------
@@ -601,9 +623,9 @@ def read_video_dir(path) -> SharpVideo:
 def write_video_dir(path, times: np.ndarray, frames, fmt: str = "f32") -> None:
     """Write ``frame_NNNNN.<fmt>`` files and ``timestamps.txt`` into ``path``.
 
-    ``times`` must rise strictly, as every reader of the directory requires,
-    and ``fmt`` must name a frame format; anything else is a ValueError
-    before any file is made, removed or written. ``frames`` is a stack or
+    ``times`` must be finite and rise strictly, as every reader of the
+    directory requires, and ``fmt`` must name a frame format; anything else
+    is a ValueError before any file is made, removed or written. ``frames`` is a stack or
     any iterable of 2-d frames, such as a generator, one per entry of
     ``times``: one that ends early, or yields a frame past the last time (no
     further frame is taken), is a ValueError. The first frame is taken
@@ -618,6 +640,7 @@ def write_video_dir(path, times: np.ndarray, frames, fmt: str = "f32") -> None:
     """
     directory = Path(path)
     _increasing(times, f"{directory}: timestamps")
+    _finite(times, f"{directory}: timestamps")  # an inf rises past every time
     if "." + fmt not in FRAME_FORMATS:
         raise ValueError("fmt must be " + " or ".join(repr(s[1:]) for s in FRAME_FORMATS))
     frames = iter(frames)
@@ -700,8 +723,7 @@ def load_polys(path) -> PolyGrid:
                 raise ValueError(f"{name} must hold real numbers, got {array.dtype}")
             if name.startswith("t_") and array.ndim:
                 raise ValueError(f"{name} must be a scalar, got shape {array.shape}")
-            if not np.all(np.isfinite(array)):
-                raise ValueError(f"{name} holds NaN or infinite values")
+            _finite(array, name)
         interval = ExposureInterval(float(arrays["t_start"]), float(arrays["t_end"]))
         grid = PolyGrid(arrays["keypoints"], arrays["derivatives"], arrays["constants"], interval)
         # KeypointSet's rule, on the archive's own (h, w, n) keypoints, now known to be 3-d
@@ -718,7 +740,14 @@ def load_polys(path) -> PolyGrid:
 
 @dataclass
 class Manifest:
-    """Paths and interval bounds tying one exposure's artifacts together."""
+    """Paths and interval bounds tying one exposure's artifacts together.
+
+    A manifest checks itself when it is made, so :meth:`save` never writes
+    one that :func:`load_manifest` refuses: the bounds are real numbers, not
+    booleans, that make an :class:`~ecir.types.ExposureInterval` (finite
+    and ordered), the path fields are strings or None, and ``overrides`` is
+    a dict.
+    """
 
     t_start: float
     t_end: float
@@ -727,6 +756,20 @@ class Manifest:
     gt_video: str | None = None
     overrides: dict = field(default_factory=dict)
     base_dir: Path = field(default_factory=Path)
+
+    def __post_init__(self) -> None:
+        for name in ("t_start", "t_end"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise TypeError(f"{name} must be a number, got {value!r}")
+            setattr(self, name, float(value))
+        self.interval  # finite and ordered
+        for name in ("blurry", "events", "gt_video"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, str):
+                raise TypeError(f"{name} must be a path string or null, got {value!r}")
+        if not isinstance(self.overrides, dict):
+            raise TypeError(f"overrides must be a JSON object, got {self.overrides!r}")
 
     @property
     def interval(self) -> ExposureInterval:
@@ -753,11 +796,11 @@ class Manifest:
 
 
 def load_manifest(path) -> Manifest:
-    """Load and validate: the interval must be finite and ordered, referenced files must exist.
+    """Load a manifest: its JSON, its fields as :class:`Manifest` checks them, its files.
 
-    Path fields must be strings or null and ``overrides`` a JSON object. No
-    referenced file is read here: a command reads the ones it uses, so the
-    events are checked against the interval of the command that reads them.
+    Every referenced file must exist. No referenced file is read here: a
+    command reads the ones it uses, so the events are checked against the
+    interval of the command that reads them.
     """
     path = Path(path)
     try:
@@ -765,12 +808,9 @@ def load_manifest(path) -> Manifest:
     except json.JSONDecodeError as exc:
         raise ParseError(path, exc.lineno, exc.msg) from None
     try:
-        for name in ("t_start", "t_end"):
-            if isinstance(payload[name], bool):
-                raise TypeError(f"{name} must be a number, got {payload[name]!r}")
         manifest = Manifest(
-            t_start=float(payload["t_start"]),
-            t_end=float(payload["t_end"]),
+            t_start=payload["t_start"],
+            t_end=payload["t_end"],
             blurry=payload.get("blurry"),
             events=payload.get("events"),
             gt_video=payload.get("gt_video"),
@@ -779,13 +819,6 @@ def load_manifest(path) -> Manifest:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: invalid manifest field: {exc}") from None
-    for name in ("blurry", "events", "gt_video"):
-        value = getattr(manifest, name)
-        if value is not None and not isinstance(value, str):
-            raise FormatError(f"{path}: {name} must be a path string or null, got {value!r}")
-    if not isinstance(manifest.overrides, dict):
-        raise FormatError(f"{path}: overrides must be a JSON object, got {manifest.overrides!r}")
-    manifest.interval  # validates finiteness and ordering
     for name in ("blurry", "events", "gt_video"):
         target = manifest.resolve(name)
         if target is not None and not target.exists():

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .simulation import window_counts
-from .types import EventStream, _active_columns, _increasing
+from .types import EventStream, _active_columns, _finite, _increasing, _raising, _threshold
 
 __all__ = [
     "DivergenceError",
@@ -105,10 +105,8 @@ class RefineProblem:
             raise ValueError("need at least 2 frames")
         if self.residuals.shape != (d - 1,) + self.initial.shape[1:]:
             raise ValueError("residual stack must be (d-1, ...) matching the frames")
-        if not np.all(np.isfinite(self.initial)):
-            raise ValueError("initial frames must be finite")
-        if not np.all(np.isfinite(self.residuals)):
-            raise ValueError("residuals must be finite")
+        _finite(self.initial, "initial frames")
+        _finite(self.residuals, "residuals")
         if not (np.isfinite(self.lam) and self.lam >= 0):
             raise ValueError(f"lambda must be finite and non-negative, got {self.lam}")
         try:
@@ -152,8 +150,7 @@ def _residuals(
 
     ``initial`` is float64; any row past the residuals is left unset.
     """
-    if not (np.isfinite(c) and c > 0):
-        raise ValueError(f"threshold c must be finite and positive, got {c}")
+    _threshold(c)
     schedule = np.asarray(schedule, dtype=np.float64)
     d = initial.shape[0]
     if schedule.shape != (d,):
@@ -172,17 +169,12 @@ def _residuals(
     cols = _active_columns(moved)
     # off the active columns every count is 0, and expm1(c * 0) is 0.0
     level = np.zeros(residuals.shape[1])
-    try:
-        # with a finite c and finite frames, these flags are set only when
-        # exp(c * signed count) overflows
-        with np.errstate(over="raise", invalid="raise"):
-            for i, row in enumerate(residuals):
-                level[cols] = np.expm1(c * row[cols])
-                np.multiply(initial[i].reshape(-1), level, out=row)
-    except FloatingPointError:
-        raise ValueError(
-            f"residuals are not finite at c={c}: exp(c * signed count) overflows"
-        ) from None
+    # with a finite c and finite frames, these flags are set only when
+    # exp(c * signed count) overflows
+    with _raising(f"residuals are not finite at c={c}: exp(c * signed count) overflows"):
+        for i, row in enumerate(residuals):
+            level[cols] = np.expm1(c * row[cols])
+            np.multiply(initial[i].reshape(-1), level, out=row)
     return out
 
 

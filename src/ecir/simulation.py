@@ -42,7 +42,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .types import EventStream, ExposureInterval, BlurryFrame, SharpVideo, _active_columns
+from .types import BlurryFrame, EventStream, ExposureInterval, SharpVideo
+from .types import _active_columns, _finite
 
 __all__ = [
     "ThresholdConfig",
@@ -159,8 +160,7 @@ def simulate_events(video: SharpVideo, cfg: ThresholdConfig) -> EventStream:
     Deterministic for fixed inputs and seed. Output sorted by t with ties
     broken by (t, y, x, p).
     """
-    if not np.all(np.isfinite(video.frames)):
-        raise ValueError("video frames contain non-finite intensities")
+    _finite(video.frames, "video frames")
     columns = _crossings(video, cfg)
     if not columns[0]:
         return EventStream.empty(video.interval)

@@ -17,11 +17,23 @@ with the very comparisons :meth:`SharpVideo.window` makes, so a window whose
 bound rounds just past the video (0.02 + 0.1 past 0.12) ends on the video's
 last frame and keeps the requested bound, and every window it cuts is a
 valid video.
+
+The value rules are stated here once too. ``_finite`` is the one array-level
+refusal of NaN and inf, worded ``"<what> holds NaN or infinite values"``:
+readers apply it where a file's floats arrive, writers before they write,
+and the stages to the arrays they are handed. ``_raising`` is the one place
+numpy's floating-point flags (overflow, invalid, divide) become errors: a
+``FloatingPointError`` inside it leaves as a ValueError with the caller's
+message. A generator enters it once per step and never across a ``yield``,
+since numpy's error state is a context variable that a suspended generator
+would leave set for its caller. ``_threshold`` is the one rule on a contrast
+threshold ``c``: finite and positive.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -96,6 +108,28 @@ def _increasing(t, what: str) -> None:
     """The one strict-order refusal, along the last axis; a NaN fails it too."""
     if not np.all(np.diff(t) > 0):
         raise ValueError(f"{what} must be strictly increasing")
+
+
+def _finite(values, what: str) -> None:
+    """The one array-level non-finite refusal: a ValueError if ``values`` holds NaN or inf."""
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{what} holds NaN or infinite values")
+
+
+@contextmanager
+def _raising(message: str):
+    """Overflow, invalid and divide flags in the block as one ``ValueError(message)``."""
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            yield
+    except FloatingPointError:
+        raise ValueError(message) from None
+
+
+def _threshold(c: float) -> None:
+    """The one rule on a contrast threshold: finite and positive."""
+    if not (np.isfinite(c) and c > 0):
+        raise ValueError(f"threshold c must be finite and positive, got {c}")
 
 
 @dataclass(frozen=True)

@@ -12,12 +12,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ecir import ExposureInterval
-from ecir.cli import main
+from ecir import ExposureInterval, PolyGrid
+from ecir.cli import _rendered, main
 from ecir.io import (
     FormatError,
     Manifest,
     load_manifest,
+    load_polys,
     read_events,
     read_f32,
     read_histogram,
@@ -31,6 +32,7 @@ from ecir.io import (
 from ecir.simulation import EventHistogram
 from ecir.types import EventStream
 
+from raw_files import write_raw_f32
 from scenes import random_monomial_scene, random_poly_grid, render_scene
 
 IV = ExposureInterval(0.0, 0.12)
@@ -341,7 +343,7 @@ class TestErrorHandling:
     def test_nan_blurry_pixel_one_line_diagnostic(self, tmp_path):
         blurry = np.full((4, 5), 0.5)
         blurry[2, 3] = np.nan
-        write_f32(tmp_path / "blurry.f32", blurry)
+        write_raw_f32(tmp_path / "blurry.f32", blurry)
         (tmp_path / "events.txt").write_text("0.05 1 1 1\n")
         Manifest(t_start=IV.t_start, t_end=IV.t_end, blurry="blurry.f32",
                  events="events.txt").save(tmp_path / "manifest.json")
@@ -353,6 +355,36 @@ class TestErrorHandling:
         assert len(lines) == 1
         assert "blurry.f32" in lines[0]
         assert not (tmp_path / "frames").exists()
+
+    @pytest.mark.parametrize("fmt", ["f32", "pgm"])
+    def test_render_overflowing_grid_one_line_diagnostic(self, tmp_path, fmt):
+        """A valid archive whose polynomial overflows: exit 2, in-process and under -W error."""
+        # keypoints 1e-12 apart under derivatives of +-1e300: the divided
+        # differences overflow though every stored value is finite
+        n = 10
+        keypoints = np.broadcast_to(0.04 + np.arange(n) * 1e-12, (12, 12, n))
+        derivatives = np.broadcast_to(np.where(np.arange(n) % 2, -1e300, 1e300), (12, 12, n))
+        save_polys(tmp_path / "polys.npz",
+                   PolyGrid(keypoints, derivatives, np.zeros((12, 12)), IV))
+        assert load_polys(tmp_path / "polys.npz").shape == (12, 12)
+        argv = [str(a) for a in ("render", "--polys", tmp_path / "polys.npz", "--format", fmt,
+                                 "--count", "4", "--out", tmp_path / "frames")]
+        expected = ["ecir render: error: rendered frames are not finite: "
+                    "the fitted polynomials overflow"]
+        assert run_main(*argv) == (2, expected)
+        assert not (tmp_path / "frames").exists()
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "ecir", *argv],
+                              capture_output=True, text=True)
+        assert (proc.returncode, stderr_lines(proc)) == (2, expected)
+        assert not (tmp_path / "frames").exists()
+
+    def test_rendered_blocks_leave_the_error_state_alone(self):
+        grid = random_poly_grid(np.random.default_rng(5), 3, 4, 4, IV)
+        state = np.geterr()
+        frames = _rendered(grid, np.linspace(IV.t_start, IV.t_end, 3))
+        next(frames)
+        assert np.geterr() == state
+        assert len(list(frames)) == 2
 
     def test_infinite_manifest_bound_diagnostic(self, tmp_path):
         (tmp_path / "events.txt").write_text("")

@@ -19,6 +19,7 @@ import ecir.cli
 from ecir.cli import EVAL_PART_PIXELS, main
 from ecir.io import list_frames, read_frame, write_f32, write_video_dir
 from ecir.metrics import mse, psnr, ssim
+from raw_files import write_raw_f32
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="eval forks only where os.fork exists")
 
@@ -189,7 +190,7 @@ def damage(pred, gt, index, kind):
     elif kind == "nan":
         frame = read_frame(pred / name)
         frame[2, 3] = np.nan
-        write_f32(pred / name, frame)
+        write_raw_f32(pred / name, frame)
     else:
         write_f32(gt / name, np.full((H + 1, W), 0.5))
 

@@ -1,5 +1,7 @@
 """File formats: events, PGM, raw float frames, histograms, videos, manifests."""
 
+import json
+import math
 import os
 import signal
 import stat
@@ -47,6 +49,7 @@ from ecir.io import (
     write_video_dir,
 )
 from ecir.simulation import EventHistogram, voxelize
+from raw_files import write_raw_f32, write_raw_h32
 
 IV = ExposureInterval(-0.06, 0.06)
 
@@ -741,7 +744,7 @@ class TestFrameFiles:
     def test_f32_non_finite_payload_rejected(self, tmp_path, value):
         frame = np.full((3, 4), 0.5)
         frame[1, 2] = value
-        write_f32(tmp_path / "frame.f32", frame)
+        write_raw_f32(tmp_path / "frame.f32", frame)
         with pytest.raises(FormatError, match="NaN or infinite"):
             read_f32(tmp_path / "frame.f32")
 
@@ -752,6 +755,40 @@ class TestFrameFiles:
             with pytest.raises(ValueError, match="float32 range"):
                 write_f32(tmp_path / "frame.f32", frame)
         assert not (tmp_path / "frame.f32").exists()
+
+    @pytest.mark.parametrize("value, message", [
+        (np.nan, "frame holds NaN or infinite values"),
+        (np.inf, "frame holds NaN or infinite values"),
+        (-np.inf, "frame holds NaN or infinite values"),
+        (1e39, "frame values exceed the float32 range"),
+    ], ids=["nan", "inf", "-inf", "1e39"])
+    def test_f32_writer_refuses_what_the_reader_refuses(self, tmp_path, value, message):
+        frame = np.full((3, 4), 0.5)
+        frame[1, 2] = value
+        path = tmp_path / "frame.f32"
+        state = np.geterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy warning that leaked would fail here
+            with pytest.raises(ValueError) as info:
+                write_f32(path, frame)
+        assert str(info.value) == f"{path}: {message}"
+        assert not path.exists()
+        assert np.geterr() == state
+
+    def test_pgm_writer_refuses_nan_and_clamps_inf(self, tmp_path):
+        frame = np.full((2, 3), 0.5)
+        frame[0, 1], frame[1, 2] = np.inf, -np.inf
+        write_pgm(tmp_path / "inf.pgm", frame)
+        assert read_pgm(tmp_path / "inf.pgm")[0, 1] == 1.0
+        assert read_pgm(tmp_path / "inf.pgm")[1, 2] == 0.0
+        frame[1, 0] = np.nan
+        path = tmp_path / "nan.pgm"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as info:
+                write_pgm(path, frame)
+        assert str(info.value) == f"{path}: frame holds NaN values"
+        assert not path.exists()
 
     def test_dispatch_by_extension(self, tmp_path):
         frame = np.full((3, 3), 0.25)
@@ -801,9 +838,25 @@ class TestHistogramFiles:
     def test_infinite_bin_is_format_error(self, tmp_path):
         bins = np.zeros((2, 3, 4))
         bins[1, 0, 3] = np.inf
-        write_histogram(tmp_path / "events.h32", EventHistogram(bins, IV))
+        write_raw_h32(tmp_path / "events.h32", bins)
         with pytest.raises(FormatError, match="NaN or infinite"):
             read_histogram(tmp_path / "events.h32", IV)
+
+    @pytest.mark.parametrize("value, message", [
+        (np.nan, "bins holds NaN or infinite values"),
+        (np.inf, "bins holds NaN or infinite values"),
+        (1e39, "bins values exceed the float32 range"),
+    ], ids=["nan", "inf", "1e39"])
+    def test_writer_refuses_what_the_reader_refuses(self, tmp_path, value, message):
+        bins = np.zeros((2, 3, 4))
+        bins[1, 2, 0] = value
+        path = tmp_path / "events.h32"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as info:
+                write_histogram(path, EventHistogram(bins, IV))
+        assert str(info.value) == f"{path}: {message}"
+        assert not path.exists()
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "events.h32"
@@ -892,6 +945,15 @@ class TestVideoDirs:
         d = tmp_path / "new" / "vid"
         with pytest.raises(ValueError, match="fmt must be 'f32' or 'pgm'"):
             write_video_dir(d, [0.0, 1.0], np.zeros((2, 2, 2)), fmt="png")
+        assert not (tmp_path / "new").exists()
+
+    @pytest.mark.parametrize("times", [[0.0, np.inf], [-np.inf, 0.0]], ids=["inf", "-inf"])
+    def test_infinite_time_leaves_nothing(self, tmp_path, times):
+        """Infinite times rise strictly, but video_frames refuses them; a NaN fails the order."""
+        d = tmp_path / "new" / "vid"
+        with pytest.raises(ValueError) as info:
+            write_video_dir(d, times, np.zeros((2, 2, 2)))
+        assert str(info.value) == f"{d}: timestamps holds NaN or infinite values"
         assert not (tmp_path / "new").exists()
 
     def test_failure_on_the_first_frame_leaves_nothing(self, tmp_path):
@@ -1127,6 +1189,30 @@ class TestManifests:
         (tmp_path / "m.json").write_text(f'{{"t_start": {t_start}, "t_end": {t_end}}}')
         with pytest.raises(ValueError):
             load_manifest(tmp_path / "m.json")
+
+    @pytest.mark.parametrize("fields, word", [
+        ({"t_end": math.nan}, "finite"),
+        ({"t_start": -math.inf}, "finite"),
+        ({"t_end": -0.06}, "degenerate"),
+        ({"t_start": True}, "t_start must be a number"),
+        ({"t_end": "0.1"}, "t_end must be a number"),
+        ({"events": 5}, "events must be a path string or null"),
+        ({"overrides": [["bins", 3]]}, "overrides must be a JSON object"),
+    ], ids=["nan_end", "-inf_start", "degenerate", "bool_start", "str_end", "int_events",
+            "list_overrides"])
+    def test_manifest_checks_itself(self, tmp_path, fields, word):
+        """A manifest load_manifest would refuse cannot be made, so it is never saved."""
+        with pytest.raises((TypeError, ValueError), match=word):
+            Manifest(**{"t_start": -0.06, "t_end": 0.06, **fields})
+        body = json.dumps({"t_start": -0.06, "t_end": 0.06, **fields})
+        (tmp_path / "m.json").write_text(body)
+        with pytest.raises(FormatError, match=f"m.json: invalid manifest field: .*{word}"):
+            load_manifest(tmp_path / "m.json")
+
+    def test_manifest_bounds_are_floats(self):
+        manifest = Manifest(t_start=0, t_end=np.float32(0.5))
+        assert (type(manifest.t_start), type(manifest.t_end)) == (float, float)
+        assert manifest.interval == ExposureInterval(0.0, 0.5)
 
     def test_bad_json_reports_position(self, tmp_path):
         (tmp_path / "m.json").write_text('{"t_start": 0.0,\n  "t_end": \n}')
