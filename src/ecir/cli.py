@@ -43,6 +43,7 @@ from .fitting import _edi_frames, fit_polys
 from .keypoints import keypoint_grid
 from .metrics import _psnr_of_mse, mse, ssim
 from .refinement import DEFAULT_ITERATIONS, DEFAULT_LAMBDA, DivergenceError, refine
+from .representation import _render_frames
 from .simulation import (
     DEFAULT_BINS,
     DEFAULT_CONTRAST,
@@ -51,7 +52,7 @@ from .simulation import (
     synthesize_blur,
     voxelize,
 )
-from .types import BlurryFrame, ExposureInterval, _increasing, _raising
+from .types import BlurryFrame, ExposureInterval, _increasing
 
 # fewest pixels a part of eval scores (see _parts), counted as frame pairs
 # times the pixels of the first predicted frame: 4 pairs of 180x240. The
@@ -65,12 +66,6 @@ from .types import BlurryFrame, ExposureInterval, _increasing, _raising
 # floor is in pixels: 8 pairs took 8.9 -> 15.7 ms at 16x20 and 16.1 -> 24.8
 # at 90x120.
 EVAL_PART_PIXELS = 4 * 180 * 240
-# bytes of the float64 block of frames render runs one Horner pass over: 4
-# frames of 180x240. Median ms of 64 frames of a 180x240 n=10 grid, each cast
-# to float32 as the writer does (2 vCPU, 15 alternating rounds): a (64, h, w)
-# stack, one frame at a time, 26.8; blocks of 1: 24.9, 2: 20.5, 4: 18.7,
-# 8: 27.2, 16: 28.5. A block past the cache loses more than the pass saves.
-RENDER_BLOCK_BYTES = 4 * 180 * 240 * 8
 # the scores eval reports for each frame pair, in their order in both files
 EVAL_SCORES = ("mse", "psnr", "ssim")
 # one frame's (mse, psnr, ssim) as a forked part sends it: exact float64s
@@ -211,30 +206,11 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def _rendered(grid, times: np.ndarray):
-    """The frames at ``times``, one at a time, each block of frames one Horner pass.
-
-    A (G, 1, 1) block of times broadcasts against the grid's planes, and every
-    element gets the multiply-adds a one-frame call gives it, so the frames
-    are bitwise the per-frame ones. Each block is computed under
-    :func:`~ecir.types._raising`, left before its frames are yielded: a grid
-    of finite values whose polynomial overflows is a ValueError, not a
-    frame of NaN or inf.
-    """
-    h, w = grid.shape
-    block = max(1, RENDER_BLOCK_BYTES // max(8 * h * w, 1))
-    for lo in range(0, times.shape[0], block):
-        with _raising("rendered frames are not finite: the fitted polynomials overflow"):
-            frames = grid.intensity_at(times[lo : lo + block, None, None])
-        yield from frames
-        del frames  # not held while the next block is computed
-
-
 def cmd_render(args) -> int:
     grid = io.load_polys(args.polys)
     times = _times_of(args, grid.interval)
     grid.interval.require(times, "render timestamps")
-    io.write_video_dir(args.out, times, _rendered(grid, times), fmt=args.format)
+    io.write_video_dir(args.out, times, _render_frames(grid, times), fmt=args.format)
     print(f"render: {times.shape[0]} frames -> {args.out}")
     return 0
 

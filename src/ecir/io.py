@@ -4,14 +4,17 @@ Events travel in one of two formats, chosen by extension as frames are.
 Text, one ``t x y p`` record per line sorted by t, is the interchange
 format: diffable and trivially greppable. :func:`read_events` parses it with
 one vectorized ``np.loadtxt`` call and passes the table's columns straight
-to :class:`~ecir.types.EventStream`, whose own checks (order, interval,
+to :class:`~ecir.types.EventStream`, whose own checks (interval, order,
 polarity, coordinates) decide whether the events are valid; the stream
 narrows x, y and p straight from the table's columns, so a parse peaks at
 about 51 bytes an event. A file that loadtxt or the stream refuses is read
 again by the line-by-line parser, the reference for what a valid text file
-is. It only names the first bad line, as a :class:`ParseError`; when every
-line parses, it raises the stream's error with the file's name. Errors are
-therefore the same whichever path saw the file first.
+is. That parser only tokenizes: a line without four fields, or whose
+fields are not a float and three integers, is a :class:`ParseError` naming
+it. It states no event rule: it builds the stream once, and the
+:class:`~ecir.types.RecordError` of the first event the stream refuses
+becomes a ParseError naming that event's line. Errors are therefore the
+same whichever path saw the file first.
 :func:`write_events` formats text a chunk of lines at a time, byte for
 byte as one ``repr``-based line per event would. A chunk's timestamps are
 formatted by one ``orjson`` call, whose shortest round-trip digits (Ryu)
@@ -26,7 +29,9 @@ each buffering its text (about 30 bytes an event: 9 MB for half of a
 by chunk, then appends the children's text in order, so the bytes do not
 depend on the number of parts. A ``.evt`` file is the binary event
 container. ``simulate`` writes one beside ``events.txt`` and its manifest
-names it, so each ``--manifest`` command skips the text parse.
+names it, so each ``--manifest`` command skips the text parse. An event of
+a container that breaks a rule is named by its index, ``"<path>: event
+<i>: <message>"``.
 :func:`load_manifest` only checks that the events file exists; the command
 that needs the events reads them, once, against its own exposure interval.
 Frames export either as 8-bit binary PGM (clamped and quantized) or as raw
@@ -53,7 +58,8 @@ order, each of the one shape the counts give:
 straight into its own array, so no buffer of the whole file is made or
 pinned by a view and no column is widened, and refuses a float column
 holding NaN or inf: every failure is a :class:`FormatError` naming the
-file, so bad values stop at the file boundary. A writer refuses what its
+file, and the event for a ``.evt`` value (``_Layout.record``), so bad
+values stop at the file boundary. A writer refuses what its
 reader refuses: ``_write_raw`` raises a ValueError naming the file, before
 it opens it, for a value its column cannot hold (NaN, inf or a value past
 float32 in a float column, a coordinate past int32). :func:`write_pgm`
@@ -109,7 +115,8 @@ import numpy as np
 from . import _parts
 from .representation import PolyGrid
 from .simulation import EventHistogram
-from .types import EventStream, ExposureInterval, SharpVideo, _finite, _increasing, _raising
+from .types import EventStream, ExposureInterval, RecordError, SharpVideo
+from .types import _finite, _increasing, _raising
 
 __all__ = [
     "ParseError",
@@ -174,20 +181,29 @@ class _Layout(NamedTuple):
     """A raw binary format: its magic, a header of counts, then whole columns.
 
     ``columns`` are (name, dtype on disk) in file order, and ``shape`` maps
-    the header's counts to the shape of every column.
+    the header's counts to the shape of every column. ``record`` is the noun
+    an error names a :class:`~ecir.types.RecordError`'s index with (an
+    ``.evt`` event); the frame formats name none.
     """
 
     magic: bytes
     counts: struct.Struct
     columns: tuple
     shape: Callable
+    record: str = ""
 
 
 F32 = _Layout(b"ECIRF32\x00", struct.Struct("<II"), (("frame", "<f4"),), lambda w, h: (h, w))
 H32 = _Layout(b"ECIRH32\x00", struct.Struct("<III"), (("bins", "<f4"),), lambda *mhw: mhw)
 EVT_MAGIC = b"ECIREVT\x00"
 EVT = _Layout(EVT_MAGIC, struct.Struct("<Q"),
-              (("t", "<f8"), ("x", "<i4"), ("y", "<i4"), ("p", "i1")), lambda n: (n,))
+              (("t", "<f8"), ("x", "<i4"), ("y", "<i4"), ("p", "i1")), lambda n: (n,), "event")
+
+
+def _format_error(path, exc: ValueError, record: str = "") -> FormatError:
+    """``exc`` as a FormatError naming ``path``, and the ``record`` a RecordError points at."""
+    where = f" {record} {exc.index}" if record and isinstance(exc, RecordError) else ""
+    return FormatError(f"{path}:{where}: {exc}")
 
 
 def _read_raw(path, layout: _Layout) -> dict:
@@ -195,7 +211,8 @@ def _read_raw(path, layout: _Layout) -> dict:
 
     The magic and the exact size are checked before a column is allocated,
     and float columns must be finite; every failure is a FormatError
-    naming the file. No buffer of the whole file is made, and no column is
+    naming the file, and a non-finite value of a format of records names
+    its record too. No buffer of the whole file is made, and no column is
     widened.
     """
     try:
@@ -205,8 +222,8 @@ def _read_raw(path, layout: _Layout) -> dict:
             if len(head) < fixed or not head.startswith(layout.magic):
                 raise ValueError(f"bad {layout.magic[:-1].decode()} magic")
             shape = layout.shape(*layout.counts.unpack_from(head, len(layout.magic)))
-            record = sum(np.dtype(dtype).itemsize for _, dtype in layout.columns)
-            expected, size = fixed + record * math.prod(shape), os.fstat(fh.fileno()).st_size
+            itemsize = sum(np.dtype(dtype).itemsize for _, dtype in layout.columns)
+            expected, size = fixed + itemsize * math.prod(shape), os.fstat(fh.fileno()).st_size
             if size != expected:
                 raise ValueError(f"expected {expected} bytes, got {size}")
             columns = {}
@@ -217,7 +234,7 @@ def _read_raw(path, layout: _Layout) -> dict:
                 if column.dtype.kind == "f":
                     _finite(column, name)
     except ValueError as exc:
-        raise FormatError(f"{path}: {exc}") from None
+        raise _format_error(path, exc, layout.record) from None
     return columns
 
 
@@ -286,19 +303,21 @@ def read_events(path, interval: ExposureInterval) -> EventStream:
     """Read an events file into a sorted stream over ``interval``.
 
     A ``.evt`` name is read as the binary container, any other as ``t x y p``
-    text. A malformed container is a :class:`FormatError` naming the file;
-    malformed text is the line parser's :class:`ParseError`. Events that
-    fail the stream's checks (outside ``interval``, negative coordinates)
-    are a ValueError naming the file in either format. Text is checked by
-    the stream alone; the line parser runs only on a file that fails there.
+    text. A malformed container is a :class:`FormatError` naming the file,
+    and an event that breaks one of the stream's rules is named by its
+    index: ``"<path>: event <i>: <message>"``. Malformed text is a
+    :class:`ParseError` naming the line: the first line that does not
+    tokenize, else the line of the first event that breaks the first rule
+    the stream checks (membership, order, polarity, coordinates). Text is
+    checked by the stream alone; the line parser runs only on a file that
+    fails there.
     """
     if Path(path).suffix.lower() == EVT_SUFFIX:
-        columns = _read_raw(path, EVT)
         try:
-            # the constructor checks order, interval, polarity and coordinates
-            return EventStream(**columns, interval=interval)
-        except ValueError as exc:
-            raise FormatError(f"{path}: {exc}") from None
+            # the reader's own FormatError is not a RecordError: it passes through
+            return EventStream(**_read_raw(path, EVT), interval=interval)
+        except RecordError as exc:
+            raise _format_error(path, exc, EVT.record) from None
     try:
         with warnings.catch_warnings():
             # Warnings become errors so the line parser decides these files:
@@ -317,37 +336,28 @@ def read_events(path, interval: ExposureInterval) -> EventStream:
 
 
 def _read_events_lines(path, interval: ExposureInterval) -> EventStream:
-    """The reference parser: one record per line, first bad line raises ``ParseError``.
+    """The reference parser: it only tokenizes, one ``t x y p`` record a line.
 
-    A file whose every line parses but whose events fail the stream's checks
-    raises the stream's ValueError, prefixed with the file's name.
+    A line that does not hold four fields, or whose fields are not a float
+    and three integers, is a :class:`ParseError` naming it. The stream
+    states every event rule; the first event it refuses is named by its line.
     """
-    xs, ys, ts, ps = [], [], [], []
+    xs, ys, ts, ps, lines = [], [], [], [], []
     with open(path, "r", encoding="ascii") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
             parts = line.split()
+            if not parts:
+                continue
             if len(parts) != 4:
                 raise ParseError(path, lineno, f"expected 4 fields, got {len(parts)}")
             try:
-                t = float(parts[0])
-                x = int(parts[1])
-                y = int(parts[2])
-                p = int(parts[3])
+                ts.append(float(parts[0]))
+                xs.append(int(parts[1]))
+                ys.append(int(parts[2]))
+                ps.append(int(parts[3]))
             except ValueError as exc:
                 raise ParseError(path, lineno, str(exc)) from None
-            if not math.isfinite(t):
-                raise ParseError(path, lineno, f"timestamp must be finite, got {parts[0]}")
-            if p not in (-1, 1):
-                raise ParseError(path, lineno, f"polarity must be -1 or 1, got {p}")
-            if ts and t < ts[-1]:
-                raise ParseError(path, lineno, "timestamps not sorted")
-            ts.append(t)
-            xs.append(x)
-            ys.append(y)
-            ps.append(p)
+            lines.append(lineno)
     try:
         return EventStream(
             np.array(xs, dtype=np.int64),
@@ -356,8 +366,8 @@ def _read_events_lines(path, interval: ExposureInterval) -> EventStream:
             np.array(ps, dtype=np.int64),
             interval,
         )
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    except RecordError as exc:
+        raise ParseError(path, lines[exc.index], str(exc)) from None
 
 
 def write_events(path, events: EventStream) -> None:

@@ -9,8 +9,7 @@ interval is closed, and a NaN lies outside it: :meth:`ExposureInterval.require`
 is the one membership refusal, worded ``"<what> outside the exposure
 interval [t_start, t_end]"`` for every caller. ``_increasing`` is the one
 strict-order refusal, along the last axis, worded ``"<what> must be strictly
-increasing"``; event streams keep their own non-decreasing rule, and the
-line-numbered checks of :mod:`ecir.io`'s parsers stay with the parsers.
+increasing"``; event streams keep their own non-decreasing rule.
 :attr:`ExposureInterval.tolerance` is the one slack between a bound and a
 frame time: :class:`SharpVideo` checks that its frames span its interval
 with the very comparisons :meth:`SharpVideo.window` makes, so a window whose
@@ -28,6 +27,16 @@ message. A generator enters it once per step and never across a ``yield``,
 since numpy's error state is a context variable that a suspended generator
 would leave set for its caller. ``_threshold`` is the one rule on a contrast
 threshold ``c``: finite and positive.
+
+The event rules are stated once, in :class:`EventStream`, which checks
+membership, then order, then polarity, then coordinates, so a NaN or
+infinite time always gets the membership wording. A refusal of a record
+is a :class:`RecordError`, raised through ``_refuse``: a ValueError with the
+usual message whose ``index`` is the flat index of the first record that
+breaks the rule. ``ExposureInterval.require`` and ``_finite`` raise it too,
+finding the index only once the check has failed, so valid input costs no
+extra pass. A parser turns the index into a place (:mod:`ecir.io` names a
+text file's line or a container's event) and so restates no rule.
 """
 
 from __future__ import annotations
@@ -49,6 +58,20 @@ __all__ = [
 ]
 
 _INT32 = np.iinfo(np.int32)
+
+
+class RecordError(ValueError):
+    """A rule broken by records; ``index`` is the flat index of the first that breaks it."""
+
+    def __init__(self, message: str, index: int):
+        super().__init__(message)
+        self.index = index
+
+
+def _refuse(bad, message: str, offset: int = 0) -> None:
+    """``RecordError(message)`` at ``bad``'s first true entry, if any: flat index + ``offset``."""
+    if np.any(bad):
+        raise RecordError(message, int(np.argmax(bad)) + offset)
 
 
 @dataclass(frozen=True)
@@ -83,13 +106,17 @@ class ExposureInterval:
 
     def contains(self, t) -> bool:
         """Whether every value of ``t`` lies in the closed interval; a NaN does not."""
-        t = np.asarray(t)
-        return bool(np.all((t >= self.t_start) & (t <= self.t_end)))
+        return bool(np.all(self._inside(t)))
 
     def require(self, t, what: str) -> None:
-        """The one membership refusal: a ValueError unless :meth:`contains` holds."""
+        """The one membership refusal: a :class:`RecordError` unless :meth:`contains` holds."""
         if not self.contains(t):
-            raise ValueError(f"{what} outside the exposure interval [{self.t_start}, {self.t_end}]")
+            bounds = f"[{self.t_start}, {self.t_end}]"
+            _refuse(~self._inside(t), f"{what} outside the exposure interval {bounds}")
+
+    def _inside(self, t) -> np.ndarray:
+        t = np.asarray(t)
+        return (t >= self.t_start) & (t <= self.t_end)
 
     def normalize(self, t):
         """Map absolute seconds to the normalized domain [-1, 1]."""
@@ -111,9 +138,9 @@ def _increasing(t, what: str) -> None:
 
 
 def _finite(values, what: str) -> None:
-    """The one array-level non-finite refusal: a ValueError if ``values`` holds NaN or inf."""
+    """The one array-level non-finite refusal: a RecordError if ``values`` holds NaN or inf."""
     if not np.all(np.isfinite(values)):
-        raise ValueError(f"{what} holds NaN or infinite values")
+        _refuse(~np.isfinite(values), f"{what} holds NaN or infinite values")
 
 
 @contextmanager
@@ -134,18 +161,15 @@ def _threshold(c: float) -> None:
 
 @dataclass(frozen=True)
 class Event:
-    """A single intensity-change record."""
+    """A single intensity-change record, as iterating an :class:`EventStream` yields it.
+
+    The stream states the event rules; a record restates none of them.
+    """
 
     x: int
     y: int
     t: float
     p: int
-
-    def __post_init__(self) -> None:
-        if self.p not in (-1, 1):
-            raise ValueError(f"polarity must be -1 or +1, got {self.p}")
-        if self.x < 0 or self.y < 0:
-            raise ValueError(f"negative pixel coordinates ({self.x}, {self.y})")
 
 
 @dataclass
@@ -177,15 +201,12 @@ class EventStream:
         n = self.t.shape[0]
         if not (self.x.shape == self.y.shape == p.shape == (n,)):
             raise ValueError("event component arrays must share one length")
-        if n:
-            # a NaN compares false here and fails the interval check below
-            if np.any(self.t[1:] < self.t[:-1]):
-                raise ValueError("event timestamps must be sorted non-decreasing")
-            self.interval.require(self.t, "event timestamps")
-            if np.any((p != 1) & (p != -1)):
-                raise ValueError("polarities must be -1 or +1")
-            if np.any(self.x < 0) or np.any(self.y < 0):
-                raise ValueError("pixel indices must be non-negative")
+        # membership first: a NaN or infinite time fails it, whatever its order
+        self.interval.require(self.t, "event timestamps")
+        _refuse(self.t[1:] < self.t[:-1], "event timestamps must be sorted non-decreasing", 1)
+        _refuse((p != 1) & (p != -1), "polarities must be -1 or +1")
+        if np.any(self.x < 0) or np.any(self.y < 0):
+            _refuse((self.x < 0) | (self.y < 0), "pixel indices must be non-negative")
         self.p = p.astype(np.int8, copy=False)  # every value is -1 or +1 by now
 
     @classmethod
@@ -273,6 +294,7 @@ class BlurryFrame:
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.ndim != 2:
             raise ValueError("blurry frame must be a 2-d array")
+        _finite(self.values, "blurry frame")
 
     @property
     def shape(self) -> tuple[int, int]:

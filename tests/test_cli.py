@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ecir import ExposureInterval, PolyGrid
-from ecir.cli import _rendered, main
+from ecir.cli import main
 from ecir.io import (
     FormatError,
     Manifest,
@@ -29,6 +29,7 @@ from ecir.io import (
     write_histogram,
     write_video_dir,
 )
+from ecir.representation import _render_frames
 from ecir.simulation import EventHistogram
 from ecir.types import EventStream
 
@@ -36,6 +37,8 @@ from raw_files import write_raw_f32
 from scenes import random_monomial_scene, random_poly_grid, render_scene
 
 IV = ExposureInterval(0.0, 0.12)
+# a numpy warning that leaks past a guard fails the test
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def run_cli(*args, check=True):
@@ -381,7 +384,7 @@ class TestErrorHandling:
     def test_rendered_blocks_leave_the_error_state_alone(self):
         grid = random_poly_grid(np.random.default_rng(5), 3, 4, 4, IV)
         state = np.geterr()
-        frames = _rendered(grid, np.linspace(IV.t_start, IV.t_end, 3))
+        frames = _render_frames(grid, np.linspace(IV.t_start, IV.t_end, 3))
         next(frames)
         assert np.geterr() == state
         assert len(list(frames)) == 2
@@ -427,6 +430,29 @@ class TestErrorHandling:
         lines = stderr_lines(proc)
         assert len(lines) == 1
         assert "bad.txt" in lines[0] and "interval" in lines[0]
+
+    @pytest.mark.parametrize("name, place", [
+        ("late.txt", "late.txt:3: event timestamps outside the exposure interval [0.0, 0.12]"),
+        ("negative.txt", "negative.txt:2: pixel indices must be non-negative"),
+        ("polarity.evt", "polarity.evt: event 1: polarities must be -1 or +1"),
+    ])
+    def test_refused_event_names_its_place(self, tmp_path, name, place):
+        if name == "late.txt":
+            (tmp_path / name).write_text("0.01 1 1 1\n0.02 2 2 -1\n0.5 3 3 1\n")
+        elif name == "negative.txt":
+            (tmp_path / name).write_text("0.01 1 1 1\n0.02 -2 2 -1\n")
+        else:
+            stream = EventStream([1, 2, 3], [1, 2, 3], [0.01, 0.02, 0.03], [1, -1, 1],
+                                 ExposureInterval(0.0, 0.12))
+            write_events(tmp_path / name, stream)
+            raw = bytearray((tmp_path / name).read_bytes())
+            raw[16 + 3 * 16 + 1] = 0  # the second event's polarity byte
+            (tmp_path / name).write_bytes(raw)
+        code, lines = run_main("voxelize", "--events", tmp_path / name, "--t-start", "0",
+                               "--t-end", "0.12", "--width", "8", "--height", "8",
+                               "--out", tmp_path / "h.h32")
+        assert (code, lines) == (2, [f"ecir voxelize: error: {tmp_path}/{place}"])
+        assert not (tmp_path / "h.h32").exists()
 
     LONE_BOUND_ARGS = {
         "voxelize": (["--width", "2", "--height", "2"], "h.h32"),

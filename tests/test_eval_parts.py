@@ -21,7 +21,11 @@ from ecir.io import list_frames, read_frame, write_f32, write_video_dir
 from ecir.metrics import mse, psnr, ssim
 from raw_files import write_raw_f32
 
-pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="eval forks only where os.fork exists")
+pytestmark = [
+    pytest.mark.skipif(not hasattr(os, "fork"), reason="eval forks only where os.fork exists"),
+    # a numpy warning that leaks past a guard fails the test
+    pytest.mark.filterwarnings("error::RuntimeWarning"),
+]
 
 H, W = 16, 20
 PART = 4  # pairs of H x W frames in a part, under the ``floor`` fixture

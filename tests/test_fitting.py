@@ -127,6 +127,15 @@ class TestFitPolys:
         with pytest.raises(ValueError):
             fit_polys(video, pivots(IV, 6), BlurryFrame(grid.blur(), IV))
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_blurry_pixel_refused(self, value):
+        # a NaN pixel used to give a grid with a NaN constant, without an error
+        grid = random_poly_grid(np.random.default_rng(153), 3, 4, 6, IV)
+        values = grid.blur()
+        values[1, 2] = value
+        with pytest.raises(ValueError, match="^blurry frame holds NaN or infinite values$"):
+            fit_polys(grid_video(grid, 8), pivots(IV, 6), BlurryFrame(values, IV))
+
     def test_bitwise_reproducible(self):
         rng = np.random.default_rng(157)
         grid = random_poly_grid(rng, 5, 4, 7, IV)
@@ -282,6 +291,16 @@ class TestEdi:
         for c in (math.inf, math.nan):
             with pytest.raises(ValueError, match="finite"):
                 edi_reconstruct(blurry, EventStream.empty(IV), c, 0.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_blurry_pixel_refused(self, value):
+        # a NaN pixel used to give NaN frames at that pixel, without an error
+        rng = np.random.default_rng(195)
+        values = rng.uniform(0.2, 0.8, (3, 4))
+        values[2, 1] = value
+        stream = random_stream(rng, 20, (3, 4))
+        with pytest.raises(ValueError, match="^blurry frame holds NaN or infinite values$"):
+            edi_video(BlurryFrame(values, IV), stream, 0.2, IV.uniform_times(4))
 
     def test_stream_is_the_stack(self):
         rng = np.random.default_rng(197)

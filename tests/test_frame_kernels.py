@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ecir.cli
+import ecir.representation
 from ecir import BlurryFrame, ExposureInterval, SharpVideo, fit_polys, ssim
 from ecir.io import load_polys, save_polys, write_frame
 from ecir.keypoints import pivots
@@ -210,7 +211,7 @@ def rendered_tree(d):
 @pytest.mark.parametrize("count", [1, 3, 4, 5, 14, 64])
 def test_render_blocks_equal_per_frame_bytes(tmp_path, monkeypatch, saved_grid, count, block):
     if block is not None:
-        monkeypatch.setattr(ecir.cli, "RENDER_BLOCK_BYTES", block * 9 * 13 * 8)
+        monkeypatch.setattr(ecir.representation, "RENDER_BLOCK_BYTES", block * 9 * 13 * 8)
     argv = ["render", "--polys", str(saved_grid), "--count", str(count), "--out",
             str(tmp_path / "pred")]
     assert ecir.cli.main(argv) == 0
@@ -220,7 +221,7 @@ def test_render_blocks_equal_per_frame_bytes(tmp_path, monkeypatch, saved_grid, 
 
 @pytest.mark.parametrize("fmt", ["f32", "pgm"])
 def test_render_timestamp_list_equals_per_frame_bytes(tmp_path, monkeypatch, saved_grid, fmt):
-    monkeypatch.setattr(ecir.cli, "RENDER_BLOCK_BYTES", 4 * 9 * 13 * 8)
+    monkeypatch.setattr(ecir.representation, "RENDER_BLOCK_BYTES", 4 * 9 * 13 * 8)
     times = [-0.06, -0.0123, 0.0, 1e-9, 0.031, 0.0599, 0.06]
     argv = ["render", "--polys", str(saved_grid), "--timestamps=" + ",".join(map(repr, times)),
             "--out", str(tmp_path / "pred"), "--format", fmt]

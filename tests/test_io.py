@@ -52,6 +52,8 @@ from ecir.simulation import EventHistogram, voxelize
 from raw_files import write_raw_f32, write_raw_h32
 
 IV = ExposureInterval(-0.06, 0.06)
+# a numpy warning that leaks past a guard fails the test
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def random_stream(rng, k, interval=IV, w=32, h=24):
@@ -114,34 +116,43 @@ class TestEventFiles:
     def test_out_of_interval_rejected(self, tmp_path):
         path = tmp_path / "events.txt"
         path.write_text("0.5 1 1 1\n")
-        # both text parsers name the file
+        # both text parsers name the line
         for reader in (read_events, _read_events_lines):
-            with pytest.raises(ValueError, match="outside the exposure interval") as info:
+            with pytest.raises(ParseError, match="outside the exposure interval") as info:
                 reader(path, IV)
-            assert str(info.value).startswith(f"{path}: ")
+            assert info.value.lineno == 1
+            assert str(info.value).startswith(f"{path}:1: ")
 
     def test_negative_coordinate_names_the_file(self, tmp_path):
         path = tmp_path / "events.txt"
         path.write_text("0.0 -1 1 1\n")
         for reader in (read_events, _read_events_lines):
-            with pytest.raises(ValueError, match="non-negative") as info:
+            with pytest.raises(ParseError, match="non-negative") as info:
                 reader(path, IV)
-            assert str(info.value).startswith(f"{path}: ")
+            assert info.value.lineno == 1
+            assert str(info.value) == f"{path}:1: pixel indices must be non-negative"
 
     def test_nan_timestamp_reports_line_number(self, tmp_path):
         path = tmp_path / "events.txt"
         path.write_text("0.0 1 1 1\nnan 1 1 1\n")
-        with pytest.raises(ParseError, match="finite") as err:
+        with pytest.raises(ParseError) as err:
             read_events(path, IV)
         assert err.value.lineno == 2
+        assert str(err.value) == (
+            f"{path}:2: event timestamps outside the exposure interval [-0.06, 0.06]"
+        )
 
     @pytest.mark.parametrize("token", ["inf", "-inf"])
     def test_infinite_timestamp_reports_line_number(self, tmp_path, token):
         path = tmp_path / "events.txt"
         path.write_text(f"0.0 1 1 1\n0.01 2 2 -1\n{token} 1 1 1\n")
-        with pytest.raises(ParseError, match="finite") as err:
+        with pytest.raises(ParseError) as err:
             read_events(path, IV)
         assert err.value.lineno == 3
+        # the text after "path:lineno: ", which the path could not match by chance
+        assert str(err.value).removeprefix(f"{path}:3: ") == (
+            "event timestamps outside the exposure interval [-0.06, 0.06]"
+        )
 
     def test_comment_line_rejected(self, tmp_path):
         path = tmp_path / "events.txt"
@@ -541,6 +552,85 @@ class TestEventContainer:
         with pytest.raises(ValueError, match="int32"):
             write_events(tmp_path / "e.evt", stream)
         assert not (tmp_path / "e.evt").exists()
+
+
+OUTSIDE = "event timestamps outside the exposure interval [-0.06, 0.06]"
+# each way to break one record: its column, and the message of the rule it breaks
+BREAKS = {
+    "before": ("t", OUTSIDE),
+    "after": ("t", OUTSIDE),
+    "nan": ("t", OUTSIDE),
+    "inf": ("t", OUTSIDE),
+    "-inf": ("t", OUTSIDE),
+    "below_predecessor": ("t", "event timestamps must be sorted non-decreasing"),
+    "polarity_0": ("p", "polarities must be -1 or +1"),
+    "polarity_2": ("p", "polarities must be -1 or +1"),
+    "negative_x": ("x", "pixel indices must be non-negative"),
+    "negative_y": ("y", "pixel indices must be non-negative"),
+}
+
+
+@st.composite
+def broken_records(draw):
+    """A valid stream's records with one broken, the broken one's index and how it broke."""
+    k = draw(st.integers(1, 10))
+    t = sorted(draw(st.lists(st.floats(IV.t_start, IV.t_end), min_size=k, max_size=k)))
+    columns = {
+        "t": t,
+        "x": draw(st.lists(st.integers(0, 300), min_size=k, max_size=k)),
+        "y": draw(st.lists(st.integers(0, 300), min_size=k, max_size=k)),
+        "p": draw(st.lists(st.sampled_from([-1, 1]), min_size=k, max_size=k)),
+    }
+    breaks = [b for b in BREAKS if b != "below_predecessor" or k > 1 and t[-2] > IV.t_start]
+    how = draw(st.sampled_from(breaks))
+    if how == "below_predecessor":
+        i = draw(st.sampled_from([j for j in range(1, k) if t[j - 1] > IV.t_start]))
+    else:
+        i = draw(st.integers(0, k - 1))
+    finite = {"allow_nan": False, "allow_infinity": False}
+    columns[BREAKS[how][0]][i] = {
+        "before": lambda: draw(st.floats(max_value=IV.t_start, exclude_max=True, **finite)),
+        "after": lambda: draw(st.floats(min_value=IV.t_end, exclude_min=True, **finite)),
+        "nan": lambda: math.nan,
+        "inf": lambda: math.inf,
+        "-inf": lambda: -math.inf,
+        "below_predecessor": lambda: draw(st.floats(IV.t_start, t[i - 1], exclude_max=True)),
+        "polarity_0": lambda: 0,
+        "polarity_2": lambda: 2,
+        "negative_x": lambda: draw(st.integers(-(2**31), -1)),
+        "negative_y": lambda: draw(st.integers(-(2**31), -1)),
+    }[how]()
+    # the blank line, if any, before each record
+    blanks = draw(st.lists(st.sampled_from([None, "", "  ", "\t"]), min_size=k, max_size=k))
+    return columns, i, how, blanks
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=broken_records())
+def test_refused_record_is_named_by_line_and_index(tmp_path, case):
+    columns, i, how, blanks = case
+    t, x, y, p = (columns[name] for name in "txyp")
+    lines, line_of = [], []
+    for blank, record in zip(blanks, zip(t, x, y, p)):
+        if blank is not None:
+            lines.append(blank)
+        lines.append("{!r} {} {} {}".format(*record))
+        line_of.append(len(lines))
+    text = tmp_path / "events.txt"
+    text.write_text("\n".join(lines) + "\n", encoding="ascii")
+    message = BREAKS[how][1]
+    with pytest.raises(ParseError) as info:
+        read_events(text, IV)
+    assert info.value.lineno == line_of[i]
+    assert str(info.value) == f"{text}:{line_of[i]}: {message}"
+
+    container = tmp_path / "events.evt"
+    container.write_bytes(container_bytes(t, x, y, p))
+    if how in ("nan", "inf", "-inf"):
+        message = "t holds NaN or infinite values"  # the container's float column rule
+    with pytest.raises(FormatError) as info:
+        read_events(container, IV)
+    assert str(info.value) == f"{container}: event {i}: {message}"
 
 
 ROUNDTRIP = settings(max_examples=60, deadline=None,

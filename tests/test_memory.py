@@ -33,7 +33,7 @@ from ecir import (
     simulate_events,
     synthesize_blur,
 )
-from ecir.cli import RENDER_BLOCK_BYTES, build_parser, cmd_edi, cmd_render
+from ecir.cli import build_parser, cmd_edi, cmd_render
 from ecir.io import (
     read_events,
     read_video_dir,
@@ -43,7 +43,7 @@ from ecir.io import (
     write_video_dir,
 )
 from ecir.refinement import _column_blocks
-from ecir.representation import antiderivative_coeffs
+from ecir.representation import RENDER_BLOCK_BYTES, antiderivative_coeffs
 
 from scenes import random_monomial_scene, random_poly_grid, render_scene
 

@@ -1,5 +1,7 @@
 """Lagrange bases, derivative/primitive evaluation, and the blur constant."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -262,6 +264,19 @@ class TestRenderFrame:
         grid = self.constant_grid(3, 3, 2, 0.5, UNIT)
         with pytest.raises(ValueError):
             render_frame(grid, 1.5)
+
+    def test_overflowing_grid_is_the_render_command_error(self):
+        # the grid ``ecir render`` refuses: keypoints 1e-12 apart under
+        # derivatives of +-1e300, whose divided differences overflow
+        n, interval = 10, ExposureInterval(0.0, 0.12)
+        grid = PolyGrid(np.broadcast_to(0.04 + np.arange(n) * 1e-12, (12, 12, n)),
+                        np.broadcast_to(np.where(np.arange(n) % 2, -1e300, 1e300), (12, 12, n)),
+                        np.zeros((12, 12)), interval)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^rendered frames are not finite: "
+                                                 "the fitted polynomials overflow$"):
+                render_frame(grid, 0.06)
 
     def test_grid_pixel_matches_scalar_path(self):
         rng = np.random.default_rng(41)
