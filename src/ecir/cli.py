@@ -52,7 +52,7 @@ from .simulation import (
     synthesize_blur,
     voxelize,
 )
-from .types import BlurryFrame, ExposureInterval, _increasing
+from .types import BlurryFrame, ExposureInterval
 
 # fewest pixels a part of eval scores (see _parts), counted as frame pairs
 # times the pixels of the first predicted frame: 4 pairs of 180x240. The
@@ -127,26 +127,17 @@ def _blurry_of(args, interval: ExposureInterval) -> BlurryFrame:
 
 
 def _times_of(args, interval: ExposureInterval) -> np.ndarray:
-    """``--timestamps``, else ``--count`` times spanning ``interval``."""
-    if args.timestamps is not None:
-        return _parse_timestamps(args.timestamps)
-    return interval.uniform_times(args.count)
+    """``--timestamps``, else ``--count`` times spanning ``interval``.
 
-
-def _parse_timestamps(text: str) -> np.ndarray:
-    parts = [p for chunk in text.split(",") for p in chunk.split() if p]
-    if not parts:
+    The flag's times are separated by commas or whitespace and read by the
+    tokenizer of ``timestamps.txt``, which states every rule on them.
+    """
+    if args.timestamps is None:
+        return interval.uniform_times(args.count)
+    tokens = args.timestamps.replace(",", " ").split()
+    if not tokens:
         raise ValueError("empty timestamp list")
-    try:
-        times = np.array([float(p) for p in parts])
-    except ValueError:
-        raise ValueError(f"bad timestamp list {text!r}") from None
-    bad = np.flatnonzero(~np.isfinite(times))
-    if bad.size:
-        # the order check below refuses a NaN too, but cannot name it
-        raise ValueError(f"timestamps must be finite, got {parts[bad[0]]!r}")
-    _increasing(times, "timestamps")
-    return times
+    return io._timestamp_list(tokens)
 
 
 # ---------------------------------------------------------------------------

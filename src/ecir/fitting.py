@@ -133,11 +133,12 @@ def _edi_factors(
     ``ids`` are the events' pixel ids on the blurry frame's grid. Both
     results are flattened to (h*w,); the second is a mask, read off the
     groups of ``key_groups``. The integral is the normalizer of the double-integral
-    model. One ``np.bincount`` sums each pixel's segments, in time order,
-    after a leading weight of T per pixel, so every pixel accumulates
+    model. One ``np.bincount`` sums each pixel's segments in time order, the
+    first carrying the pixel's T, so every pixel accumulates
     ``((T + s1) + s2) + ...``, the sums a scatter-add of the segments onto a
     T-filled array performs, and the result is bitwise equal to it. A pixel
-    without events keeps exactly T.
+    without events keeps exactly T. Besides ``ids``, at most two 8-byte
+    arrays an event, and the gathered int8 polarities, are live at once.
     """
     h, w = blurry.shape
     iv = events.interval
@@ -145,39 +146,36 @@ def _edi_factors(
         return np.full(h * w, iv.length), np.zeros(h * w, dtype=bool)
 
     hw = h * w
+    totals = np.bincount(ids, weights=events.p, minlength=hw)  # each pixel's signed count
     order, start, end = key_groups(ids, hw)
-    # the bincount's keys and weights: every pixel once (weight T), then the
-    # events pixel-major (weight: their segment), each filled in place
-    keys = np.empty(hw + len(events), dtype=np.int64)
-    keys[:hw] = np.arange(hw)
-    gid = keys[hw:]
-    gid[:] = np.repeat(keys[:hw], end - start)  # the pixel-major ids
-
-    cum = np.cumsum(events.p[order])
-    # within-pixel running count: subtract the total of the pixels before
-    prior = cum[start - 1]
-    prior[start == 0] = 0
-    cum -= prior[gid]
-    levels = np.multiply(c, cum)
-    del cum
-    np.exp(levels, out=levels)
+    has = end > start
+    firsts = start[has]
+    p, gt = events.p[order], events.t[order]
+    del order
 
     # segment from each event to the next event of the same pixel (or t_end)
-    gt = events.t[order]
-    del order
-    has = end > start
-    first_t = gt[start[has]]
-    weights = np.empty(hw + len(events))
-    weights[:hw] = iv.length
-    seg = weights[hw:]
-    seg[:-1] = gt[1:]
-    seg[end[has] - 1] = iv.t_end
-    seg -= gt
+    first_t = gt[firsts]
+    weights = np.empty(len(events))
+    weights[:-1] = gt[1:]
+    weights[end[has] - 1] = iv.t_end
+    weights -= gt
     del gt
-    seg *= levels
+
+    # the within-pixel running count: a running sum of the pixel-major
+    # polarities, each pixel's first one less the previous pixel's total
+    levels = p.astype(np.float64)
+    del p
+    levels[firsts[1:]] -= totals[has][:-1]
+    np.cumsum(levels, out=levels)
+    levels *= c
+    np.exp(levels, out=levels)
+    weights *= levels
     del levels
 
+    weights[firsts] += iv.length
+    keys = np.repeat(np.arange(hw), end - start)  # the pixel-major ids
     integral = np.bincount(keys, weights=weights, minlength=hw)
+    integral[~has] = iv.length
     integral[has] += (first_t - iv.t_start) - iv.length
     return integral, has
 

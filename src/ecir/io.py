@@ -10,11 +10,24 @@ narrows x, y and p straight from the table's columns, so a parse peaks at
 about 51 bytes an event. A file that loadtxt or the stream refuses is read
 again by the line-by-line parser, the reference for what a valid text file
 is. That parser only tokenizes: a line without four fields, or whose
-fields are not a float and three integers, is a :class:`ParseError` naming
-it. It states no event rule: it builds the stream once, and the
-:class:`~ecir.types.RecordError` of the first event the stream refuses
-becomes a ParseError naming that event's line. Errors are therefore the
-same whichever path saw the file first.
+fields are not a float and three integers that fit int64, is a
+:class:`ParseError` naming it. It states no event rule: it builds the
+stream once, and the :class:`~ecir.types.RecordError` of the first event
+the stream refuses becomes a ParseError naming that event's line. Errors
+are therefore the same whichever path saw the file first.
+
+Every line format is read through one reader, ``_text_lines``, the only
+place such a file is opened and decoded: it yields the fields of each
+non-blank line with its number, lines ending as in text mode, and a byte
+that is not ASCII (a UTF-8 byte-order mark included) is a ParseError
+naming ``<path>:<line>``. :func:`load_manifest` decodes its JSON the same
+way and names the line from the byte's offset. ``timestamps.txt`` (one time
+a line) and ``cli``'s ``--timestamps`` (times separated by commas or
+whitespace) share one timestamp-list tokenizer, ``_timestamp_list``: a token
+that is not a float, then ``types._finite``'s refusal (worded with the token,
+since ``1e999`` reads as inf), then ``types._increasing``'s, each a
+RecordError whose index the file's reader maps to its line.
+
 :func:`write_events` formats text a chunk of lines at a time, byte for
 byte as one ``repr``-based line per event would. A chunk's timestamps are
 formatted by one ``orjson`` call, whose shortest round-trip digits (Ryu)
@@ -80,11 +93,11 @@ tail, at the old length, where a truncating open would leave a short
 file; the binary readers' size checks catch only the latter. :func:`write_video_dir` also
 deletes the frame files of the directory that it does not write, so a
 shorter video or another format leaves no stale frame behind. Every reader
-of a frame directory goes through :func:`video_frames`, which refuses a
-``timestamps.txt`` that is not finite and strictly increasing and names the
-line; the writer refuses such times through ``types._increasing`` and
-``types._finite`` before it touches the directory, so it never writes one
-its readers refuse.
+of a frame directory goes through :func:`video_frames`, which refuses, by
+the timestamp-list tokenizer, a ``timestamps.txt`` that is not finite and
+strictly increasing and names the line; the writer refuses such times
+through the same ``types._increasing`` and ``types._finite`` before it
+touches the directory, so it never writes one its readers refuse.
 
 :func:`load_polys` refuses, as a :class:`FormatError` naming the file and
 the member, an archive that ``fit`` could not have written: a member that is
@@ -141,6 +154,7 @@ __all__ = [
 ]
 
 EVT_SUFFIX = ".evt"
+_INT64 = np.iinfo(np.int64)
 # lines formatted per write by the text writer. A chunk's Python strings
 # take about 170 bytes a line; at 8192 lines, writing 600k events raises the
 # peak RSS of simulate by under 2 MB (65536 lines: 11 MB, all at once: 78 MB)
@@ -335,37 +349,64 @@ def read_events(path, interval: ExposureInterval) -> EventStream:
         return _read_events_lines(path, interval)
 
 
+def _text_lines(path, width: int):
+    """``(lineno, fields)`` of each non-blank line of the text file ``path``.
+
+    The one place a line format is opened and decoded. Lines end as in text
+    mode (``\\n``, ``\\r\\n`` or a lone ``\\r``), and fields are split on
+    whitespace. A byte that is not ASCII, or a line without ``width``
+    fields, is a :class:`ParseError` naming the line.
+    """
+    with open(path, "rb") as fh:
+        lines = (line for raw in fh for line in raw.splitlines())
+        for lineno, line in enumerate(lines, start=1):
+            fields = _ascii(path, line, lineno).split()
+            if fields and len(fields) != width:
+                many = f"{width} fields" if width > 1 else "1 field"
+                raise ParseError(path, lineno, f"expected {many}, got {len(fields)}")
+            if fields:
+                yield lineno, fields
+
+
+def _ascii(path, data: bytes, lineno: int = 1) -> str:
+    """``data``, the text of ``path`` from line ``lineno`` on, decoded as ASCII.
+
+    A byte that is not ASCII is a :class:`ParseError` naming its line.
+    """
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        line = lineno + data.count(b"\n", 0, exc.start)
+        raise ParseError(path, line, f"non-ASCII byte 0x{data[exc.start]:02x}") from None
+
+
+def _int64(token: str) -> int:
+    """``int(token)``; a value past int64, the widest column a stream holds, is a ValueError."""
+    if _INT64.min <= (value := int(token)) <= _INT64.max:
+        return value
+    raise ValueError(f"integer {token} outside the int64 range")
+
+
 def _read_events_lines(path, interval: ExposureInterval) -> EventStream:
     """The reference parser: it only tokenizes, one ``t x y p`` record a line.
 
     A line that does not hold four fields, or whose fields are not a float
-    and three integers, is a :class:`ParseError` naming it. The stream
-    states every event rule; the first event it refuses is named by its line.
+    and three integers that fit int64, is a :class:`ParseError` naming it.
+    The stream states every event rule; the first event it refuses is named
+    by its line.
     """
     xs, ys, ts, ps, lines = [], [], [], [], []
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != 4:
-                raise ParseError(path, lineno, f"expected 4 fields, got {len(parts)}")
-            try:
-                ts.append(float(parts[0]))
-                xs.append(int(parts[1]))
-                ys.append(int(parts[2]))
-                ps.append(int(parts[3]))
-            except ValueError as exc:
-                raise ParseError(path, lineno, str(exc)) from None
-            lines.append(lineno)
+    for lineno, (t, x, y, p) in _text_lines(path, 4):
+        try:
+            ts.append(float(t))
+            xs.append(_int64(x))
+            ys.append(_int64(y))
+            ps.append(_int64(p))
+        except ValueError as exc:
+            raise ParseError(path, lineno, str(exc)) from None
+        lines.append(lineno)
     try:
-        return EventStream(
-            np.array(xs, dtype=np.int64),
-            np.array(ys, dtype=np.int64),
-            np.array(ts, dtype=np.float64),
-            np.array(ps, dtype=np.int64),
-            interval,
-        )
+        return EventStream(xs, ys, ts, ps, interval)  # every value fits int64 or float64
     except RecordError as exc:
         raise ParseError(path, lines[exc.index], str(exc)) from None
 
@@ -576,39 +617,48 @@ def list_frames(directory) -> list[Path]:
     return paths
 
 
-def video_frames(path) -> tuple[list[float], list[Path]]:
+def _timestamp_list(tokens: list[str]) -> np.ndarray:
+    """The one timestamp-list tokenizer: ``tokens`` as finite, strictly rising times.
+
+    Each refusal is a :class:`~ecir.types.RecordError` whose index is the
+    token's: a token that is not a float, then ``_finite``'s refusal with
+    the token (``1e999`` reads as inf), then ``_increasing``'s.
+    """
+    times = np.empty(len(tokens))
+    for i, token in enumerate(tokens):
+        try:
+            times[i] = float(token)
+        except ValueError:
+            raise RecordError(f"bad timestamp {token!r}", i) from None
+    try:
+        _finite(times, "timestamps")
+    except RecordError as exc:
+        raise RecordError(f"{exc}, got {tokens[exc.index]!r}", exc.index) from None
+    _increasing(times, "timestamps")
+    return times
+
+
+def video_frames(path) -> tuple[np.ndarray, list[Path]]:
     """A frame directory's timestamps and frame files, one timestamp a frame.
 
     Every reader of a frame directory goes through here. A directory
     without a ``timestamps.txt`` (a :func:`write_video_dir` that failed part
     way leaves one so), or with more or fewer frames than timestamps, is
-    refused. A timestamp that is not finite, or not greater than the one
-    before it, is a :class:`ParseError` naming its line.
+    refused. A line of ``timestamps.txt`` that the timestamp-list tokenizer
+    refuses is a :class:`ParseError` naming it.
     """
     directory = Path(path)
     ts_path = directory / TIMESTAMPS_FILE
     if not ts_path.exists():
         raise FileNotFoundError(f"{directory}: missing {TIMESTAMPS_FILE}")
-    times = []
-    with open(ts_path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                t = float(line)
-            except ValueError:
-                raise ParseError(ts_path, lineno, f"bad timestamp {line!r}") from None
-            if not math.isfinite(t):
-                raise ParseError(ts_path, lineno, f"timestamp must be finite, got {line}")
-            if times and t <= times[-1]:
-                raise ParseError(ts_path, lineno, "timestamps must be strictly increasing")
-            times.append(t)
+    rows = list(_text_lines(ts_path, 1))
+    try:
+        times = _timestamp_list([token for _, (token,) in rows])
+    except RecordError as exc:
+        raise ParseError(ts_path, rows[exc.index][0], str(exc)) from None
     paths = list_frames(directory)
     if len(paths) != len(times):
-        raise ValueError(
-            f"{directory}: {len(paths)} frames but {len(times)} timestamps"
-        )
+        raise ValueError(f"{ts_path}: {len(paths)} frames but {len(times)} timestamps")
     return times, paths
 
 
@@ -627,7 +677,7 @@ def read_video_dir(path) -> SharpVideo:
                 f"{paths[0].name}'s {first.shape}"
             )
         frames[i] = frame
-    return SharpVideo(np.array(times), frames)
+    return SharpVideo(times, frames)
 
 
 def write_video_dir(path, times: np.ndarray, frames, fmt: str = "f32") -> None:
@@ -813,11 +863,11 @@ def load_manifest(path) -> Manifest:
     interval of the command that reads them.
     """
     path = Path(path)
+    text = _ascii(path, path.read_bytes())
     try:
-        payload = json.loads(path.read_text(encoding="ascii"))
-    except json.JSONDecodeError as exc:
-        raise ParseError(path, exc.lineno, exc.msg) from None
-    try:
+        # an integer past Python's digit limit is a plain ValueError here, and
+        # one past the float range an OverflowError in Manifest
+        payload = json.loads(text)
         manifest = Manifest(
             t_start=payload["t_start"],
             t_end=payload["t_end"],
@@ -827,7 +877,9 @@ def load_manifest(path) -> Manifest:
             overrides=payload.get("overrides", {}),
             base_dir=path.parent,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except json.JSONDecodeError as exc:
+        raise ParseError(path, exc.lineno, exc.msg) from None
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"{path}: invalid manifest field: {exc}") from None
     for name in ("blurry", "events", "gt_video"):
         target = manifest.resolve(name)

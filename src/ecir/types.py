@@ -33,10 +33,11 @@ membership, then order, then polarity, then coordinates, so a NaN or
 infinite time always gets the membership wording. A refusal of a record
 is a :class:`RecordError`, raised through ``_refuse``: a ValueError with the
 usual message whose ``index`` is the flat index of the first record that
-breaks the rule. ``ExposureInterval.require`` and ``_finite`` raise it too,
-finding the index only once the check has failed, so valid input costs no
-extra pass. A parser turns the index into a place (:mod:`ecir.io` names a
-text file's line or a container's event) and so restates no rule.
+breaks the rule. ``ExposureInterval.require``, ``_increasing`` and
+``_finite`` raise it too, finding the index only once the check has failed,
+so valid input costs no extra pass. A parser turns the index into a place
+(:mod:`ecir.io` names a text file's line or a container's event) and so
+restates no rule.
 """
 
 from __future__ import annotations
@@ -132,9 +133,15 @@ class ExposureInterval:
 
 
 def _increasing(t, what: str) -> None:
-    """The one strict-order refusal, along the last axis; a NaN fails it too."""
-    if not np.all(np.diff(t) > 0):
-        raise ValueError(f"{what} must be strictly increasing")
+    """The one strict-order refusal, along the last axis; a NaN fails it too.
+
+    A RecordError whose index is the flat index of the first value that is
+    not above the one before it.
+    """
+    rises = np.diff(t) > 0
+    if not np.all(rises):
+        # the first value of each row has no value before it
+        _refuse(np.insert(~rises, 0, False, axis=-1), f"{what} must be strictly increasing")
 
 
 def _finite(values, what: str) -> None:

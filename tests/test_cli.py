@@ -1148,7 +1148,7 @@ class TestRenderTimestamps:
     @pytest.mark.parametrize("timestamps, bad", [("0.01,nan", "nan"), ("nan,0.01", "nan"),
                                                  ("0.01,inf", "inf"), ("-inf 0.01", "-inf")])
     def test_non_finite_timestamps_rejected(self, tmp_path, timestamps, bad):
-        """A NaN is named before the order check, which would refuse it without naming it."""
+        """A NaN is named, with its token, before the order check, which would refuse it too."""
         manifest = write_small_exposure(tmp_path)
         save_polys(tmp_path / "polys.npz",
                    random_poly_grid(np.random.default_rng(3), 4, 5, 4, IV))
@@ -1157,5 +1157,6 @@ class TestRenderTimestamps:
             code, lines = run_main(command, *source, "--timestamps", timestamps,
                                    "--out", tmp_path / command)
             assert code == 2
-            assert lines == [f"ecir {command}: error: timestamps must be finite, got {bad!r}"]
+            assert lines == [f"ecir {command}: error: timestamps holds NaN or infinite values, "
+                             f"got {bad!r}"]
             assert not (tmp_path / command).exists()

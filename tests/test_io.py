@@ -980,9 +980,12 @@ class TestVideoDirs:
         lines = (d / "timestamps.txt").read_text().splitlines()
         lines[2] = token
         (d / "timestamps.txt").write_text("\n".join(lines) + "\n")
-        with pytest.raises(ParseError, match=f":3: .*{token}") as info:
+        with pytest.raises(ParseError) as info:
             read_video_dir(d)
         assert info.value.lineno == 3
+        # the wording of the --timestamps flag, which shares the tokenizer
+        assert str(info.value) == (f"{d / 'timestamps.txt'}:3: timestamps holds NaN or "
+                                   f"infinite values, got {token!r}")
         times = np.linspace(IV.t_start, IV.t_end, 6)
         times[2] = float(token)
         with pytest.raises(ValueError, match="strictly increasing"):

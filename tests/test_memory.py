@@ -66,10 +66,14 @@ MEASURED = {
     # before: 75.0, when x, y and p were copied out of loadtxt's table as
     # int64 before the stream narrowed them
     "read_events_text": 51.0,
-    "edi_video": 38.9,  # before: 85.8
+    # before: 85.8. With numpy 2.4.6 it measured 46.4 until the normalizer
+    # held at most two 8-byte arrays an event besides the pixel ids; since
+    # then 31.1. The budget stays where it was set.
+    "edi_video": 38.9,
     "read_video_dir": 1.14,  # before: 2.03
     # the edi command at every --count from 1 to 64, bytes an event. Before:
     # 60.0 at --count 1 and 77.9 at --count 64, when it stacked the frames.
+    # 44.4 at every count since the normalizer's narrower arrays (numpy 2.4.6).
     "edi_command": 59.7,
     # this scene's 3072 columns are one block of refine's product, so the
     # block is a whole stack. With numpy 2.4.6 refine measures 2.14 since

@@ -28,6 +28,7 @@ from ecir import (
 )
 from ecir.cli import main
 from ecir.io import load_polys, save_polys, write_video_dir
+from ecir.types import RecordError, _increasing
 
 from scenes import random_poly_grid
 
@@ -142,6 +143,19 @@ def test_order_refusal_has_one_wording(tmp_path, caller):
     with pytest.raises(ValueError) as info:
         call(tmp_path)
     assert str(info.value) == what.format(tmp=tmp_path) + " must be strictly increasing"
+
+
+@pytest.mark.parametrize("t, index", [
+    ([0.0, 0.06, 0.06], 2),
+    ([0.06, 0.0, 0.12], 1),
+    ([0.0, np.nan, 0.12], 1),
+    # along the last axis, flat in row-major order: row 1's third value
+    ([[0.0, 0.01, 0.02], [0.0, 0.01, 0.01]], 5),
+])
+def test_order_refusal_names_the_first_value_that_does_not_rise(t, index):
+    with pytest.raises(RecordError) as info:
+        _increasing(np.array(t), "times")
+    assert (str(info.value), info.value.index) == ("times must be strictly increasing", index)
 
 
 # ---------------------------------------------------------------------------
