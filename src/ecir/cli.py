@@ -9,7 +9,10 @@ be; commands read the resolved ``args`` and the loaded ``args.manifest``.
 Every subcommand validates its inputs and exits nonzero with a one-line
 diagnostic on bad input. A command that needs events reads them once, from
 the path it resolved (``--events``, else the manifest's), checked against
-its own exposure interval. ``--format`` offers the frame formats of
+its own exposure interval and against the grid it knew before reading them
+(the blurry frame's, the video's, or ``voxelize``'s ``--width``/``--height``
+else the manifest's blurry frame), so an event off that grid is named by
+its line or index. ``--format`` offers the frame formats of
 :data:`ecir.io.FRAME_FORMATS`. A command that writes several files removes
 the one that ties them together first and writes it last: ``simulate``'s
 ``manifest.json`` and ``eval``'s report, as :func:`ecir.io.write_video_dir`
@@ -21,11 +24,13 @@ takes the first frame before it makes the directory, so inputs that give no
 first frame leave none. ``eval`` formats each score once and
 writes both its report and the CSV copy from those texts. ``eval`` scores
 its frame pairs, and ``simulate`` formats its text events, in contiguous
-parts on every CPU of the affinity mask: forked children take every part
-but the first (:mod:`ecir._parts`), and the outputs do not depend on the
-number of parts.
-Each process runs one thread; ``--threads`` is accepted for compatibility
-and ignored.
+parts on every CPU of the affinity mask: forked workers take every part
+but the first, and :func:`ecir._parts.forked` yields every part's bytes in
+order, so the outputs do not depend on the number of parts; a part whose
+worker failed is produced again in the caller, which raises the real error
+if there is one. The Python code runs one thread, but OpenBLAS runs its own
+threads in the matrix products of ``fit`` and ``refine``; ``--threads`` is
+accepted for compatibility and ignored.
 """
 
 from __future__ import annotations
@@ -79,11 +84,11 @@ OVERRIDABLE = frozenset({
 })
 
 
-def _apply_overrides(overridable: dict, overrides: dict) -> None:
+def _apply_overrides(overridable: dict, path, overrides: dict) -> None:
     """Make each override its flag's default, converted and checked as the flag's value.
 
     ``overridable`` maps a command's override keys to its flags' actions;
-    any other key is ignored.
+    any other key is ignored. A refused value names the manifest ``path``.
     """
     for key, value in overrides.items():
         action = overridable.get(key)
@@ -94,7 +99,8 @@ def _apply_overrides(overridable: dict, overrides: dict) -> None:
             if action.choices is not None and converted not in action.choices:
                 raise ValueError
         except ValueError:
-            raise ValueError(f"manifest override {key!r} is not a valid value: {value!r}") from None
+            raise ValueError(f"{path}: manifest override {key!r} is not a valid value: "
+                             f"{value!r}") from None
         action.default = converted
 
 
@@ -118,8 +124,9 @@ def _path_of(args, name: str) -> Path:
     return resolved
 
 
-def _events_of(args, interval: ExposureInterval):
-    return io.read_events(_path_of(args, "events"), interval)
+def _events_of(args, interval: ExposureInterval, shape: tuple[int, int]):
+    """The events, checked against ``interval`` and the (h, w) grid the command knows."""
+    return io.read_events(_path_of(args, "events"), interval, shape)
 
 
 def _blurry_of(args, interval: ExposureInterval) -> BlurryFrame:
@@ -186,7 +193,7 @@ def cmd_fit(args) -> int:
         video = video.window(window)
     interval = video.interval
     blurry = _blurry_of(args, interval)
-    events = _events_of(args, interval)
+    events = _events_of(args, interval, video.shape)
 
     keypoints = keypoint_grid(events, interval, args.n, video.shape)
     del events  # the fit reads only the keypoints
@@ -209,7 +216,7 @@ def cmd_render(args) -> int:
 def cmd_edi(args) -> int:
     interval = _interval_of(args)
     blurry = _blurry_of(args, interval)
-    events = _events_of(args, interval)
+    events = _events_of(args, interval, blurry.shape)
     times = _times_of(args, interval)
     # the times rise, so the frames go to the writer as they are made; the
     # writer takes the first before it makes the directory
@@ -222,7 +229,7 @@ def cmd_edi(args) -> int:
 def cmd_refine(args) -> int:
     interval = _interval_of(args)
     video = io.read_video_dir(args.frames)
-    events = _events_of(args, interval)
+    events = _events_of(args, interval, video.shape)
     refined = refine(video.frames, events, args.c, video.times, lam=args.lam, i_max=args.imax,
                      solver=args.solver)
     io.write_video_dir(args.out, video.times, refined, fmt=args.format)
@@ -260,16 +267,8 @@ def cmd_eval(args) -> int:
 
     h, w = io.read_frame(pred_paths[0]).shape
     edges = _parts.edges(len(pred_paths), -(-EVAL_PART_PIXELS // max(h * w, 1)))
-    with _parts.forked(edges, packed) as drain:
-        rows = _scores(pred_paths, gt_paths, 0, edges[1])
-        records = bytearray()
-        for lo, hi, status in drain(records.extend):
-            if status:
-                # scored again here, so a bad pair raises the serial path's error
-                rows += _scores(pred_paths, gt_paths, lo, hi)
-            else:
-                rows += _EVAL_RECORD.iter_unpack(records)
-            records.clear()
+    with _parts.forked(edges, packed, report) as blocks:
+        rows = list(_EVAL_RECORD.iter_unpack(b"".join(blocks)))
 
     agg = np.mean(np.array(rows, dtype=np.float64), axis=0)
     # each score is formatted once, for both files
@@ -298,19 +297,15 @@ def cmd_eval(args) -> int:
 
 def cmd_voxelize(args) -> int:
     interval = _interval_of(args)
-    events = _events_of(args, interval)
     width, height = args.width, args.height
     if width is None or height is None:
         blurry_path = args.manifest.resolve("blurry") if args.manifest else None
-        if blurry_path is not None:
-            h, w = io.read_frame(blurry_path).shape
-        elif len(events):
-            w = int(events.x.max()) + 1
-            h = int(events.y.max()) + 1
-        else:
-            raise ValueError("empty stream: need --width/--height or a manifest with a blurry frame")
+        if blurry_path is None:
+            raise ValueError("need --width/--height or a manifest with a blurry frame")
+        h, w = io.read_frame(blurry_path).shape
         width = width if width is not None else w
         height = height if height is not None else h
+    events = _events_of(args, interval, (height, width))
 
     hist = voxelize(events, args.bins, (height, width))
     io.write_histogram(args.out, hist)
@@ -426,7 +421,7 @@ def main(argv=None) -> int:
         # defaults of a second parse, which the flags given still beat
         manifest = io.load_manifest(args.manifest) if getattr(args, "manifest", None) else None
         if manifest is not None and manifest.overrides:
-            _apply_overrides(args.overridable, manifest.overrides)
+            _apply_overrides(args.overridable, args.manifest, manifest.overrides)
             args = parser.parse_args(argv)
         args.manifest = manifest
         return args.func(args)

@@ -5,16 +5,18 @@ Text, one ``t x y p`` record per line sorted by t, is the interchange
 format: diffable and trivially greppable. :func:`read_events` parses it with
 one vectorized ``np.loadtxt`` call and passes the table's columns straight
 to :class:`~ecir.types.EventStream`, whose own checks (interval, order,
-polarity, coordinates) decide whether the events are valid; the stream
-narrows x, y and p straight from the table's columns, so a parse peaks at
-about 51 bytes an event. A file that loadtxt or the stream refuses is read
-again by the line-by-line parser, the reference for what a valid text file
-is. That parser only tokenizes: a line without four fields, or whose
-fields are not a float and three integers that fit int64, is a
-:class:`ParseError` naming it. It states no event rule: it builds the
-stream once, and the :class:`~ecir.types.RecordError` of the first event
-the stream refuses becomes a ParseError naming that event's line. Errors
-are therefore the same whichever path saw the file first.
+polarity, coordinates, and the grid of the command that reads them,
+:meth:`~ecir.types.EventStream.require_grid`) decide whether the events
+are valid; the stream narrows x, y and p straight from the table's
+columns, so a parse peaks at about 51 bytes an event. A file that
+loadtxt or the stream refuses is read again by the line-by-line parser,
+the reference for what a valid text file is. That parser only tokenizes:
+a line without four fields, or whose fields are not a float and three
+integers that fit int64, is a :class:`ParseError` naming it. It states
+no event rule: it builds the stream once, and the
+:class:`~ecir.types.RecordError` of the first event the stream refuses
+becomes a ParseError naming that event's line. Errors are therefore the
+same whichever path saw the file first.
 
 Every line format is read through one reader, ``_text_lines``, the only
 place such a file is opened and decoded: it yields the fields of each
@@ -36,13 +38,15 @@ are ``repr``'s; the values where ``repr`` switches to its exponent form
 ``repr`` itself. Each line is then joined from the timestamp, table-looked-up
 coordinate names and a polarity tail. It formats a stream in
 contiguous parts of at least ``EVENT_TEXT_PART`` events on every CPU
-(:mod:`ecir._parts`). Forked children format every part but the first,
+(:mod:`ecir._parts`). Forked workers format every part but the first,
 each buffering its text (about 30 bytes an event: 9 MB for half of a
-600k-event stream). The caller streams the first part to the file chunk
-by chunk, then appends the children's text in order, so the bytes do not
-depend on the number of parts. A ``.evt`` file is the binary event
-container. ``simulate`` writes one beside ``events.txt`` and its manifest
-names it, so each ``--manifest`` command skips the text parse. An event of
+600k-event stream). The file takes one stream of bytes from ``_parts``:
+the caller's first part chunk by chunk, then the workers' text in order,
+so the bytes do not depend on the number of parts; a part whose worker
+failed is formatted by the caller, which raises the real error if there
+is one. A ``.evt`` file is the binary event container. ``simulate``
+writes one beside ``events.txt`` and its manifest names it, so each
+``--manifest`` command skips the text parse. An event of
 a container that breaks a rule is named by its index, ``"<path>: event
 <i>: <message>"``.
 :func:`load_manifest` only checks that the events file exists; the command
@@ -313,7 +317,8 @@ def _overwrite(path, mode: str = "wb", **kwargs):
 EVENT_DTYPE = np.dtype([("t", "f8"), ("x", "i8"), ("y", "i8"), ("p", "i8")])
 
 
-def read_events(path, interval: ExposureInterval) -> EventStream:
+def read_events(path, interval: ExposureInterval, shape: tuple[int, int] | None = None
+                ) -> EventStream:
     """Read an events file into a sorted stream over ``interval``.
 
     A ``.evt`` name is read as the binary container, any other as ``t x y p``
@@ -322,14 +327,14 @@ def read_events(path, interval: ExposureInterval) -> EventStream:
     index: ``"<path>: event <i>: <message>"``. Malformed text is a
     :class:`ParseError` naming the line: the first line that does not
     tokenize, else the line of the first event that breaks the first rule
-    the stream checks (membership, order, polarity, coordinates). Text is
-    checked by the stream alone; the line parser runs only on a file that
-    fails there.
+    the stream checks (membership, order, polarity, coordinates, then the
+    (h, w) grid ``shape`` when one is given). Text is checked by the stream
+    alone; the line parser runs only on a file that fails there.
     """
     if Path(path).suffix.lower() == EVT_SUFFIX:
         try:
             # the reader's own FormatError is not a RecordError: it passes through
-            return EventStream(**_read_raw(path, EVT), interval=interval)
+            return _on_grid(EventStream(**_read_raw(path, EVT), interval=interval), shape)
         except RecordError as exc:
             raise _format_error(path, exc, EVT.record) from None
     try:
@@ -342,11 +347,18 @@ def read_events(path, interval: ExposureInterval) -> EventStream:
             table = np.loadtxt(path, dtype=EVENT_DTYPE, comments=None, ndmin=1, encoding="ascii")
         # the constructor narrows x, y and p straight from the table's strided
         # columns; only t, kept as float64, is copied out whole
-        return EventStream(
+        return _on_grid(EventStream(
             table["x"], table["y"], np.ascontiguousarray(table["t"]), table["p"], interval
-        )
+        ), shape)
     except (ValueError, OSError, Warning):
-        return _read_events_lines(path, interval)
+        return _read_events_lines(path, interval, shape)
+
+
+def _on_grid(events: EventStream, shape) -> EventStream:
+    """``events``, once the stream has checked them against the grid ``shape``, if any."""
+    if shape is not None:
+        events.require_grid(shape)
+    return events
 
 
 def _text_lines(path, width: int):
@@ -387,13 +399,13 @@ def _int64(token: str) -> int:
     raise ValueError(f"integer {token} outside the int64 range")
 
 
-def _read_events_lines(path, interval: ExposureInterval) -> EventStream:
+def _read_events_lines(path, interval: ExposureInterval, shape=None) -> EventStream:
     """The reference parser: it only tokenizes, one ``t x y p`` record a line.
 
     A line that does not hold four fields, or whose fields are not a float
     and three integers that fit int64, is a :class:`ParseError` naming it.
-    The stream states every event rule; the first event it refuses is named
-    by its line.
+    The stream states every event rule, the grid ``shape`` included when
+    one is given; the first event it refuses is named by its line.
     """
     xs, ys, ts, ps, lines = [], [], [], [], []
     for lineno, (t, x, y, p) in _text_lines(path, 4):
@@ -406,7 +418,8 @@ def _read_events_lines(path, interval: ExposureInterval) -> EventStream:
             raise ParseError(path, lineno, str(exc)) from None
         lines.append(lineno)
     try:
-        return EventStream(xs, ys, ts, ps, interval)  # every value fits int64 or float64
+        # every value fits int64 or float64
+        return _on_grid(EventStream(xs, ys, ts, ps, interval), shape)
     except RecordError as exc:
         raise ParseError(path, lines[exc.index], str(exc)) from None
 
@@ -416,10 +429,10 @@ def write_events(path, events: EventStream) -> None:
 
     Text is one ``t x y p`` line per event, with ``repr`` keeping timestamps
     round-trip exact. A long stream is formatted in contiguous parts, one
-    per usable CPU: forked children format every part but the first and
-    send their text through pipes, which are appended to the file in order,
-    so the bytes do not depend on the number of parts. A child that fails
-    is an OSError naming the file. A pixel coordinate beyond the
+    per usable CPU (:func:`ecir._parts.forked`): forked workers format every
+    part but the first, and every part's bytes go to the file in order, so
+    the bytes do not depend on the number of parts. A part whose worker
+    fails is formatted by the caller. A pixel coordinate beyond the
     container's int32 range is a ValueError, raised before the file is
     opened.
     """
@@ -436,21 +449,13 @@ def write_events(path, events: EventStream) -> None:
         coord = " {}".format
 
     def encoded(lo, hi):
-        return [text.encode("ascii") for text in _text_chunks(events, lo, hi, coord)]
+        return (text.encode("ascii") for text in _text_chunks(events, lo, hi, coord))
 
-    edges = _parts.edges(n, EVENT_TEXT_PART)
-    # fork before the file is opened, so no child inherits its buffer
-    with _parts.forked(edges, encoded) as drain:
-        with _overwrite(path, "w", encoding="ascii") as fh:
+    # fork before the file is opened, so no worker inherits its buffer
+    with _parts.forked(_parts.edges(n, EVENT_TEXT_PART), encoded, path) as blocks:
+        with _overwrite(path) as fh:
             # writelines drops each chunk before the next is formatted
-            fh.writelines(_text_chunks(events, 0, edges[1], coord))
-            fh.flush()
-            for lo, hi, status in drain(fh.buffer.write):
-                if status:
-                    raise OSError(
-                        f"{path}: the process formatting events {lo} to {hi} "
-                        f"exited with status {status}"
-                    )
+            fh.writelines(blocks)
 
 
 def _text_chunks(events: EventStream, lo: int, hi: int, coord):

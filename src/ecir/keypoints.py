@@ -42,18 +42,23 @@ def pivots(interval: ExposureInterval, n: int) -> np.ndarray:
 
 
 def _dedup_increasing(ts: np.ndarray, interval: ExposureInterval) -> np.ndarray:
-    """Sort and push duplicates apart by T * 1e-9 while staying in the interval."""
+    """Sort and push duplicates apart by T * 1e-9 while staying in the interval.
+
+    Each step is at least one ulp, so duplicates part even where T * 1e-9
+    is below the float spacing (at Unix-epoch seconds, say); elsewhere the
+    step is T * 1e-9.
+    """
     out = np.sort(ts)
     eps = interval.length * DEDUP_STEP
     for i in range(1, out.shape[0]):
         if out[i] <= out[i - 1]:
-            out[i] = out[i - 1] + eps
+            out[i] = max(out[i - 1] + eps, np.nextafter(out[i - 1], np.inf))
     if out[-1] > interval.t_end:
         # ran past the end: pin the tail and step backwards instead
         out[-1] = interval.t_end
         for i in range(out.shape[0] - 2, -1, -1):
             if out[i] >= out[i + 1]:
-                out[i] = out[i + 1] - eps
+                out[i] = min(out[i + 1] - eps, np.nextafter(out[i + 1], -np.inf))
     return out
 
 

@@ -228,12 +228,17 @@ class EventStream:
         for x, y, t, p in zip(self.x, self.y, self.t, self.p):
             yield Event(int(x), int(y), float(t), int(p))
 
-    def pixel_ids(self, shape: tuple[int, int]) -> np.ndarray:
-        """Row-major int64 ``y * w + x`` per event; off-grid events (aliasing ids) raise."""
+    def require_grid(self, shape: tuple[int, int]) -> None:
+        """Refuse an event off the (h, w) grid, as a RecordError at the first one."""
         h, w = shape
         if np.any(self.x >= w) or np.any(self.y >= h):
-            raise ValueError("event coordinates exceed the requested grid shape")
-        return self.y.astype(np.int64, copy=False) * w + self.x
+            _refuse((self.x >= w) | (self.y >= h),
+                    f"event coordinates exceed the requested grid shape {(h, w)}")
+
+    def pixel_ids(self, shape: tuple[int, int]) -> np.ndarray:
+        """Row-major int64 ``y * w + x`` per event; off-grid events (aliasing ids) raise."""
+        self.require_grid(shape)
+        return self.y.astype(np.int64, copy=False) * shape[1] + self.x
 
     def pixel_times(self, x: int, y: int) -> np.ndarray:
         """Timestamps of this pixel's events, in time order."""

@@ -665,6 +665,103 @@ def run_main(*args):
     return code, lines + [str(w.message) for w in caught]
 
 
+class TestOneLineRefusalsInProcess:
+    """Refusals each pinned through ``cli.main``, so a line tracer sees them run."""
+
+    def test_t_start_without_t_end(self, tmp_path):
+        write_small_exposure(tmp_path)
+        code, lines = run_main("voxelize", "--events", tmp_path / "events.txt", "--t-start", "0",
+                               "--width", "5", "--height", "4", "--out", tmp_path / "h.h32")
+        assert (code, lines) == (2, ["ecir voxelize: error: --t-start and --t-end must be "
+                                     "given together"])
+
+    def test_no_interval_source(self, tmp_path):
+        write_small_exposure(tmp_path)
+        code, lines = run_main("edi", "--events", tmp_path / "events.txt",
+                               "--blurry", tmp_path / "blurry.f32", "--out", tmp_path / "out")
+        assert (code, lines) == (2, ["ecir edi: error: need --t-start/--t-end or --manifest "
+                                     "to fix the exposure interval"])
+
+    @pytest.mark.parametrize("given, missing", [("--blurry", "--events"),
+                                                ("--events", "--blurry")])
+    def test_missing_input_without_manifest(self, tmp_path, given, missing):
+        write_small_exposure(tmp_path)
+        path = tmp_path / ("blurry.f32" if given == "--blurry" else "events.txt")
+        code, lines = run_main("edi", given, path, "--t-start", "0", "--t-end", "0.12",
+                               "--out", tmp_path / "out")
+        assert (code, lines) == (2, [f"ecir edi: error: missing {missing} "
+                                     "(no manifest fallback found)"])
+
+    @pytest.mark.parametrize("timestamps", ["", " , ,"])
+    def test_empty_timestamp_list(self, tmp_path, timestamps):
+        manifest = write_small_exposure(tmp_path)
+        code, lines = run_main("edi", "--manifest", manifest, "--timestamps", timestamps,
+                               "--out", tmp_path / "out")
+        assert (code, lines) == (2, ["ecir edi: error: empty timestamp list"])
+        assert not (tmp_path / "out").exists()
+
+    def test_video_frames_of_two_shapes(self, tmp_path):
+        video = tmp_path / "video"
+        write_video_dir(video, np.linspace(0.0, 0.12, 3), np.full((3, 4, 5), 0.5))
+        write_f32(video / "frame_00001.f32", np.full((5, 5), 0.5))
+        code, lines = run_main("simulate", "--video", video, "--out", tmp_path / "sim")
+        assert (code, lines) == (2, [f"ecir simulate: error: {video / 'frame_00001.f32'}: "
+                                     "frame shape (5, 5) differs from frame_00000.f32's (4, 5)"])
+        assert not (tmp_path / "sim").exists()
+
+    @pytest.mark.parametrize("flags", [[], ["--width", "8"], ["--height", "8"]])
+    def test_voxelize_without_a_grid(self, tmp_path, flags):
+        # the events fix no grid: a quiet last row or column would shrink it
+        (tmp_path / "events.txt").write_text("0.01 7 1 1\n")
+        code, lines = run_main("voxelize", "--events", tmp_path / "events.txt",
+                               "--t-start", "0", "--t-end", "0.12", *flags,
+                               "--out", tmp_path / "h.h32")
+        assert (code, lines) == (2, ["ecir voxelize: error: need --width/--height or a manifest "
+                                     "with a blurry frame"])
+        assert not (tmp_path / "h.h32").exists()
+
+    @pytest.mark.parametrize("command, flags", [
+        ("fit", ["--gt-video", "frames", "--n", "4", "--out", "p.npz"]),
+        ("edi", ["--out", "out"]),
+        ("refine", ["--frames", "frames", "--out", "out"]),
+        ("voxelize", ["--out", "h.h32"]),
+    ])
+    @pytest.mark.parametrize("name, place", [
+        ("wide.txt", "wide.txt:2"), ("tall.txt", "tall.txt:2"), ("wide.evt", "wide.evt: event 1"),
+    ])
+    def test_event_past_the_grid_names_its_place(self, tmp_path, command, flags, name, place):
+        # the 4x5 grid of the blurry frame and of the frames is known before the events are read
+        manifest = write_small_exposure(tmp_path)
+        x, y = ([1, 5, 2], [1, 1, 3]) if name.startswith("wide") else ([1, 1, 2], [1, 4, 3])
+        write_events(tmp_path / name, EventStream(x, y, [0.01, 0.02, 0.05], [1, 1, -1], IV))
+        flags = [tmp_path / f if f in ("frames", "p.npz", "out", "h.h32") else f for f in flags]
+        code, lines = run_main(command, "--manifest", manifest, "--events", tmp_path / name,
+                               *flags)
+        assert (code, lines) == (2, [f"ecir {command}: error: {tmp_path}/{place}: event "
+                                     "coordinates exceed the requested grid shape (4, 5)"])
+
+    def test_epoch_seconds_pipeline(self, tmp_path):
+        # timestamps in Unix-epoch seconds, where 1e-9 of the exposure rounds away
+        from ecir.keypoints import pivots
+
+        coeffs = random_monomial_scene(np.random.default_rng(443), 6, 8, 10, taper=0.6)
+        times = np.linspace(IV.t_start, IV.t_end, 16)
+        write_video_dir(tmp_path / "video", times + 1.6e9, render_scene(coeffs, IV, times))
+        manifest = tmp_path / "sim" / "manifest.json"
+        assert run_main("simulate", "--video", tmp_path / "video",
+                        "--out", tmp_path / "sim") == (0, [])
+        # one event on a pivot: the first pivot claims it and the pivot keeps
+        # its place, so two keypoints coincide and must be pushed apart
+        pivot = pivots(load_manifest(manifest).interval, 10)[5]
+        (tmp_path / "pivot.txt").write_text(f"{float(pivot)!r} 0 0 1\n")
+        for events in (tmp_path / "sim" / "events.evt", tmp_path / "pivot.txt"):
+            assert run_main("fit", "--manifest", manifest, "--events", events, "--gt-video",
+                            tmp_path / "video", "--out", tmp_path / "p.npz") == (0, [])
+            assert np.all(np.diff(load_polys(tmp_path / "p.npz").keypoints) > 0)
+            assert run_main("render", "--polys", tmp_path / "p.npz", "--count", "4",
+                            "--out", tmp_path / "frames") == (0, [])
+
+
 class TestCommitLast:
     """A multi-file output that fails part way leaves no file tying it together."""
 
@@ -842,8 +939,8 @@ class TestContainerFuzz:
             assert code == 2
         assert (code, len(lines)) in ((0, 0), (2, 1))
         if code == 2:
-            # a coordinate flipped beyond the grid is refused by voxelize itself
-            assert "bad.evt" in lines[0] or "grid shape" in lines[0]
+            # a coordinate flipped beyond the grid is refused naming its event too
+            assert "bad.evt" in lines[0]
         else:
             assert read_histogram(out, IV).bins.shape == (6, 4, 5)
 
@@ -897,9 +994,9 @@ class TestManifestEvents:
         parsed = []
         real = ecir_io.read_events
 
-        def counting(path, interval):
+        def counting(path, interval, shape):
             parsed.append(path)
-            return real(path, interval)
+            return real(path, interval, shape)
 
         monkeypatch.setattr(ecir_io, "read_events", counting)
         manifest = str(tmp_path / "manifest.json")
@@ -936,9 +1033,9 @@ class TestManifestEvents:
         parsed = []
         real = ecir_io.read_events
 
-        def counting(path, interval):
+        def counting(path, interval, shape):
             parsed.append(path)
-            return real(path, interval)
+            return real(path, interval, shape)
 
         monkeypatch.setattr(ecir_io, "read_events", counting)
         manifest = str(tmp_path / "manifest.json")
@@ -1100,8 +1197,10 @@ class TestManifestOverrides:
         for reader in ("read_video_dir", "read_frame", "read_events", "load_polys"):
             monkeypatch.setattr(ecir.io, reader, unread)
         code, lines, out = self.run(exposure, tmp_path, key, {key: bad})
+        manifest = tmp_path / "manifest_0.json"  # the first manifest run writes
         assert (code, lines) == (
-            2, [f"ecir {command}: error: manifest override {key!r} is not a valid value: {bad!r}"])
+            2, [f"ecir {command}: error: {manifest}: manifest override {key!r} "
+                f"is not a valid value: {bad!r}"])
         assert not out.exists()
 
     def test_other_keys_ignored(self, exposure, tmp_path):

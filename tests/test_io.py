@@ -431,27 +431,46 @@ class TestForkedTextWriter:
 
         monkeypatch.setattr(ecir.io, "_text_chunks", chunks)
 
-    def test_failing_child_is_os_error_naming_the_file(self, tmp_path, oracle_text, cpus, monkeypatch):
-        stream, _ = oracle_text(3 * EVENT_TEXT_PART)
+    def test_failing_child_part_is_formatted_in_the_caller(self, tmp_path, oracle_text, cpus,
+                                                          monkeypatch):
+        stream, expected = oracle_text(3 * EVENT_TEXT_PART)
         forks = cpus(3)
         self.failing_part(monkeypatch, in_child=True)
-        path = tmp_path / "events.txt"
-        with pytest.raises(OSError, match="exited with status 1") as info:
-            write_events(path, stream)
-        assert str(path) in str(info.value)
+        write_events(tmp_path / "events.txt", stream)
+        assert (tmp_path / "events.txt").read_bytes() == expected
         assert len(forks) == 2
 
-    def test_failing_child_leaves_no_byte_of_the_old_file(self, tmp_path, oracle_text, cpus, monkeypatch):
+    def test_failing_child_rewrites_the_old_file_whole(self, tmp_path, oracle_text, cpus,
+                                                       monkeypatch):
         stream, expected = oracle_text(3 * EVENT_TEXT_PART)
         cpus(3)
         self.failing_part(monkeypatch, in_child=True)
         path = tmp_path / "events.txt"
         path.write_bytes(b"#" * (2 * len(expected)))
-        with pytest.raises(OSError, match="exited with status 1"):
+        write_events(path, stream)
+        # every part was written, and the file ends where its text does
+        assert path.read_bytes() == expected
+
+    def test_child_killed_after_sending_is_os_error_naming_the_file(self, tmp_path, oracle_text,
+                                                                    cpus, monkeypatch):
+        stream, expected = oracle_text(3 * EVENT_TEXT_PART)
+        forks = cpus(3)
+
+        def killed(code):
+            # only a worker leaves through os._exit: it has sent its text
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        monkeypatch.setattr(os, "_exit", killed)
+        path = tmp_path / "events.txt"
+        with pytest.raises(OSError) as info:
             write_events(path, stream)
-        # the caller's part was written, and the file ends where its text does
-        caller_part = expected.splitlines(keepends=True)[:EVENT_TEXT_PART]
-        assert path.read_bytes() == b"".join(caller_part)
+        assert str(info.value) == (
+            f"{path}: the process producing items {EVENT_TEXT_PART} to {2 * EVENT_TEXT_PART} "
+            f"exited with status -9 after sending output")
+        assert len(forks) == 2
+        # the bytes sent before the failure were written, and the file ends there
+        lines = expected.splitlines(keepends=True)
+        assert path.read_bytes() == b"".join(lines[:2 * EVENT_TEXT_PART])
 
     def test_failing_caller_part_kills_and_reaps_children(self, tmp_path, oracle_text, cpus, monkeypatch):
         stream, _ = oracle_text(3 * EVENT_TEXT_PART)

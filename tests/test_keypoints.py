@@ -1,5 +1,7 @@
 """Keypoint selection: pivots, nearest-event claims, dedup, adversarial inputs."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -57,7 +59,8 @@ def oracle_select(event_times, interval, n):
     Pivots are cell midpoints taken left to right; each shifts to the nearest
     event overall (ties to the earlier event) unless that event is claimed,
     in which case it stays. The result is sorted; duplicates are pushed up by
-    T * 1e-9 (or down from the end if that would escape the interval).
+    T * 1e-9 (or down from the end if that would escape the interval), and
+    by one ulp where T * 1e-9 is below the float spacing.
     """
     step = interval.length / n
     base = [interval.t_start + (i + 0.5) * step for i in range(n)]
@@ -78,12 +81,12 @@ def oracle_select(event_times, interval, n):
     eps = interval.length * 1e-9
     for i in range(1, n):
         if out[i] <= out[i - 1]:
-            out[i] = out[i - 1] + eps
+            out[i] = max(out[i - 1] + eps, math.nextafter(out[i - 1], math.inf))
     if out[-1] > interval.t_end:
         out[-1] = interval.t_end
         for i in range(n - 2, -1, -1):
             if out[i] >= out[i + 1]:
-                out[i] = out[i + 1] - eps
+                out[i] = min(out[i + 1] - eps, math.nextafter(out[i + 1], -math.inf))
     return np.array(out)
 
 
@@ -192,6 +195,30 @@ class TestDedup:
             ks = select_keypoints(events, HALF_UNIT, n)
             assert np.all(np.diff(ks.timestamps) > 0)
             assert ks.timestamps[0] >= -0.5 and ks.timestamps[-1] <= 0.5
+
+
+    def test_past_end_tail_steps_back_from_the_end(self):
+        # three duplicates at the end: the forward pass runs past t_end,
+        # so the tail is pinned there and each earlier entry steps back
+        eps = HALF_UNIT.length * 1e-9
+        out = _dedup_increasing(np.array([0.5, 0.5, 0.5, -0.1]), HALF_UNIT)
+        assert np.array_equal(bits(out), bits([-0.1, 0.5 - eps - eps, 0.5 - eps, 0.5]))
+
+    def test_duplicates_at_epoch_seconds(self):
+        # T * 1e-9 is 1.2e-10 s, far below the float spacing of 2.4e-7 s at 1.6e9 s
+        interval = ExposureInterval(1.6e9, 1.6e9 + 0.12)
+        events = np.array([pivots(interval, 10)[5]])
+        ks = select_keypoints(events, interval, 10)
+        assert np.all(np.diff(ks.timestamps) > 0)
+        assert np.array_equal(bits(ks.timestamps), bits(oracle_select(events, interval, 10)))
+
+    def test_past_end_tail_at_epoch_seconds(self):
+        interval = ExposureInterval(1.6e9, 1.6e9 + 0.12)
+        out = _dedup_increasing(np.full(4, interval.t_end), interval)
+        ulps = [np.nextafter(interval.t_end, -np.inf)]
+        for _ in range(2):
+            ulps.insert(0, np.nextafter(ulps[0], -np.inf))
+        assert np.array_equal(bits(out), bits(ulps + [interval.t_end]))
 
 
 class TestKeypointGrid:
