@@ -317,8 +317,7 @@ def _overwrite(path, mode: str = "wb", **kwargs):
 EVENT_DTYPE = np.dtype([("t", "f8"), ("x", "i8"), ("y", "i8"), ("p", "i8")])
 
 
-def read_events(path, interval: ExposureInterval, shape: tuple[int, int] | None = None
-                ) -> EventStream:
+def read_events(path, interval: ExposureInterval, shape=None) -> EventStream:
     """Read an events file into a sorted stream over ``interval``.
 
     A ``.evt`` name is read as the binary container, any other as ``t x y p``
