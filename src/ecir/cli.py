@@ -1,7 +1,12 @@
 """Command-line pipeline: simulate, fit, render, edi, refine, eval, voxelize.
 
 Settings resolve as flag > manifest override > built-in default. The parser
-is the one place that declares a setting's type, choices and default.
+is the one place that declares a setting's type, choices and default, and
+reads every choice or default the library states from the library: the
+frame formats (:data:`ecir.io.FRAME_FORMATS`), the solvers
+(:data:`ecir.refinement.SOLVERS`, the default first), the thresholds, jitter
+and seed of :class:`~ecir.simulation.ThresholdConfig`, lambda, the iteration
+count, the bin count and the contrast ``c``.
 :func:`main` loads the manifest once, before dispatch, and converts each
 override (a key in :data:`OVERRIDABLE`) with its own flag's action, so an
 override is accepted exactly when the same value given as that flag would
@@ -12,13 +17,14 @@ the path it resolved (``--events``, else the manifest's), checked against
 its own exposure interval and against the grid it knew before reading them
 (the blurry frame's, the video's, or ``voxelize``'s ``--width``/``--height``
 else the manifest's blurry frame), so an event off that grid is named by
-its line or index. ``--format`` offers the frame formats of
-:data:`ecir.io.FRAME_FORMATS`. A command that writes several files removes
-the one that ties them together first and writes it last: ``simulate``'s
+its line or index. A command that writes several files removes the one
+that ties them together first and writes it last: ``simulate``'s
 ``manifest.json`` and ``eval``'s report, as :func:`ecir.io.write_video_dir`
 does with ``timestamps.txt``. So a run that fails part way leaves no
 manifest, which every ``--manifest`` command then refuses, or no report:
-never a mix of old and new files. ``render`` and ``edi`` hand their frames
+never a mix of old and new files. ``simulate`` builds its
+:class:`~ecir.io.Manifest` before it writes anything, and writes the blurry
+frame and the event container to the paths it names. ``render`` and ``edi`` hand their frames
 to the writer as they are made, so neither holds a frame stack; the writer
 takes the first frame before it makes the directory, so inputs that give no
 first frame leave none. ``eval`` formats each score once and
@@ -47,7 +53,7 @@ from . import _parts, io
 from .fitting import _edi_frames, fit_polys
 from .keypoints import keypoint_grid
 from .metrics import _psnr_of_mse, mse, ssim
-from .refinement import DEFAULT_ITERATIONS, DEFAULT_LAMBDA, DivergenceError, refine
+from .refinement import DEFAULT_ITERATIONS, DEFAULT_LAMBDA, SOLVERS, DivergenceError, refine
 from .representation import _render_frames
 from .simulation import (
     DEFAULT_BINS,
@@ -73,8 +79,8 @@ from .types import BlurryFrame, ExposureInterval
 EVAL_PART_PIXELS = 4 * 180 * 240
 # the scores eval reports for each frame pair, in their order in both files
 EVAL_SCORES = ("mse", "psnr", "ssim")
-# one frame's (mse, psnr, ssim) as a forked part sends it: exact float64s
-_EVAL_RECORD = struct.Struct("<3d")
+# one frame's scores, in EVAL_SCORES' order, as a forked part sends them: exact float64s
+_EVAL_RECORD = struct.Struct(f"<{len(EVAL_SCORES)}d")
 
 # the manifest override keys: each is its flag's name with underscores
 # (``lambda`` is ``--lambda``), and a command honors those of its own flags
@@ -154,33 +160,27 @@ def _times_of(args, interval: ExposureInterval) -> np.ndarray:
 def cmd_simulate(args) -> int:
     cfg = ThresholdConfig(args.c_plus, args.c_minus, sigma=args.sigma, seed=args.seed)
     video = io.read_video_dir(args.video)
-    window = ExposureInterval(
-        float(video.times[0]), float(video.times[0]) + args.exposure_ms / 1000.0
-    )
+    t0 = float(video.times[0])
+    window = ExposureInterval(t0, t0 + args.exposure_ms / 1000.0)
     video = video.window(window)
 
     events = simulate_events(video, cfg)
     blurry = synthesize_blur(video)
 
     out = Path(args.out)
+    manifest = io.Manifest(window.t_start, window.t_end, blurry="blurry.f32", events="events.evt",
+                           gt_video=str(Path(args.video).resolve()), base_dir=out)
     out.mkdir(parents=True, exist_ok=True)
     # the manifest is the commit point: gone before the first artifact and
     # written after the last, so a run that fails part way leaves a
     # directory every --manifest command refuses
     (out / "manifest.json").unlink(missing_ok=True)
     # the text file is the interchange copy; commands given the manifest
-    # read the container, which needs no parsing
+    # read the container it names, which needs no parsing
     io.write_events(out / "events.txt", events)
-    io.write_events(out / "events.evt", events)
-    io.write_f32(out / "blurry.f32", blurry.values)
-    io.Manifest(
-        t_start=window.t_start,
-        t_end=window.t_end,
-        blurry="blurry.f32",
-        events="events.evt",
-        gt_video=str(Path(args.video).resolve()),
-        overrides={},
-    ).save(out / "manifest.json")
+    io.write_events(manifest.resolve("events"), events)
+    io.write_f32(manifest.resolve("blurry"), blurry.values)
+    manifest.save(out / "manifest.json")
     print(f"simulate: {len(events)} events, blurry {blurry.shape[0]}x{blurry.shape[1]}")
     return 0
 
@@ -297,6 +297,10 @@ def cmd_eval(args) -> int:
 
 def cmd_voxelize(args) -> int:
     interval = _interval_of(args)
+    # a flag's value or its manifest override, refused before any event is read
+    for name in ("width", "height"):
+        if (getattr(args, name) or 0) < 0:
+            raise ValueError(f"--{name} must be non-negative, got {getattr(args, name)}")
     width, height = args.width, args.height
     if width is None or height is None:
         blurry_path = args.manifest.resolve("blurry") if args.manifest else None
@@ -367,10 +371,10 @@ def build_parser() -> argparse.ArgumentParser:
                  "--threads", "--manifest")
     _flag(p, "--video", required=True, help="frame directory with timestamps.txt")
     _flag(p, "--out", required=True, help="output directory")
-    _flag(p, "--c-plus", type=float, default=DEFAULT_CONTRAST)
-    _flag(p, "--c-minus", type=float, default=-DEFAULT_CONTRAST)
-    _flag(p, "--sigma", type=float, default=0.0)
-    _flag(p, "--seed", type=int, default=0)
+    _flag(p, "--c-plus", type=float, default=ThresholdConfig.c_plus)
+    _flag(p, "--c-minus", type=float, default=ThresholdConfig.c_minus)
+    _flag(p, "--sigma", type=float, default=ThresholdConfig.sigma)
+    _flag(p, "--seed", type=int, default=ThresholdConfig.seed)
     _flag(p, "--exposure-ms", type=float, default=120.0)
 
     p = _command(sub, "fit", cmd_fit, "fit per-pixel intensity polynomials",
@@ -394,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     _flag(p, "--frames", required=True, help="initial frames directory")
     _flag(p, "--lambda", dest="lam", type=float, default=DEFAULT_LAMBDA)
     _flag(p, "--imax", type=int, default=DEFAULT_ITERATIONS)
-    _flag(p, "--solver", choices=("tridiag", "gd"), default="tridiag")
+    _flag(p, "--solver", choices=SOLVERS, default=SOLVERS[0])
     _flag(p, "--out", required=True)
 
     p = _command(sub, "eval", cmd_eval, "MSE/PSNR/SSIM report between frame directories",

@@ -49,8 +49,17 @@ writes one beside ``events.txt`` and its manifest names it, so each
 ``--manifest`` command skips the text parse. An event of
 a container that breaks a rule is named by its index, ``"<path>: event
 <i>: <message>"``.
-:func:`load_manifest` only checks that the events file exists; the command
-that needs the events reads them, once, against its own exposure interval.
+
+A manifest's keys are stated once: :data:`MANIFEST_PATHS` lists its
+artifact paths and :data:`MANIFEST_KEYS` every key of its JSON object, the
+interval bounds, those paths and ``overrides``. :class:`Manifest` checks
+the paths, :meth:`Manifest.save` writes the keys, and :func:`load_manifest`
+passes the keys its object holds to :class:`Manifest`, so an absent one
+takes the dataclass's default (the bounds have none) and every other key is
+ignored. :func:`load_manifest` only checks that the files it names exist;
+the command that needs the events reads them, once, against its own
+exposure interval.
+
 Frames export either as 8-bit binary PGM (clamped and quantized) or as raw
 float32 ``.f32`` for lossless intermediates. :data:`FRAME_FORMATS` maps
 each frame suffix to its reader and writer, and is the one list of frame
@@ -802,6 +811,12 @@ def load_polys(path) -> PolyGrid:
 # manifests
 # ---------------------------------------------------------------------------
 
+# the manifest's artifact paths, each resolved against its directory, and
+# every key of its JSON object: the one list of each
+MANIFEST_PATHS = ("blurry", "events", "gt_video")
+MANIFEST_KEYS = ("t_start", "t_end", *MANIFEST_PATHS, "overrides")
+
+
 @dataclass
 class Manifest:
     """Paths and interval bounds tying one exposure's artifacts together.
@@ -828,7 +843,7 @@ class Manifest:
                 raise TypeError(f"{name} must be a number, got {value!r}")
             setattr(self, name, float(value))
         self.interval  # finite and ordered
-        for name in ("blurry", "events", "gt_video"):
+        for name in MANIFEST_PATHS:
             value = getattr(self, name)
             if value is not None and not isinstance(value, str):
                 raise TypeError(f"{name} must be a path string or null, got {value!r}")
@@ -840,20 +855,13 @@ class Manifest:
         return ExposureInterval(self.t_start, self.t_end)
 
     def resolve(self, name: str) -> Path | None:
+        """The path field ``name`` against ``base_dir``, or None if it is unset."""
         value = getattr(self, name)
-        if value is None:
-            return None
-        return self.base_dir / value
+        return None if value is None else self.base_dir / value
 
     def save(self, path) -> None:
-        payload = {
-            "t_start": self.t_start,
-            "t_end": self.t_end,
-            "blurry": self.blurry,
-            "events": self.events,
-            "gt_video": self.gt_video,
-            "overrides": self.overrides,
-        }
+        """Write the :data:`MANIFEST_KEYS` as JSON; ``base_dir`` is where it is loaded from."""
+        payload = {key: getattr(self, key) for key in MANIFEST_KEYS}
         with _overwrite(path, "w", encoding="ascii") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -862,9 +870,11 @@ class Manifest:
 def load_manifest(path) -> Manifest:
     """Load a manifest: its JSON, its fields as :class:`Manifest` checks them, its files.
 
-    Every referenced file must exist. No referenced file is read here: a
-    command reads the ones it uses, so the events are checked against the
-    interval of the command that reads them.
+    A key of :data:`MANIFEST_KEYS` that the object lacks takes the
+    dataclass's default; ``t_start`` and ``t_end`` have none. Every
+    referenced file must exist. No referenced file is read here: a command
+    reads the ones it uses, so the events are checked against the interval
+    of the command that reads them.
     """
     path = Path(path)
     text = _ascii(path, path.read_bytes())
@@ -872,20 +882,13 @@ def load_manifest(path) -> Manifest:
         # an integer past Python's digit limit is a plain ValueError here, and
         # one past the float range an OverflowError in Manifest
         payload = json.loads(text)
-        manifest = Manifest(
-            t_start=payload["t_start"],
-            t_end=payload["t_end"],
-            blurry=payload.get("blurry"),
-            events=payload.get("events"),
-            gt_video=payload.get("gt_video"),
-            overrides=payload.get("overrides", {}),
-            base_dir=path.parent,
-        )
+        manifest = Manifest(**{key: payload[key] for key in MANIFEST_KEYS if key in payload},
+                            base_dir=path.parent)
     except json.JSONDecodeError as exc:
         raise ParseError(path, exc.lineno, exc.msg) from None
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"{path}: invalid manifest field: {exc}") from None
-    for name in ("blurry", "events", "gt_video"):
+    for name in MANIFEST_PATHS:
         target = manifest.resolve(name)
         if target is not None and not target.exists():
             raise FileNotFoundError(f"{path}: referenced {name} {target} does not exist")

@@ -17,7 +17,10 @@ two share one formula: the exact filter is the gradient filter at
 problem holds.
 ``RefineProblem`` rejects a step at or past the exact stability limit, and
 ``surrogate_residuals`` a threshold ``c`` whose exp(c * signed count)
-overflows.
+overflows. Frames holding NaN or inf are refused as frames, in
+``RefineProblem``'s words, by ``surrogate_residuals`` and ``refine`` alike.
+:data:`SOLVERS` names the solvers, the default first; ``refine``'s default
+and ``cli``'s ``--solver`` read it.
 
 ``surrogate_residuals`` writes every window's counts into its output
 first, and exponentiates only the pixels whose count is nonzero in some
@@ -59,6 +62,8 @@ __all__ = [
 
 DEFAULT_LAMBDA = 1.0
 DEFAULT_ITERATIONS = 50
+# refine's solvers, the default first: the exact minimizer and i_max gradient steps
+SOLVERS = ("tridiag", "gd")
 # the narrowest block of columns refine's product takes in one GEMM call, in
 # columns and in multiply-adds (see _column_blocks). Measured with OpenBLAS
 # 0.3.31 on AVX-512 (2 vCPU): blocks of this rule were bitwise equal to the
@@ -137,9 +142,11 @@ def surrogate_residuals(
 ) -> np.ndarray:
     """Event-derived additive residuals between consecutive scheduled frames.
 
-    A ``c`` so large that exp(c * signed count) overflows is a ValueError.
+    Frames holding NaN or inf, and a ``c`` so large that exp(c * signed
+    count) overflows, are a ValueError.
     """
     initial = np.asarray(initial, dtype=np.float64)
+    _finite(initial, "initial frames")
     return _residuals(initial, events, c, schedule, initial.shape[0] - 1)
 
 
@@ -148,7 +155,10 @@ def _residuals(
 ) -> np.ndarray:
     """A new (rows, ...) array whose first d-1 rows hold the surrogate residuals.
 
-    ``initial`` is float64; any row past the residuals is left unset.
+    ``initial`` is float64; any row past the residuals is left unset. Its
+    values are checked only if a floating-point flag is raised: an inf at a
+    pixel without events sets one (inf * 0.0), and is refused as a frame
+    value, not as an overflow. A NaN sets none and passes through.
     """
     _threshold(c)
     schedule = np.asarray(schedule, dtype=np.float64)
@@ -171,10 +181,14 @@ def _residuals(
     level = np.zeros(residuals.shape[1])
     # with a finite c and finite frames, these flags are set only when
     # exp(c * signed count) overflows
-    with _raising(f"residuals are not finite at c={c}: exp(c * signed count) overflows"):
-        for i, row in enumerate(residuals):
-            level[cols] = np.expm1(c * row[cols])
-            np.multiply(initial[i].reshape(-1), level, out=row)
+    try:
+        with _raising(f"residuals are not finite at c={c}: exp(c * signed count) overflows"):
+            for i, row in enumerate(residuals):
+                level[cols] = np.expm1(c * row[cols])
+                np.multiply(initial[i].reshape(-1), level, out=row)
+    except ValueError:
+        _finite(initial, "initial frames")
+        raise
     return out
 
 
@@ -246,17 +260,17 @@ def _operator(problem: RefineProblem, solver: str) -> np.ndarray:
     # v_k[j + 1] - v_k[j] = -2 sqrt(2 / d) sin(pi k / 2d) sin(pi k (j + 1) / d)
     differences = (-2.0 * scale) * sine * np.sin(np.outer(np.arange(2, 2 * d, 2), half))
     half_w = problem.lam + 4.0 * sine * sine
+    if solver not in SOLVERS:
+        raise ValueError(f"unknown solver {solver!r} (expected {' or '.join(map(repr, SOLVERS))})")
     if solver == "tridiag":
         if problem.lam <= 0:
             raise ValueError("the exact solve needs lambda > 0 for strict convexity")
         # i = inf from any stable step; the default one keeps the rate below
         # 1.8, clear of a step so near the limit that its rate rounds to 2
         step, steps = default_step(problem.lam), math.inf
-    elif solver == "gd":
+    else:
         # an i_max past the float range has converged like any huge one
         step, steps = problem.step, float(min(problem.i_max, sys.float_info.max))
-    else:
-        raise ValueError(f"unknown solver {solver!r} (expected 'tridiag' or 'gd')")
     rate = 2.0 * step * half_w  # step w, below 2 for a stable step
     # 1 - (1 - rate)^i; where 1 - rate > 0.5 the power would lose the digits
     # that matter, and log1p with expm1 keeps them. At i = inf both read 1.0
@@ -328,15 +342,15 @@ def refine(
     schedule: np.ndarray,
     lam: float = DEFAULT_LAMBDA,
     i_max: int = DEFAULT_ITERATIONS,
-    solver: str = "tridiag",
+    solver: str = SOLVERS[0],
 ) -> np.ndarray:
     """Full refinement pass: surrogate residuals, solve, clamp to [0, 1].
 
-    ``solver`` is ``"tridiag"``, the exact minimizer, or ``"gd"``, ``i_max``
-    gradient steps. One (d, ...) buffer serves the whole pass: the residuals
-    fill its first d-1 rows, the solve forms its flow there and writes the
-    frames over it, and the frames are clamped in place. ``initial`` is
-    never written.
+    ``solver`` is one of :data:`SOLVERS`: ``"tridiag"``, the exact
+    minimizer, or ``"gd"``, ``i_max`` gradient steps. One (d, ...) buffer
+    serves the whole pass: the residuals fill its first d-1 rows, the solve
+    forms its flow there and writes the frames over it, and the frames are
+    clamped in place. ``initial`` is never written.
     """
     initial = np.asarray(initial, dtype=np.float64)
     buf = _residuals(initial, events, c, schedule, initial.shape[0])

@@ -109,9 +109,12 @@ class EventHistogram:
 
 
 def polarity(delta_ln: float, c_plus: float, c_minus: float) -> int:
-    """Sign of an intensity change under the threshold rule; 0 means no event."""
-    if not (c_plus > 0 and c_minus < 0):
-        raise ValueError("thresholds must satisfy c_plus > 0 > c_minus")
+    """Sign of an intensity change under the threshold rule; 0 means no event.
+
+    The pair is held to :class:`ThresholdConfig`'s rule, the one rule on a
+    signed pair of thresholds.
+    """
+    ThresholdConfig(c_plus, c_minus)
     if delta_ln >= c_plus:
         return 1
     if delta_ln <= c_minus:

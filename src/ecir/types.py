@@ -26,7 +26,9 @@ numpy's floating-point flags (overflow, invalid, divide) become errors: a
 message. A generator enters it once per step and never across a ``yield``,
 since numpy's error state is a context variable that a suspended generator
 would leave set for its caller. ``_threshold`` is the one rule on a contrast
-threshold ``c``: finite and positive.
+threshold ``c``: finite and positive. The rule on a signed pair of
+thresholds belongs to :class:`~ecir.simulation.ThresholdConfig`, and
+:func:`~ecir.simulation.polarity` holds its pair to it by making one.
 
 The event rules are stated once, in :class:`EventStream`, which checks
 membership, then order, then polarity, then coordinates, so a NaN or

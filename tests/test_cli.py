@@ -720,6 +720,33 @@ class TestOneLineRefusalsInProcess:
                                      "with a blurry frame"])
         assert not (tmp_path / "h.h32").exists()
 
+    @pytest.mark.parametrize("name", ["width", "height"])
+    @pytest.mark.parametrize("source", ["flag", "override"])
+    @pytest.mark.parametrize("events", ["", "0.01 1 1 1\nnot an event\n"],
+                             ids=["no-events", "events"])
+    def test_voxelize_negative_grid(self, tmp_path, name, source, events):
+        # refused before the events are read: their second line would be refused first
+        (tmp_path / "events.txt").write_text(events)
+        other = "height" if name == "width" else "width"
+        flags = [f"--{other}", "4", "--events", tmp_path / "events.txt"]
+        if source == "flag":
+            flags += ["--t-start", "0", "--t-end", "0.12", f"--{name}", "-3"]
+        else:
+            Manifest(t_start=0.0, t_end=0.12, overrides={name: -3}).save(tmp_path / "m.json")
+            flags += ["--manifest", tmp_path / "m.json"]
+        code, lines = run_main("voxelize", *flags, "--out", tmp_path / "h.h32")
+        assert (code, lines) == (2, [f"ecir voxelize: error: --{name} must be non-negative, "
+                                     "got -3"])
+        assert not (tmp_path / "h.h32").exists()
+
+    def test_voxelize_empty_grid_is_written(self, tmp_path):
+        (tmp_path / "events.txt").write_text("")
+        code, lines = run_main("voxelize", "--events", tmp_path / "events.txt", "--t-start", "0",
+                               "--t-end", "0.12", "--width", "0", "--height", "4", "--bins", "2",
+                               "--out", tmp_path / "h.h32")
+        assert (code, lines) == (0, [])
+        assert read_histogram(tmp_path / "h.h32", IV).bins.shape == (2, 4, 0)
+
     @pytest.mark.parametrize("command, flags", [
         ("fit", ["--gt-video", "frames", "--n", "4", "--out", "p.npz"]),
         ("edi", ["--out", "out"]),
@@ -760,6 +787,37 @@ class TestOneLineRefusalsInProcess:
             assert np.all(np.diff(load_polys(tmp_path / "p.npz").keypoints) > 0)
             assert run_main("render", "--polys", tmp_path / "p.npz", "--count", "4",
                             "--out", tmp_path / "frames") == (0, [])
+
+
+class TestLibraryOwnsChoicesAndDefaults:
+    """The parser reads the choices and defaults the library states; it restates none."""
+
+    @staticmethod
+    def parsed(*argv):
+        from ecir.cli import build_parser
+
+        return build_parser().parse_args([str(a) for a in argv])
+
+    def test_solver_choices_and_default(self):
+        from ecir.refinement import SOLVERS
+
+        args = self.parsed("refine", "--frames", "f", "--out", "o")
+        assert args.solver == SOLVERS[0]
+        assert tuple(args.overridable["solver"].choices) == SOLVERS
+
+    def test_threshold_defaults(self):
+        from ecir.simulation import ThresholdConfig
+
+        args = self.parsed("simulate", "--video", "v", "--out", "o")
+        parsed = ThresholdConfig(args.c_plus, args.c_minus, sigma=args.sigma, seed=args.seed)
+        assert parsed == ThresholdConfig()
+
+    def test_eval_record_holds_one_float_a_score(self):
+        from ecir.cli import _EVAL_RECORD, EVAL_SCORES
+
+        assert _EVAL_RECORD.size == 8 * len(EVAL_SCORES)
+        scores = tuple(float(i) for i in range(len(EVAL_SCORES)))
+        assert _EVAL_RECORD.unpack(_EVAL_RECORD.pack(*scores)) == scores
 
 
 class TestCommitLast:

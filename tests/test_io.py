@@ -1,5 +1,6 @@
 """File formats: events, PGM, raw float frames, histograms, videos, manifests."""
 
+import dataclasses
 import json
 import math
 import os
@@ -29,6 +30,8 @@ from ecir.io import (
     EVENT_TEXT_PART,
     EVT_MAGIC,
     FormatError,
+    MANIFEST_KEYS,
+    MANIFEST_PATHS,
     Manifest,
     ParseError,
     list_frames,
@@ -1330,6 +1333,59 @@ class TestManifests:
         (tmp_path / "m.json").write_text('{"t_start": 0.0,\n  "t_end": \n}')
         with pytest.raises(ParseError):
             load_manifest(tmp_path / "m.json")
+
+    def test_keys_are_the_fields_but_base_dir(self):
+        assert MANIFEST_PATHS == ("blurry", "events", "gt_video")
+        assert MANIFEST_KEYS == ("t_start", "t_end", *MANIFEST_PATHS, "overrides")
+        fields = [f.name for f in dataclasses.fields(Manifest)]
+        assert fields == [*MANIFEST_KEYS, "base_dir"]
+
+    def test_save_writes_exactly_the_owned_keys(self, tmp_path):
+        Manifest(t_start=0.0, t_end=0.1, events="e.evt", overrides={"n": 3},
+                 base_dir=tmp_path / "elsewhere").save(tmp_path / "m.json")
+        payload = json.loads((tmp_path / "m.json").read_text())
+        assert list(payload) == sorted(MANIFEST_KEYS)
+        assert payload == {"t_start": 0.0, "t_end": 0.1, "blurry": None, "events": "e.evt",
+                           "gt_video": None, "overrides": {"n": 3}}
+
+    def test_absent_optional_keys_take_the_dataclass_defaults(self, tmp_path):
+        (tmp_path / "m.json").write_text('{"t_start": 0.0, "t_end": 0.1}')
+        loaded = load_manifest(tmp_path / "m.json")
+        optional = [f for f in dataclasses.fields(Manifest)
+                    if f.name in MANIFEST_KEYS and f.name not in ("t_start", "t_end")]
+        assert [f.name for f in optional] == [*MANIFEST_PATHS, "overrides"]
+        for f in optional:
+            default = f.default if f.default_factory is dataclasses.MISSING else f.default_factory()
+            assert getattr(loaded, f.name) == default, f.name
+        assert loaded.base_dir == tmp_path
+
+    @pytest.mark.parametrize("key", ["t_start", "t_end"])
+    def test_absent_bound_names_the_key(self, tmp_path, key):
+        body = {"t_start": 0.0, "t_end": 0.1, "events": None}
+        del body[key]
+        (tmp_path / "m.json").write_text(json.dumps(body))
+        with pytest.raises(FormatError, match=f"m.json: invalid manifest field: .*'{key}'"):
+            load_manifest(tmp_path / "m.json")
+
+    @pytest.mark.parametrize("body", ["[]", '["t_start", "t_end"]', '"t_start t_end"', "5",
+                                      "null"])
+    def test_json_that_is_not_an_object_refused(self, tmp_path, body):
+        (tmp_path / "m.json").write_text(body)
+        with pytest.raises(FormatError, match="m.json: invalid manifest field: "):
+            load_manifest(tmp_path / "m.json")
+
+    def test_manifest_an_earlier_version_wrote_loads_and_saves_unchanged(self, tmp_path):
+        # the bytes simulate wrote before the manifest's keys had one owner
+        text = ('{\n  "blurry": "blurry.f32",\n  "events": "events.evt",\n  "gt_video": '
+                f'"{tmp_path}",\n  "overrides": {{}},\n  "t_end": 0.12,\n  "t_start": 0.0\n}}\n')
+        (tmp_path / "manifest.json").write_text(text)
+        write_f32(tmp_path / "blurry.f32", np.zeros((2, 2)))
+        write_events(tmp_path / "events.evt", EventStream.empty(ExposureInterval(0.0, 0.12)))
+        loaded = load_manifest(tmp_path / "manifest.json")
+        assert loaded == Manifest(0.0, 0.12, "blurry.f32", "events.evt", str(tmp_path), {},
+                                  tmp_path)
+        loaded.save(tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_text() == text
 
 
 def _write_case(name: str, d: Path, k: int) -> None:

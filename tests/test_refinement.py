@@ -1,6 +1,7 @@
 """Residual-flow refinement: objective, gradient, descent, exact solve, step limit."""
 
 import dataclasses
+import inspect
 import math
 import warnings
 
@@ -22,7 +23,9 @@ from ecir import (
     surrogate_residuals,
     tridiagonal_solve,
 )
-from ecir.refinement import PRODUCT_BLOCK_COLUMNS, PRODUCT_BLOCK_MADDS, _column_blocks, _operator
+from ecir.refinement import (
+    PRODUCT_BLOCK_COLUMNS, PRODUCT_BLOCK_MADDS, SOLVERS, _column_blocks, _operator,
+)
 
 IV = ExposureInterval(-0.06, 0.06)
 
@@ -116,6 +119,24 @@ class TestSurrogateResiduals:
         initial = np.zeros((3, 1, 1))
         with pytest.raises(ValueError):
             surrogate_residuals(initial, EventStream.empty(IV), 0.2, np.array([0.0, 0.0, 0.01]))
+
+    @pytest.mark.parametrize("run", [surrogate_residuals, refine])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("x", [0, 1], ids=["event-free", "with-events"])
+    def test_non_finite_frame_refused_as_a_frame(self, run, bad, x):
+        """RefineProblem's refusal, not an overflow at c: an inf at a quiet pixel sets a flag."""
+        initial = np.full((3, 1, 2), 0.4)
+        initial[0, 0, x] = bad
+        stream = EventStream(
+            np.array([1, 1]), np.array([0, 0]), np.array([-0.05, 0.01]), np.array([1, -1]), IV
+        )
+        schedule = np.linspace(IV.t_start, IV.t_end, 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^initial frames holds NaN or infinite values$"):
+                run(initial, stream, 0.2, schedule)
+        with pytest.raises(ValueError, match="^initial frames holds NaN or infinite values$"):
+            RefineProblem(initial, np.zeros((2, 1, 2)))
 
 
 class TestObjective:
@@ -530,6 +551,18 @@ class TestRefinePass:
                 np.array([IV.t_start, IV.t_end]),
                 solver="newton",
             )
+
+
+class TestSolverNames:
+    def test_refinement_owns_them_default_first(self):
+        assert SOLVERS == ("tridiag", "gd")
+        assert inspect.signature(refine).parameters["solver"].default == SOLVERS[0]
+
+    def test_unknown_solver_names_the_solvers(self):
+        problem = scalar_problem([0.2, 0.4], [0.1])
+        with pytest.raises(ValueError,
+                           match=r"^unknown solver 'newton' \(expected 'tridiag' or 'gd'\)$"):
+            _operator(problem, "newton")
 
 
 def narrowest_block(d):

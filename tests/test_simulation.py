@@ -90,6 +90,34 @@ class TestPolarity:
             ThresholdConfig(**{field: value})
 
 
+# thresholds at and around every edge of the signed-pair rule, and any float
+EDGE_THRESHOLDS = st.sampled_from([math.inf, -math.inf, math.nan, 0.0, -0.0, 0.2, -0.2])
+
+
+@settings(max_examples=300, deadline=None)
+@given(delta_ln=st.floats(), c_plus=EDGE_THRESHOLDS | st.floats(),
+       c_minus=EDGE_THRESHOLDS | st.floats())
+def test_polarity_refuses_exactly_what_threshold_config_refuses(delta_ln, c_plus, c_minus):
+    """polarity holds its pair to ThresholdConfig's rule and words a refusal as it does."""
+    try:
+        ThresholdConfig(c_plus, c_minus)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as refused:
+            polarity(delta_ln, c_plus, c_minus)
+        assert str(refused.value) == str(exc)
+    else:
+        expected = 1 if delta_ln >= c_plus else -1 if delta_ln <= c_minus else 0
+        assert polarity(delta_ln, c_plus, c_minus) == expected
+
+
+def test_polarity_refuses_an_infinite_threshold():
+    # the rule it once stated itself, c_plus > 0 > c_minus, let these through
+    with pytest.raises(ValueError, match="c_plus must be positive and finite"):
+        polarity(5.0, math.inf, -0.2)
+    with pytest.raises(ValueError, match="c_minus must be negative and finite"):
+        polarity(-5.0, 0.2, -math.inf)
+
+
 class TestSimulateEvents:
     def test_constant_video_is_silent(self):
         times = np.linspace(IV.t_start, IV.t_end, 8)
